@@ -19,11 +19,11 @@ from .assembly import (AssemblyConfig, AssemblyError, MaterialParams,
                        PlaneWave, apply_symmetry_bc, assemble_rhs,
                        assemble_rows, constrained_dofs, element_matrices,
                        incident_field, symmetrize)
-from .solver import (CgBreakdownError, CholeskyFactor, FactorBreakdownError,
-                     Preconditioner, SingularPreconditionerError, SolveReport,
-                     SolverError, build_bicp, build_dp, build_icp, cg_solve,
+from .solver import (CholeskyFactor, FactorBreakdownError, Preconditioner,
+                     SingularPreconditionerError, SolveReport, SolverError,
+                     build_bicp, build_dp, build_icp, cg_solve,
                      forward_back_substitute)
 from .runner import (ConfigError, RunResult, Scenario, compare_preconditioners,
                      run_scenario)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

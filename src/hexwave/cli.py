@@ -17,7 +17,7 @@ import sys
 
 from .mesh import MeshError
 from .runner import ConfigError, Scenario, compare_preconditioners, run_scenario
-from .solver import CgBreakdownError, FactorBreakdownError, SolverError
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -141,7 +141,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CgBreakdownError, FactorBreakdownError, SolverError) as exc:
+    except SolverError as exc:
         print(f"solver breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
 

@@ -5,14 +5,17 @@ x^H y) appropriate for complex symmetric matrices.  Three
 preconditioners are available: inverse diagonal (DP), zero-fill
 incomplete Cholesky built column by column across ranks (ICP), and a
 block variant that factors only rank-local entries and therefore needs
-no build communication (BICP).  Forward/back substitution for ICP is
-pipelined segment-by-segment over the fabric; BICP blocks solve
-independently.
+no build communication (BICP).  Both factored preconditioners apply
+L L^T through one level-scheduled triangular-solve kernel: the rows of
+a segment are grouped once per factor into dependency levels, and each
+level is solved as one vectorized gather-and-reduce.  ICP pipelines its
+segments over the fabric; BICP blocks solve independently.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 import json
+import threading
 
 import numpy as np
 
@@ -31,10 +34,6 @@ class SingularPreconditionerError(SolverError):
 
 class FactorBreakdownError(SolverError):
     """An exactly zero pivot aborted the incomplete factorization."""
-
-
-class CgBreakdownError(SolverError):
-    """The unconjugated bilinear form vanished (p^T A p = 0 or r^T z = 0)."""
 
 
 @dataclass
@@ -57,17 +56,25 @@ class CholeskyFactor:
     col_ptr: np.ndarray = field(default=None, repr=False)
     col_rows: np.ndarray = field(default=None, repr=False)
     col_pos: np.ndarray = field(default=None, repr=False)
+    # Level schedules per row segment; rank threads may share a factor.
+    _schedules: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock,
+                                  init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.col_ptr is None:
-            rows = self.row_start + np.repeat(
-                np.arange(self.row_end - self.row_start), np.diff(self.indptr))
+            rows = self._entry_rows()
             order = np.lexsort((rows, self.indices))
             self.col_pos = order.astype(np.int64)
             self.col_rows = rows[order].astype(np.int64)
             self.col_ptr = np.searchsorted(
                 self.indices[order],
                 np.arange(self.row_start, self.row_end + 1)).astype(np.int64)
+
+    def _entry_rows(self) -> np.ndarray:
+        return self.row_start + np.repeat(
+            np.arange(self.row_end - self.row_start), np.diff(self.indptr))
 
     @property
     def nnz(self) -> int:
@@ -76,27 +83,19 @@ class CholeskyFactor:
     def value_bytes(self) -> int:
         return COMPLEX_BYTES * self.nnz
 
-    def row(self, i: int):
-        li = i - self.row_start
-        s, e = self.indptr[li], self.indptr[li + 1]
-        return self.indices[s:e], self.data[s:e]
-
-    def diag(self, i: int) -> complex:
-        li = i - self.row_start
-        return self.data[self.indptr[li + 1] - 1]
-
-    def column_below(self, j: int):
-        """Rows strictly below the diagonal in column j, with values."""
-        lj = j - self.row_start
-        s, e = self.col_ptr[lj], self.col_ptr[lj + 1]
-        # Entries are row-sorted and the first one is the diagonal.
-        return self.col_rows[s + 1:e], self.data[self.col_pos[s + 1:e]]
+    def schedule(self, lo: int, hi: int):
+        """``(forward, back)`` level schedules of rows [lo, hi), built on
+        first use and shared by every later solve on this factor."""
+        with self._lock:
+            sched = self._schedules.get((lo, hi))
+            if sched is None:
+                sched = self._schedules[(lo, hi)] = _schedule_segment(
+                    self, lo, hi)
+        return sched
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.row_start, self.row_end):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[self._entry_rows(), self.indices] = self.data
         return out
 
 
@@ -254,15 +253,12 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
     l_vals = [np.zeros(len(c), dtype=np.complex128) for c in pat_cols]
     updates = _column_updates(pat_cols, lo)
     scratch = np.zeros(n, dtype=np.complex128)
-
-    def owner(dof):
-        return partition.owner_of_dof(dof)
+    owner = partition.owner_of_dof(np.arange(n))
 
     def needed_by(j):
         """Ranks owning rows below the diagonal of column j."""
         rows_below = a.column(j)[0]
-        rows_below = rows_below[rows_below > j]
-        return sorted({owner(int(i)) for i in rows_below})
+        return np.unique(owner[rows_below[rows_below > j]]).tolist()
 
     def publish_row(j):
         lj = j - lo
@@ -279,7 +275,7 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
             prev = j - 1
             if prev in updates:
                 if pending is None:
-                    pending = fabric.recv(rank, owner(prev))
+                    pending = fabric.recv(rank, int(owner[prev]))
                 cols_p, vals_p = pending
                 scratch[cols_p] = vals_p
                 piv_prev = vals_p[-1]
@@ -314,76 +310,137 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
 # Triangular solves
 # ---------------------------------------------------------------------------
 
-def _forward_row(factor: CholeskyFactor, i: int, b: np.ndarray,
-                 y: np.ndarray) -> complex:
-    cols, vals = factor.row(i)
-    piv = vals[-1]
-    if piv == 0:
-        raise FactorBreakdownError(f"zero pivot in row {i} during forward solve")
-    return (b[i] - np.dot(vals[:-1], y[cols[:-1]])) / piv
+def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(b, e)`` over the pairs of begin/end."""
+    count = end - begin
+    return np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count,
+                                              count)
 
 
-def _back_row(factor: CholeskyFactor, i: int, y: np.ndarray,
-              x: np.ndarray) -> complex:
-    rows_below, vals = factor.column_below(i)
-    piv = factor.diag(i)
-    if piv == 0:
-        raise FactorBreakdownError(f"zero pivot in row {i} during back solve")
-    return (y[i] - np.dot(vals, x[rows_below])) / piv
+def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
+    """Dependency level of each row of [lo, hi) in one triangular sweep:
+    0 for a row that needs no other row of the segment, otherwise one
+    more than the highest level among the rows it needs, which are its
+    neighbours ``nbr[begin[r]:end[r]]`` inside [lo, hi).  Found front by
+    front: a row joins the next front once all it needs is solved."""
+    m, count = hi - lo, end - begin
+    dep_on = nbr[_ranges(begin, end)] - lo
+    inside = (dep_on >= 0) & (dep_on < m)
+    dep_row, dep_on = np.repeat(np.arange(m), count)[inside], dep_on[inside]
+    waiting = np.bincount(dep_row, minlength=m)
+    by_need = np.argsort(dep_on, kind="stable")
+    succ = dep_row[by_need]                  # grouped by the row they need
+    succ_ptr = np.searchsorted(dep_on[by_need], np.arange(m + 1))
+    level = np.empty(m, dtype=np.int64)
+    front, depth = np.flatnonzero(waiting == 0), 0
+    while len(front):
+        level[front] = depth
+        freed = succ[_ranges(succ_ptr[front], succ_ptr[front + 1])]
+        np.subtract.at(waiting, freed, 1)
+        front, depth = np.unique(freed[waiting[freed] == 0]), depth + 1
+    return level
+
+
+def _schedule_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:
+    """Level schedule of one triangular sweep over rows [lo, hi).
+
+    Row ``lo + r`` subtracts ``data[pos[e]] * out[nbr[e]]`` over the
+    entries ``e`` in ``[begin[r], end[r])``, then divides by
+    ``data[diag[r]]``; neighbours inside [lo, hi) must be solved first,
+    neighbours outside are already known.  Each level is a tuple of
+    index arrays ``(rows, diag, cols, pos, starts)``: rows with entries
+    come first and ``starts`` holds their ``reduceat`` offsets.
+    """
+    count = end - begin
+    level = _levels(lo, hi, begin, end, nbr)
+    # Levels are slices of one contiguous copy of the index arrays; many
+    # small per-level copies fragment the heap and raise peak RSS.
+    order = np.lexsort((count == 0, level))
+    rows, diag, count = lo + order, diag[order], count[order]
+    ent = _ranges(begin[order], end[order])
+    cols, pos = nbr[ent], pos[ent]
+    offset = np.concatenate(([0], np.cumsum(count)))
+    cuts = np.searchsorted(level[order],
+                           np.arange(level.max(initial=-1) + 2)).tolist()
+    sweep = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        e0, e1 = offset[a], offset[b]
+        full = a + np.count_nonzero(count[a:b])
+        sweep.append((rows[a:b], diag[a:b], cols[e0:e1], pos[e0:e1],
+                      offset[a:full] - e0))
+    return sweep
+
+
+def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
+    """Forward and back level schedules of rows [lo, hi) of the factor.
+
+    The forward sweep reads each row's off-diagonal CSR entries, the back
+    sweep the entries below the diagonal in the same column, both in
+    stored order, so a row's sum never depends on the segment split.
+    """
+    local = np.arange(lo - factor.row_start, hi - factor.row_start)
+    diag = factor.indptr[local + 1] - 1
+    zero = np.flatnonzero(factor.data[diag] == 0)
+    if len(zero):
+        raise FactorBreakdownError(f"zero pivot in row {lo + int(zero[0])}")
+    forward = _schedule_sweep(
+        lo, hi, factor.indptr[local], diag, factor.indices,
+        np.arange(factor.nnz), diag)
+    # The first entry of each column is its diagonal.
+    back = _schedule_sweep(
+        lo, hi, factor.col_ptr[local] + 1, factor.col_ptr[local + 1],
+        factor.col_rows, factor.col_pos, diag)
+    return forward, back
+
+
+def _solve_levels(sweep: list, data: np.ndarray, rhs: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Triangular solve of one segment, level by level, into ``out``."""
+    for rows, diag, cols, pos, starts in sweep:
+        acc = rhs[rows]
+        if len(starts):
+            acc[:len(starts)] -= np.add.reduceat(data[pos] * out[cols],
+                                                 starts)
+        out[rows] = acc / data[diag]
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
                             partition: RowPartition, rank: int,
                             fabric: CommFabric,
                             concat: str = "spmd") -> np.ndarray:
-    """Solve L L^T x = b.
+    """Solve L L^T x = b with the factor's level schedules.
 
-    Full factors are solved in pipelined fashion: each rank computes its
+    Full factors are solved in pipelined fashion: each rank solves its
     contiguous segment and broadcasts it so the next segment can start
     (P(P-1) messages per triangular solve).  Block-local factors solve
     independently and merge with one concatenation per triangular solve.
+    Either way a rank's rows are solved level by level (see
+    ``CholeskyFactor.schedule``), each row summed in its stored order,
+    so a full factor gives a result bitwise independent of P.
     """
-    n = factor.n
-    if factor.block_local:
-        lo, hi = factor.row_start, factor.row_end
-        concat_fn = CONCAT_STRATEGIES[concat]
-        y = np.zeros(n, dtype=np.complex128)
-        for i in range(lo, hi):
-            y[i] = _forward_row(factor, i, b, y)
-        y = concat_fn(fabric, rank,
-                      SparseVector.from_segment(lo, y[lo:hi], n))
-        x = np.zeros(n, dtype=np.complex128)
-        for i in range(hi - 1, lo - 1, -1):
-            x[i] = _back_row(factor, i, y, x)
-        return concat_fn(fabric, rank,
-                         SparseVector.from_segment(lo, x[lo:hi], n))
+    n, P = factor.n, fabric.ranks
+    lo, hi = partition.dof_range(rank)
+    forward, back = factor.schedule(lo, hi)
 
-    P = fabric.ranks
-    y = np.zeros(n, dtype=np.complex128)
-    for seg in range(P):
-        slo, shi = partition.dof_range(seg)
-        if seg == rank:
-            for i in range(slo, shi):
-                y[i] = _forward_row(factor, i, b, y)
-            if P > 1:
-                fabric.broadcast(rank,
-                                 SparseVector.from_segment(slo, y[slo:shi], n))
-        else:
-            sv = fabric.recv(rank, seg)
-            y[sv.indices] = sv.values
-    x = np.zeros(n, dtype=np.complex128)
-    for seg in range(P - 1, -1, -1):
-        slo, shi = partition.dof_range(seg)
-        if seg == rank:
-            for i in range(shi - 1, slo - 1, -1):
-                x[i] = _back_row(factor, i, y, x)
-            if P > 1:
-                fabric.broadcast(rank,
-                                 SparseVector.from_segment(slo, x[slo:shi], n))
-        else:
-            sv = fabric.recv(rank, seg)
-            x[sv.indices] = sv.values
-    return x
+    def sweep(levels, rhs, segs):
+        out = np.zeros(n, dtype=np.complex128)
+        if factor.block_local:
+            _solve_levels(levels, factor.data, rhs, out)
+            return CONCAT_STRATEGIES[concat](
+                fabric, rank, SparseVector.from_segment(lo, out[lo:hi], n))
+        for seg in segs:
+            if seg == rank:
+                _solve_levels(levels, factor.data, rhs, out)
+                if P > 1:
+                    fabric.broadcast(rank, SparseVector.from_segment(
+                        lo, out[lo:hi], n))
+            else:
+                sv = fabric.recv(rank, seg)
+                out[sv.indices] = sv.values
+        return out
+
+    y = sweep(forward, b, range(P))
+    return sweep(back, y, range(P - 1, -1, -1))
 
 
 # ---------------------------------------------------------------------------

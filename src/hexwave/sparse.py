@@ -42,10 +42,12 @@ class RowPartition:
         lo, hi = self.node_range(rank)
         return self.dofs_per_node * lo, self.dofs_per_node * hi
 
-    def owner_of_node(self, node: int) -> int:
-        return int(np.searchsorted(self.node_starts, node, side="right") - 1)
+    def owner_of_node(self, node):
+        """Rank owning a node, or the owners of an array of nodes."""
+        owner = np.searchsorted(self.node_starts, node, side="right") - 1
+        return owner if np.ndim(owner) else int(owner)
 
-    def owner_of_dof(self, dof: int) -> int:
+    def owner_of_dof(self, dof):
         return self.owner_of_node(dof // self.dofs_per_node)
 
 

@@ -3,12 +3,17 @@ from __future__ import annotations
 
 import csv
 import json
+import pathlib
+import re
 
 import pytest
 import scipy.io
 
+import hexwave
+from hexwave import cli
 from hexwave.cli import main
 from hexwave.runner import ConfigError, Scenario
+from hexwave.solver import FactorBreakdownError
 from hexwave.sparse import read_rhs
 
 SMALL_CONFIG = """\
@@ -115,6 +120,20 @@ def test_node_budget_exit_five(tmp_path, capsys):
                  "node_budget = 100\n")
     assert main(["run", "--config", str(p)]) == 5
     assert "budget" in capsys.readouterr().err
+
+
+def test_solver_breakdown_exit_three(config_path, monkeypatch, capsys):
+    def breakdown(*args, **kwargs):
+        raise FactorBreakdownError("zero pivot in row 4")
+    monkeypatch.setattr(cli, "run_scenario", breakdown)
+    assert main(["run", "--config", config_path]) == 3
+    assert "row 4" in capsys.readouterr().err
+
+
+def test_version_matches_pyproject():
+    text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1)
+    assert hexwave.__version__ == declared
 
 
 def test_export_matrix_round_trips_through_scipy(config_path, tmp_path):

@@ -1,14 +1,18 @@
 """Preconditioners, triangular solves and the conjugate gradient loop."""
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from hexwave.fabric import CommFabric, run_spmd
-from hexwave.solver import (FactorBreakdownError, Preconditioner,
-                            SingularPreconditionerError, build_bicp, build_dp,
-                            build_icp, cg_solve, forward_back_substitute)
+from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
+                            Preconditioner, SingularPreconditionerError,
+                            build_bicp, build_dp, build_icp, cg_solve,
+                            forward_back_substitute)
 from hexwave.sparse import RedundantRows, RowPartition, partition_rows
 
 from conftest import dense_ic_oracle, random_symmetric_sparse
@@ -168,7 +172,7 @@ def test_substitution_matches_scipy(rng):
     np.testing.assert_allclose(x, x_ref, rtol=1e-12)
 
 
-@pytest.mark.parametrize("ranks", [2, 3])
+@pytest.mark.parametrize("ranks", [2, 3, 4])
 def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     rows, _ = random_symmetric_sparse(rng, 12, density=0.4)
     ar = RedundantRows.from_rows(rows, 12)
@@ -207,6 +211,106 @@ def test_block_substitution_is_block_exact(rng):
         # plain (unconjugated) transpose for the back solve
         xr = np.linalg.solve(lref.T, np.linalg.solve(lref, b[lo:hi]))
         np.testing.assert_allclose(out[0][lo:hi], xr, rtol=1e-10)
+
+
+def _scipy_substitute(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L L^T x = b, plain (unconjugated) transpose."""
+    y = scipy.linalg.solve_triangular(lower, b, lower=True)
+    return scipy.linalg.solve_triangular(lower.T, y, lower=False)
+
+
+def test_level_counts_diagonal_and_tridiagonal():
+    n = 7
+    diag = build_icp(_redundant(4.0 * np.eye(n, dtype=complex)),
+                     _one_rank(n), 0, CommFabric(1))
+    forward, back = diag.schedule(0, n)
+    assert (len(forward), len(back)) == (1, 1)
+    tri = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)).astype(complex)
+    chain = build_icp(_redundant(tri), _one_rank(n), 0, CommFabric(1))
+    forward, back = chain.schedule(0, n)
+    assert (len(forward), len(back)) == (n, n)
+    assert [r.tolist() for r, *_ in forward] == [[i] for i in range(n)]
+    assert [r.tolist() for r, *_ in back] == [[i] for i in range(n - 1, -1, -1)]
+
+
+def test_level_solve_matches_scipy_full_factor(rng):
+    rows, _ = random_symmetric_sparse(rng, 30, density=0.08, diag_boost=10.0)
+    ar = RedundantRows.from_rows(rows, 30)
+    part = _one_rank(30)
+    factor = build_icp(ar, part, 0, CommFabric(1))
+    forward, back = factor.schedule(0, 30)
+    assert 3 <= len(forward) < 30 and 3 <= len(back) < 30
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    x = forward_back_substitute(factor, b, part, 0, CommFabric(1))
+    np.testing.assert_allclose(x, _scipy_substitute(factor.to_dense(), b),
+                               rtol=1e-12)
+
+
+def test_level_solve_matches_scipy_block_local_factor(rng):
+    rows, _ = random_symmetric_sparse(rng, 40, density=0.08, diag_boost=10.0)
+    ar = RedundantRows.from_rows(rows, 40)
+    part = _split([0, 20, 40])
+    factors = [build_bicp(ar, part, r) for r in range(2)]
+    for f in factors:
+        assert f.block_local
+        assert min(len(s) for s in f.schedule(f.row_start, f.row_end)) >= 3
+    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    out = run_spmd(
+        2, lambda f, r: forward_back_substitute(factors[r], b, part, r, f),
+        fabric=CommFabric(2))
+    for f in factors:
+        lo, hi = f.row_start, f.row_end
+        ref = _scipy_substitute(f.to_dense()[lo:hi, lo:hi], b[lo:hi])
+        np.testing.assert_allclose(out[0][lo:hi], ref, rtol=1e-12)
+    assert np.array_equal(out[0], out[1])
+
+
+def test_repeated_applies_bitwise_equal(rng):
+    rows, _ = random_symmetric_sparse(rng, 20, density=0.2)
+    ar = RedundantRows.from_rows(rows, 20)
+    part = _one_rank(20)
+    factor = build_icp(ar, part, 0, CommFabric(1))
+    b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    first = forward_back_substitute(factor, b, part, 0, CommFabric(1))
+    second = forward_back_substitute(factor, b, part, 0, CommFabric(1))
+    assert np.array_equal(first, second)
+
+
+def test_schedule_built_once_under_racing_threads(rng):
+    rows, _ = random_symmetric_sparse(rng, 60, density=0.1, diag_boost=20.0)
+    ar = RedundantRows.from_rows(rows, 60)
+    factor = build_icp(ar, _one_rank(60), 0, CommFabric(1))
+    got = []
+    start = threading.Barrier(8)
+
+    def schedule_segment():
+        start.wait(timeout=30)
+        got.append(factor.schedule(10, 50))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=schedule_segment) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(s is got[0] for s in got)
+
+
+def test_zero_pivot_in_factor_named_at_schedule_build():
+    n = 4
+    indptr = np.array([0, 1, 3, 5, 7])
+    indices = np.array([0, 0, 1, 1, 2, 2, 3])
+    data = np.array([2, 1, 3, 1, 0, 1, 5], dtype=complex)   # L[2, 2] = 0
+    factor = CholeskyFactor(n=n, row_start=0, row_end=n, indptr=indptr,
+                            indices=indices, data=data)
+    with pytest.raises(FactorBreakdownError, match="row 2"):
+        forward_back_substitute(factor, np.ones(n, dtype=complex),
+                                _one_rank(n), 0, CommFabric(1))
 
 
 # -- conjugate gradient ------------------------------------------------------

@@ -46,6 +46,8 @@ def test_owner_lookup():
         assert lo <= node < hi
     for dof in range(30):
         assert p.owner_of_dof(dof) == p.owner_of_node(dof // 3)
+    assert p.owner_of_dof(np.arange(30)).tolist() == [
+        p.owner_of_dof(dof) for dof in range(30)]
 
 
 def test_partition_more_ranks_than_nodes_rejected():
