@@ -84,11 +84,6 @@ class AbcFacetMatrices:
 class AssemblyConfig:
     quadrature: int = 2                  # Gauss points per direction
     penalty_weight: float = 1.0
-    # Surface divergence-penalty term on exterior/PEC facets; makes the
-    # matrix non-symmetric before symmetrization.  Off by default: the
-    # volume penalty alone keeps the discrete field divergence small and
-    # the surface term degrades the solved total field.
-    penalty_surface: bool = False
 
 
 def _gauss(n: int):
@@ -202,41 +197,6 @@ def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray, k0: float,
     return AbcFacetMatrices(first_order=first, second_order=second)
 
 
-def penalty_surface_matrix(facet_coords: np.ndarray, elem_coords: np.ndarray,
-                           facet_local: np.ndarray, normal: np.ndarray,
-                           quadrature: int = 2) -> np.ndarray:
-    """12x24 block of the facet term coupling W.n with the divergence of H.
-
-    Rows run over (facet node, component) - only the normal component is
-    non-zero - and columns over the adjacent element's 24 dofs.
-    """
-    facet_coords = np.asarray(facet_coords, dtype=float)
-    elem_coords = np.asarray(elem_coords, dtype=float)
-    nax, taxes = _facet_frame(facet_coords, normal)
-    sign = float(np.sign(normal[nax]))
-    lo = elem_coords.min(axis=0)
-    hi = elem_coords.max(axis=0)
-    pts, wts = _gauss(quadrature)
-    p2 = facet_coords[:, taxes]
-    out = np.zeros((12, 24), dtype=np.complex128)
-    rows = 3 * np.arange(4) + nax
-    for u, wu in zip(pts, wts):
-        for v, wv in zip(pts, wts):
-            m, dm = _quad_shapes(np.array([u, v]))
-            jac = dm.T @ p2
-            det = abs(np.linalg.det(jac))
-            # Physical point, then element reference coordinates (the
-            # element is an axis-aligned box).
-            x = m @ facet_coords
-            xi = 2.0 * (x - lo) / (hi - lo) - 1.0
-            _, dn = _hex_shapes(xi)
-            grad = dn @ np.diag(2.0 / (hi - lo))
-            w = wu * wv * det * sign
-            out[np.ix_(rows, np.arange(24))] += (
-                w * np.einsum("a,bj->abj", m, grad).reshape(4, 24))
-    return out
-
-
 def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
     """Incident H and curl(H) at one point."""
     point = np.asarray(point, dtype=float)
@@ -286,7 +246,6 @@ class _BlockCache:
         self.config = config
         self._elem: dict = {}
         self._abc: dict = {}
-        self._pen_surface: dict = {}
         self._facet_face: dict = {}
 
     def _canonical(self, coords: np.ndarray) -> np.ndarray:
@@ -339,26 +298,6 @@ class _BlockCache:
             self._abc[face] = blk
         return blk
 
-    def penalty_surface_block(self, fid: int, facet: Facet) -> np.ndarray:
-        face = self.local_face(fid, facet)
-        blk = self._pen_surface.get(face)
-        if blk is None:
-            conn = self.mesh.elements[facet.element]
-            elem_coords = self.mesh.nodes[conn]
-            # Facet and element must share one translation offset so the
-            # facet still lies on the element after canonicalization.
-            off = elem_coords.min(axis=0)
-            h = self.mesh.spacing
-
-            def snap(c):
-                return np.round((c - off) / h) * h
-
-            blk = self.config.penalty_weight * penalty_surface_matrix(
-                snap(self.mesh.nodes[list(facet.nodes)]), snap(elem_coords),
-                HEX_FACES[face], facet.normal, self.config.quadrature)
-            self._pen_surface[face] = blk
-        return blk
-
 
 def _node_dofs(nodes) -> np.ndarray:
     nodes = np.asarray(nodes, dtype=np.int64)
@@ -397,11 +336,6 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
             if facet.kind is FacetKind.EXTERIOR:
                 blk = cache.abc_block(fid, facet)
                 col_groups.append(_node_dofs(facet.nodes))
-                val_groups.append(blk[3 * af:3 * af + 3, :])
-            if config.penalty_surface and facet.kind in (FacetKind.EXTERIOR,
-                                                         FacetKind.PEC):
-                blk = cache.penalty_surface_block(fid, facet)
-                col_groups.append(_node_dofs(mesh.elements[facet.element]))
                 val_groups.append(blk[3 * af:3 * af + 3, :])
         if not col_groups:
             raise AssemblyError(f"node {n} belongs to no element")

@@ -25,8 +25,6 @@ EXIT_BREAKDOWN = 3
 EXIT_CONFIG = 4
 EXIT_BUDGET = 5
 
-_STORAGE_NAMES = {"1": "1", "2": "2"}
-
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI scenario file (flags override it)")

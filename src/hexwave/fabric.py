@@ -76,6 +76,7 @@ class CommFabric:
         self._barrier_count = [0] * ranks
         self.barrier_collectives = 0
         self._shared: dict = {}
+        self._combined: dict = {}
         self._allgather_seq = [0] * ranks
 
     # -- phases and counters -------------------------------------------------
@@ -155,19 +156,30 @@ class CommFabric:
         if idx == 0:
             self.barrier_collectives += 1
 
-    def allgather_object(self, rank: int, obj):
-        """Uncounted shared-memory allgather (simulation plumbing only).
+    def allgather_object(self, rank: int, obj, combine=list):
+        """Shared-memory allgather: one object built from every rank's
+        ``obj`` and handed to all ranks (simulation plumbing only).
 
-        Exchanges object references between threads with a single barrier;
-        never used inside the counted algorithm phases for payload data.
-        Slots are keyed by a per-rank sequence number and intentionally
-        never reclaimed (the fabric lives for one run).
+        Each call is one barrier, counted as one barrier collective like
+        any other; no messages or bytes are counted, and it never carries
+        payload data of the counted algorithm phases.  After the barrier,
+        the first rank to get the fabric lock calls ``combine`` once on
+        the P objects in rank order, and every rank returns that same
+        result object, so it must be treated as read-only.  Results are
+        keyed by a per-rank sequence number and kept for the fabric's one
+        run; the gathered inputs are dropped once combined.
         """
         seq = self._allgather_seq[rank]
         self._allgather_seq[rank] += 1
         self._shared[(seq, rank)] = obj
         self.barrier(rank)
-        return [self._shared[(seq, q)] for q in range(self.ranks)]
+        with self._lock:
+            if seq not in self._combined:
+                self._combined[seq] = combine(
+                    [self._shared[(seq, q)] for q in range(self.ranks)])
+                for q in range(self.ranks):
+                    del self._shared[(seq, q)]
+            return self._combined[seq]
 
 
 def spmd_concat(fabric: CommFabric, rank: int,

@@ -174,13 +174,15 @@ def build_scenario_mesh(scenario: Scenario) -> HexMesh:
 def assemble_system(scenario: Scenario, mesh: HexMesh,
                     partition: RowPartition, rank: int,
                     fabric: CommFabric):
-    """Assemble, constrain and symmetrize this rank's rows, then share
-    all rows so every rank holds the identical global system.
+    """Assemble, constrain and symmetrize this rank's rows, then join
+    every rank's rows into one global ``(matrix, b)``.
 
-    The row exchange at the end models each rank's replicated copy of
-    the final system; it is simulation plumbing, not counted algorithm
-    traffic (assembly itself is message-free, and the constraint and
-    symmetrization messages are counted in their own phases).
+    The join is built once and every rank gets the same read-only
+    object, standing in for each rank's replicated copy of the final
+    system.  It is simulation plumbing, not counted algorithm traffic
+    (assembly itself is message-free, and the constraint and
+    symmetrization messages are counted in their own phases); it costs
+    one barrier.
     """
     params = MaterialParams(eps_r=scenario.eps_r, mu_r=scenario.mu_r,
                             k0=scenario.k0)
@@ -193,19 +195,17 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
     rhs_seg = assemble_rhs(mesh, wave, node_range, config)
     apply_symmetry_bc(rows, rhs_seg, mesh, partition, rank, fabric=fabric)
     symmetrize(rows, rhs_seg, partition, rank, fabric=fabric)
-    gathered = fabric.allgather_object(rank, (rows, rhs_seg))
-    all_rows: list = []
-    b_parts: list = []
-    for rrows, rseg in gathered:
-        all_rows.extend(rrows)
-        b_parts.append(rseg)
-    b = np.concatenate(b_parts)
     n = 3 * mesh.node_count
-    if scenario.storage == "1":
-        matrix = LowerSymmetricRows.from_symmetric_rows(all_rows, n)
-    else:
-        matrix = RedundantRows.from_rows(all_rows, n)
-    return matrix, b
+
+    def join(parts):
+        all_rows = [row for part_rows, _ in parts for row in part_rows]
+        if scenario.storage == "1":
+            matrix = LowerSymmetricRows.from_symmetric_rows(all_rows, n)
+        else:
+            matrix = RedundantRows.from_rows(all_rows, n)
+        return matrix, np.concatenate([seg for _, seg in parts])
+
+    return fabric.allgather_object(rank, (rows, rhs_seg), join)
 
 
 def build_preconditioner(scenario: Scenario, matrix, partition: RowPartition,
@@ -235,7 +235,11 @@ def _probe_samples(mesh: HexMesh, x: np.ndarray, stride: int) -> list:
 
 def run_scenario(scenario: Scenario, probe_stride: int = 0,
                  export_matrix: str | None = None) -> RunResult:
-    """Execute the full pipeline and return rank 0's (replicated) result."""
+    """Execute the full pipeline and return rank 0's result.
+
+    All ranks share one system object (and, for ``icp``, one factor),
+    so ``matrix_bytes`` and ``export_matrix`` describe that one copy.
+    """
     start = time.monotonic()
     mesh = build_scenario_mesh(scenario)
     constrained_dofs(mesh)         # surface conflicting symmetry planes early

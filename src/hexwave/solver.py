@@ -21,7 +21,8 @@ import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, RedundantRows, RowPartition, SparseVector,
-                     full_matvec, spmv_partial)
+                     _CsrBase, _csr_from_rows, column_index, full_matvec,
+                     spmv_partial)
 
 
 class SolverError(RuntimeError):
@@ -36,8 +37,7 @@ class FactorBreakdownError(SolverError):
     """An exactly zero pivot aborted the incomplete factorization."""
 
 
-@dataclass
-class CholeskyFactor:
+class CholeskyFactor(_CsrBase):
     """Zero-fill lower factor on (a sub-pattern of) A's lower pattern.
 
     Rows [row_start, row_end) are stored CSR-style with the diagonal as
@@ -46,42 +46,17 @@ class CholeskyFactor:
     the column-access twin of L.  ``block_local`` marks a BICP block
     whose columns are restricted to the owned range.
     """
-    n: int
-    row_start: int
-    row_end: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    block_local: bool = False
-    col_ptr: np.ndarray = field(default=None, repr=False)
-    col_rows: np.ndarray = field(default=None, repr=False)
-    col_pos: np.ndarray = field(default=None, repr=False)
-    # Level schedules per row segment; rank threads may share a factor.
-    _schedules: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.col_ptr is None:
-            rows = self._entry_rows()
-            order = np.lexsort((rows, self.indices))
-            self.col_pos = order.astype(np.int64)
-            self.col_rows = rows[order].astype(np.int64)
-            self.col_ptr = np.searchsorted(
-                self.indices[order],
-                np.arange(self.row_start, self.row_end + 1)).astype(np.int64)
-
-    def _entry_rows(self) -> np.ndarray:
-        return self.row_start + np.repeat(
-            np.arange(self.row_end - self.row_start), np.diff(self.indptr))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def value_bytes(self) -> int:
-        return COMPLEX_BYTES * self.nnz
+    def __init__(self, n, row_start, row_end, indptr, indices, data,
+                 block_local=False):
+        super().__init__(n, indptr, indices, data)
+        self.row_start, self.row_end = row_start, row_end
+        self.block_local = block_local
+        self.col_ptr, self.col_rows, self.col_pos = column_index(
+            self.entry_rows(), self.indices, row_start, row_end)
+        # Level schedules per row segment; rank threads may share a factor.
+        self._schedules: dict = {}
+        self._lock = threading.Lock()
 
     def schedule(self, lo: int, hi: int):
         """``(forward, back)`` level schedules of rows [lo, hi), built on
@@ -92,11 +67,6 @@ class CholeskyFactor:
                 sched = self._schedules[(lo, hi)] = _schedule_segment(
                     self, lo, hi)
         return sched
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=np.complex128)
-        out[self._entry_rows(), self.indices] = self.data
-        return out
 
 
 @dataclass
@@ -198,20 +168,6 @@ def _column_updates(pat_cols, row_start: int):
     return updates
 
 
-def _factor_from_rows(n, row_start, row_end, pat_cols, l_vals,
-                      block_local=False) -> CholeskyFactor:
-    nrows = row_end - row_start
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
-    for li in range(nrows):
-        indptr[li + 1] = indptr[li] + len(pat_cols[li])
-    indices = np.concatenate(pat_cols) if nrows else np.empty(0, np.int64)
-    data = np.concatenate(l_vals) if nrows else np.empty(0, np.complex128)
-    return CholeskyFactor(n=n, row_start=row_start, row_end=row_end,
-                          indptr=indptr, indices=indices.astype(np.int64),
-                          data=data.astype(np.complex128),
-                          block_local=block_local)
-
-
 def build_bicp(a: RedundantRows, partition: RowPartition,
                rank: int) -> CholeskyFactor:
     """Block incomplete Cholesky: only entries with both row and column
@@ -233,8 +189,9 @@ def build_bicp(a: RedundantRows, partition: RowPartition,
             l_vals[li][pos] = _ic_offdiag(l_vals[li], pat_cols[li], pos,
                                           scratch, pat_avals[li][pos], piv)
         scratch[cols_j] = 0.0
-    return _factor_from_rows(a.n, lo, hi, pat_cols, l_vals,
-                             block_local=partition.ranks > 1)
+    return CholeskyFactor(a.n, lo, hi,
+                          *_csr_from_rows(list(zip(pat_cols, l_vals)), hi - lo),
+                          block_local=partition.ranks > 1)
 
 
 def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
@@ -245,7 +202,9 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
     rows below once the pivot of column j is known; the owner of row j
     ships that row over the fabric when other ranks need it.  One
     barrier closes every pipeline step (n columns + final insertion).
-    On a dense pattern the result is the complete Cholesky factor.
+    The final insertion joins the full factor once, and every rank gets
+    that same read-only object.  On a dense pattern the result is the
+    complete Cholesky factor.
     """
     n = a.n
     lo, hi = partition.dof_range(rank)
@@ -295,15 +254,12 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
         elif j + 1 <= n and j in updates:
             pending = None              # will be received at the next step
         fabric.barrier(rank)
-    # Final insertion step: assemble the full factor (and its column
-    # twin) on every rank.
-    gathered = fabric.allgather_object(rank, (lo, hi, pat_cols, l_vals))
-    all_cols: list = []
-    all_vals: list = []
-    for glo, ghi, cols, vals in gathered:
-        all_cols.extend(cols)
-        all_vals.extend(vals)
-    return _factor_from_rows(n, 0, n, all_cols, all_vals, block_local=False)
+
+    def join(parts):
+        rows = [row for cols, vals in parts for row in zip(cols, vals)]
+        return CholeskyFactor(n, 0, n, *_csr_from_rows(rows, n))
+
+    return fabric.allgather_object(rank, (pat_cols, l_vals), join)
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,29 @@ def partition_rows(node_count: int, ranks: int) -> RowPartition:
 
 
 def _csr_from_rows(rows, n: int):
+    """CSR ``(indptr, indices, data)`` of n rows given as (columns, values)."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, (cols, _) in enumerate(rows):
-        indptr[i + 1] = indptr[i] + len(cols)
-    nnz = int(indptr[-1])
-    indices = np.empty(nnz, dtype=np.int64)
-    data = np.empty(nnz, dtype=np.complex128)
-    for i, (cols, vals) in enumerate(rows):
-        indices[indptr[i]:indptr[i + 1]] = cols
-        data[indptr[i]:indptr[i + 1]] = vals
-    return indptr, indices, data
+    np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
+    indices = np.concatenate([cols for cols, _ in rows] or [[]])
+    data = np.concatenate([vals for _, vals in rows] or [[]])
+    return (indptr, np.asarray(indices, dtype=np.int64),
+            np.asarray(data, dtype=np.complex128))
+
+
+def column_index(entry_rows: np.ndarray, indices: np.ndarray, lo: int,
+                 hi: int):
+    """CSC-style twin ``(col_ptr, col_rows, col_pos)`` of CSR entries whose
+    columns lie in [lo, hi): the entries of column j sit at positions
+    ``col_pos[col_ptr[j - lo]:col_ptr[j - lo + 1]]``, rows ascending."""
+    order = np.lexsort((entry_rows, indices))
+    col_ptr = np.searchsorted(indices[order], np.arange(lo, hi + 1))
+    return col_ptr, entry_rows[order], order
 
 
 class _CsrBase:
-    """Shared CSR plumbing for both storage layouts."""
+    """Shared CSR plumbing: rows [row_start, row_start + len(indptr) - 1)
+    of an n x n complex matrix.  The storage layouts hold all n rows."""
+    row_start = 0
 
     def __init__(self, n, indptr, indices, data):
         self.n = int(n)
@@ -90,8 +99,13 @@ class _CsrBase:
         return len(self.data)
 
     def row(self, i: int):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
+        lo, hi = self.indptr[i - self.row_start:i - self.row_start + 2]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    def entry_rows(self) -> np.ndarray:
+        """Row of every stored entry."""
+        return self.row_start + np.repeat(np.arange(len(self.indptr) - 1),
+                                          np.diff(self.indptr))
 
     def value_bytes(self) -> int:
         return COMPLEX_BYTES * self.nnz
@@ -100,13 +114,17 @@ class _CsrBase:
         return INDEX_BYTES * self.nnz
 
     def diagonal(self) -> np.ndarray:
+        """Stored diagonal entries; zero where a row stores none."""
+        rows = self.entry_rows()
+        on = self.indices == rows
         d = np.zeros(self.n, dtype=np.complex128)
-        for i in range(self.n):
-            cols, vals = self.row(i)
-            pos = np.searchsorted(cols, i)
-            if pos < len(cols) and cols[pos] == i:
-                d[i] = vals[pos]
+        d[rows[on]] = self.data[on]
         return d
+
+    def to_dense(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=np.complex128)
+        a[self.entry_rows(), self.indices] = self.data
+        return a
 
 
 class GeneralRows(_CsrBase):
@@ -120,24 +138,19 @@ class GeneralRows(_CsrBase):
     def from_rows(cls, rows, n: int) -> "GeneralRows":
         return cls(n, *_csr_from_rows(rows, n))
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.n):
-            cols, vals = self.row(i)
-            a[i, cols] = vals
-        return a
-
 
 class LowerSymmetricRows(_CsrBase):
     """Storage #1: only the lower triangle of a symmetric matrix, row-wise."""
 
     def __init__(self, n, indptr, indices, data):
         super().__init__(n, indptr, indices, data)
-        for i in range(self.n):
-            cols = self.indices[self.indptr[i]:self.indptr[i + 1]]
-            if len(cols) and (np.any(np.diff(cols) <= 0) or cols[-1] > i):
-                raise SparseFormatError(
-                    f"row {i}: columns must be strictly increasing and <= row")
+        rows = self.entry_rows()
+        bad = self.indices > rows
+        bad[1:] |= (np.diff(rows) == 0) & (np.diff(self.indices) <= 0)
+        if bad.any():
+            raise SparseFormatError(
+                f"row {rows[np.argmax(bad)]}: columns must be strictly "
+                "increasing and <= row")
 
     @classmethod
     def from_symmetric_rows(cls, rows, n: int) -> "LowerSymmetricRows":
@@ -150,11 +163,8 @@ class LowerSymmetricRows(_CsrBase):
         return cls(n, *_csr_from_rows(lower, n))
 
     def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.n):
-            cols, vals = self.row(i)
-            a[i, cols] = vals
-            a[cols, i] = vals
+        a = super().to_dense()
+        a[self.indices, self.entry_rows()] = self.data
         return a
 
 
@@ -168,12 +178,8 @@ class RedundantRows(_CsrBase):
 
     def __init__(self, n, indptr, indices, data):
         super().__init__(n, indptr, indices, data)
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        order = np.lexsort((rows, self.indices))
-        self.col_pos = order.astype(np.int64)
-        self.col_rows = rows[order].astype(np.int64)
-        self.col_ptr = np.searchsorted(self.indices[order],
-                                       np.arange(self.n + 1)).astype(np.int64)
+        self.col_ptr, self.col_rows, self.col_pos = column_index(
+            self.entry_rows(), self.indices, 0, self.n)
 
     @classmethod
     def from_rows(cls, rows, n: int) -> "RedundantRows":
@@ -183,32 +189,17 @@ class RedundantRows(_CsrBase):
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.col_rows[lo:hi], self.data[self.col_pos[lo:hi]]
 
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i in range(self.n):
-            cols, vals = self.row(i)
-            a[i, cols] = vals
-        return a
-
 
 def to_redundant(m: LowerSymmetricRows) -> RedundantRows:
     """Mirror the lower triangle into the full redundant representation."""
-    rows: list[list] = [[[], []] for _ in range(m.n)]
-    for i in range(m.n):
-        cols, vals = m.row(i)
-        rows[i][0].extend(cols.tolist())
-        rows[i][1].extend(vals.tolist())
-        off = cols < i
-        for j, v in zip(cols[off], vals[off]):
-            rows[j][0].append(i)
-            rows[j][1].append(v)
-    full = []
-    for cols, vals in rows:
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.complex128)
-        order = np.argsort(cols)
-        full.append((cols[order], vals[order]))
-    return RedundantRows.from_rows(full, m.n)
+    rows = m.entry_rows()
+    off = m.indices < rows
+    full_rows = np.concatenate((rows, m.indices[off]))
+    full_cols = np.concatenate((m.indices, rows[off]))
+    order = np.lexsort((full_cols, full_rows))
+    indptr = np.searchsorted(full_rows[order], np.arange(m.n + 1))
+    return RedundantRows(m.n, indptr, full_cols[order],
+                         np.concatenate((m.data, m.data[off]))[order])
 
 
 @dataclass
@@ -256,6 +247,20 @@ def _segment_matvec(m: _CsrBase, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
+                  x: np.ndarray) -> np.ndarray:
+    """Length-n product of rows [lo, hi) of lower-triangle storage with x,
+    each stored off-diagonal entry also acting as its transpose."""
+    out = np.zeros(m.n, dtype=np.complex128)
+    out[lo:hi] = _segment_matvec(m, lo, hi, x)
+    s, e = m.indptr[lo], m.indptr[hi]
+    cols = m.indices[s:e]
+    rows = np.repeat(np.arange(lo, hi), np.diff(m.indptr[lo:hi + 1]))
+    off = cols < rows
+    np.add.at(out, cols[off], m.data[s:e][off] * x[rows[off]])
+    return out
+
+
 def spmv_partial(m, partition: RowPartition, rank: int,
                  x: np.ndarray) -> SparseVector:
     """This rank's contribution to A @ x.
@@ -270,27 +275,14 @@ def spmv_partial(m, partition: RowPartition, rank: int,
         raise ValueError(f"vector length {len(x)} != {expected}")
     lo, hi = partition.dof_range(rank)
     if isinstance(m, LowerSymmetricRows):
-        out = np.zeros(m.n, dtype=np.complex128)
-        out[lo:hi] = _segment_matvec(m, lo, hi, x)
-        s, e = m.indptr[lo], m.indptr[hi]
-        cols = m.indices[s:e]
-        rows = np.repeat(np.arange(lo, hi), np.diff(m.indptr[lo:hi + 1]))
-        off = cols < rows
-        np.add.at(out, cols[off], m.data[s:e][off] * x[rows[off]])
-        return SparseVector.from_dense(out)
+        return SparseVector.from_dense(_lower_matvec(m, lo, hi, x))
     return SparseVector.from_segment(lo, _segment_matvec(m, lo, hi, x), m.n)
 
 
 def full_matvec(m, x: np.ndarray) -> np.ndarray:
     """Serial A @ x over all rows (reporting/verification helper)."""
     if isinstance(m, LowerSymmetricRows):
-        out = np.zeros(m.n, dtype=np.complex128)
-        out[:] = _segment_matvec(m, 0, m.n, x)
-        cols = m.indices
-        rows = np.repeat(np.arange(m.n), np.diff(m.indptr))
-        off = cols < rows
-        np.add.at(out, cols[off], m.data[off] * x[rows[off]])
-        return out
+        return _lower_matvec(m, 0, m.n, x)
     return _segment_matvec(m, 0, m.n, x)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
+from hexwave.mesh import HEX_CORNERS, FacetKind
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,7 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
     uses the same local integrals, so agreement is up to summation
     rounding only.
     """
-    from hexwave.assembly import (abc_facet_matrices, element_matrices,
-                                  penalty_surface_matrix)
+    from hexwave.assembly import abc_facet_matrices, element_matrices
     n = 3 * mesh.node_count
     a = np.zeros((n, n), dtype=np.complex128)
     for e, conn in enumerate(mesh.elements):
@@ -143,17 +142,6 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
                                 params.k0, config.quadrature)
         fdofs = (3 * np.asarray(facet.nodes)[:, None] + np.arange(3)).ravel()
         a[np.ix_(fdofs, fdofs)] += am.first_order + am.second_order
-        if config.penalty_surface:
-            conn = mesh.elements[facet.element]
-            lf = [i for i, loc in enumerate(HEX_FACES)
-                  if tuple(conn[loc]) == facet.nodes][0]
-            ecoords = mesh.nodes[conn]
-            off = ecoords.min(axis=0)
-            blk = config.penalty_weight * penalty_surface_matrix(
-                coords - off, ecoords - off, HEX_FACES[lf], facet.normal,
-                config.quadrature)
-            edofs = (3 * conn[:, None] + np.arange(3)).ravel()
-            a[np.ix_(fdofs, edofs)] += blk
     return a
 
 

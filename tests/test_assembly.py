@@ -404,6 +404,30 @@ def test_symmetrize_parallel_matches_serial_bitwise():
     assert fab4.phase_totals("symmetrize").messages == 12
 
 
+@pytest.mark.parametrize("storage", ["1", "2"])
+def test_assemble_system_shares_one_system_across_ranks(storage):
+    """At P = 3 every rank gets the same (matrix, b) object, equal to the
+    one-rank system."""
+    from hexwave.runner import Scenario, build_scenario_mesh, assemble_system
+
+    sc = Scenario(extent=(0.5, 0.5, 0.75), nodes_per_wavelength=4,
+                  storage=storage)
+    mesh = build_scenario_mesh(sc)
+    serial = assemble_system(sc, mesh, partition_rows(mesh.node_count, 1), 0,
+                             CommFabric(1))
+    part3 = partition_rows(mesh.node_count, 3)
+    fab = CommFabric(3)
+    out = run_spmd(3, lambda f, r: assemble_system(sc, mesh, part3, r, f),
+                   fabric=fab)
+    assert out[0] is out[1] is out[2]
+    (matrix, b), (ref, ref_b) = out[0], serial
+    assert type(matrix) is type(ref)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, name), getattr(ref, name))
+    assert np.array_equal(b, ref_b)
+    assert fab.barrier_collectives == 1
+
+
 # -- half-domain symmetry-plane equivalence ----------------------------------
 
 def test_symmetry_plane_reproduces_full_domain_solution():

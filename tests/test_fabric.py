@@ -1,6 +1,7 @@
 """Message fabric: counting, barriers, concatenation strategies."""
 from __future__ import annotations
 
+import sys
 import time
 
 import numpy as np
@@ -154,6 +155,36 @@ def test_allgather_object_uncounted():
     fab = CommFabric(3)
     out = run_spmd(3, lambda f, r: f.allgather_object(r, r * 10), fabric=fab)
     assert all(o == [0, 10, 20] for o in out)
+    assert fab.counters_report()["totals"]["messages"] == 0
+    assert fab.barrier_collectives == 1
+
+
+def test_allgather_object_combines_once_into_one_shared_object():
+    """Over several rounds on more rank threads than cores, ``combine``
+    runs once per round, in rank order, and every rank gets its result."""
+    calls = []
+    rounds = 20
+
+    def combine(parts):
+        calls.append(list(parts))
+        return {"sum": sum(parts)}
+
+    def fn(f, r):
+        return [f.allgather_object(r, 10 * k + r, combine)
+                for k in range(rounds)]
+
+    fab = CommFabric(4, timeout=30)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = run_spmd(4, fn, fabric=fab)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert calls == [[10 * k + r for r in range(4)] for k in range(rounds)]
+    for k in range(rounds):
+        assert out[0][k] is out[1][k] is out[2][k] is out[3][k]
+        assert out[0][k] == {"sum": 40 * k + 6}
+    assert fab.barrier_collectives == rounds
     assert fab.counters_report()["totals"]["messages"] == 0
 
 

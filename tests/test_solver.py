@@ -52,6 +52,15 @@ def test_dp_zero_diagonal_named_in_error():
         build_dp(_redundant(dense))
 
 
+def test_dp_row_without_stored_diagonal_named_in_error():
+    """Row 1 stores off-diagonal entries but no diagonal at all."""
+    dense = np.array([[2, 1, 0], [1, 0, 3], [0, 3, 4]], dtype=complex)
+    m = _redundant(dense)
+    assert 1 not in m.row(1)[0]
+    with pytest.raises(SingularPreconditionerError, match="row 1"):
+        build_dp(m)
+
+
 # -- incomplete factorization ------------------------------------------------
 
 def test_icp_dense_spd_equals_cholesky(rng):
@@ -120,6 +129,7 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
     fab = CommFabric(3)
     out = run_spmd(3, lambda f, r: build_icp(ar, part, r, f), fabric=fab)
     assert fab.barrier_collectives == 5
+    assert out[0] is out[1] is out[2]      # one shared factor
     assert np.abs(out[0].to_dense() - np.linalg.cholesky(a.real)).max() < 1e-14
 
 
@@ -145,6 +155,10 @@ def test_bicp_blocks_match_per_block_oracle(rng):
         ref = dense_ic_oracle(dense[lo:hi, lo:hi])
         got = factor.to_dense()[lo:hi, lo:hi]
         assert np.abs(got - ref).max() < 1e-13
+        # Row lookups and the diagonal use global row numbers.
+        cols, vals = factor.row(hi - 1)
+        np.testing.assert_array_equal(vals, got[-1, cols - lo])
+        np.testing.assert_array_equal(factor.diagonal()[lo:hi], np.diag(got))
 
 
 def test_bicp_needs_no_messages(rng):

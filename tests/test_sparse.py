@@ -68,8 +68,11 @@ def test_lower_storage_keeps_lower_triangle(rng):
 
 
 def test_lower_storage_rejects_upper_entries():
-    with pytest.raises(SparseFormatError):
+    with pytest.raises(SparseFormatError, match="row 0"):
         LowerSymmetricRows(2, [0, 1, 2], [1, 1], [1.0, 2.0])
+    # Row 2 repeats a column; rows 0 and 1 are valid.
+    with pytest.raises(SparseFormatError, match="row 2"):
+        LowerSymmetricRows(3, [0, 1, 3, 5], [0, 0, 1, 1, 1], np.ones(5))
 
 
 def test_redundant_column_index_contiguous(rng):
@@ -88,7 +91,26 @@ def test_redundant_column_index_contiguous(rng):
 def test_to_redundant_matches_dense(rng):
     rows, dense = random_symmetric_sparse(rng, 9)
     lower = LowerSymmetricRows.from_symmetric_rows(rows, 9)
-    np.testing.assert_array_equal(to_redundant(lower).to_dense(), dense)
+    full = to_redundant(lower)
+    np.testing.assert_array_equal(full.to_dense(), dense)
+    ref = RedundantRows.from_rows(rows, 9)
+    for name in ("indptr", "indices", "data", "col_ptr", "col_rows",
+                 "col_pos"):
+        np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
+
+
+def test_diagonal_matches_dense_on_every_layout(rng):
+    rows, dense = random_symmetric_sparse(rng, 10)
+    # Row 4 keeps its off-diagonal entries but stores no diagonal.
+    cols, vals = rows[4]
+    rows[4] = (cols[cols != 4], vals[cols != 4])
+    dense[4, 4] = 0.0
+    assert len(rows[4][0]) > 0
+    for m in (GeneralRows.from_rows(rows, 10),
+              LowerSymmetricRows.from_symmetric_rows(rows, 10),
+              RedundantRows.from_rows(rows, 10)):
+        np.testing.assert_array_equal(m.diagonal(), np.diag(m.to_dense()))
+        np.testing.assert_array_equal(m.diagonal(), np.diag(dense))
 
 
 def test_byte_accounting(rng):
