@@ -6,18 +6,20 @@ k0^2*mu_r mass term plus a divergence penalty; exterior facets add the
 first- and second-order absorbing-boundary blocks, and the right-hand
 side comes from the incident plane wave on those facets.  Assembly is by
 degree of freedom: each rank produces the three matrix rows of every
-node it owns by visiting the adjacent elements and facets, with no
-inter-rank traffic.  Symmetry-plane constraints and the A + A^T
-symmetrization are collective operations over the fabric.
+node it owns from the cached blocks of the adjacent elements and facets,
+with no inter-rank traffic.  Symmetry-plane constraints and the A + A^T
+symmetrization are collective operations over the fabric.  Each stage
+works on whole arrays of the rank's data in a node-by-node summation
+order, so rows are bitwise independent of the partition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import HexMesh, Facet, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import RowPartition
+from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
+from .sparse import RowPartition, _csr_from_rows
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -145,34 +147,54 @@ def element_matrices(coords: np.ndarray, eps_r: complex, mu_r: complex,
                            penalty=pen.reshape(24, 24).astype(np.complex128))
 
 
-def _facet_frame(coords: np.ndarray, normal: np.ndarray):
-    """Normal axis and the two tangential axes of an axis-aligned facet."""
-    nax = int(np.argmax(np.abs(normal)))
-    if abs(abs(normal[nax]) - 1.0) > 1e-9:
-        raise AssemblyError("facet normal is not axis-aligned")
-    span = coords.max(axis=0) - coords.min(axis=0)
-    if span[nax] > 1e-9 * max(span.max(), 1.0):
-        raise AssemblyError("facet is not planar")
-    taxes = [d for d in range(3) if d != nax]
-    return nax, taxes
+_TANGENT_AXES = np.array([(1, 2), (0, 2), (0, 1)])
 
 
-def _surface_mass_stiffness(coords: np.ndarray, taxes, quadrature: int = 2):
-    """4x4 bilinear surface mass and stiffness on the facet plane."""
-    p2 = coords[:, taxes]
+def _facet_planes(coords: np.ndarray, normals: np.ndarray, ids=None):
+    """Tangential axes (F, 2) and in-plane corner coordinates (F, 4, 2)
+    of F axis-aligned planar facets with corners (F, 4, 3).
+
+    ``ids`` names the facets in errors.
+    """
+    nax = np.argmax(np.abs(normals), axis=1)
+    rows = np.arange(len(nax))
+    span = coords.max(axis=1) - coords.min(axis=1)
+    for bad, what in (
+            (np.abs(np.abs(normals[rows, nax]) - 1.0) > 1e-9,
+             "normal is not axis-aligned"),
+            (span[rows, nax] > 1e-9 * np.maximum(span.max(axis=1), 1.0),
+             "is not planar")):
+        if bad.any():
+            name = "" if ids is None else f" {ids[np.argmax(bad)]}"
+            raise AssemblyError(f"facet{name} {what}")
+    taxes = _TANGENT_AXES[nax]
+    return taxes, np.take_along_axis(coords, taxes[:, None, :], axis=2)
+
+
+def _abc_matrices(taxes: np.ndarray, p2: np.ndarray, k0: float,
+                  quadrature: int = 2):
+    """Stacked (F, 12, 12) first- and second-order blocks of F facets from
+    the bilinear surface mass and stiffness on their planes."""
     pts, wts = _gauss(quadrature)
-    ms = np.zeros((4, 4))
-    ks = np.zeros((4, 4))
+    ms = np.zeros((len(p2), 4, 4))
+    ks = np.zeros((len(p2), 4, 4))
     for u, wu in zip(pts, wts):
         for v, wv in zip(pts, wts):
             m, dm = _quad_shapes(np.array([u, v]))
             jac = dm.T @ p2
-            det = abs(np.linalg.det(jac))
+            det = np.abs(np.linalg.det(jac))
             grad = dm @ np.linalg.inv(jac)
-            w = wu * wv * det
+            w = (wu * wv * det)[:, None, None]
             ms += w * np.outer(m, m)
-            ks += w * grad @ grad.T
-    return ms, ks
+            ks += (w * grad) @ grad.transpose(0, 2, 1)
+    first = np.zeros((len(p2), 12, 12), dtype=np.complex128)
+    second = np.zeros((len(p2), 12, 12), dtype=np.complex128)
+    f = np.arange(len(p2))[:, None, None]
+    for c in taxes.T:
+        idx = 3 * np.arange(4) + c[:, None]
+        first[f, idx[:, :, None], idx[:, None, :]] = 1j * k0 * ms
+        second[f, idx[:, :, None], idx[:, None, :]] = (1j / (2.0 * k0)) * ks
+    return first, second
 
 
 def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray, k0: float,
@@ -185,23 +207,18 @@ def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray, k0: float,
     edge contour terms dropped.  Rows/columns of the normal component
     are zero.
     """
-    coords = np.asarray(coords, dtype=float)
-    nax, taxes = _facet_frame(coords, normal)
-    ms, ks = _surface_mass_stiffness(coords, taxes, quadrature)
-    first = np.zeros((12, 12), dtype=np.complex128)
-    second = np.zeros((12, 12), dtype=np.complex128)
-    for c in taxes:
-        idx = 3 * np.arange(4) + c
-        first[np.ix_(idx, idx)] = 1j * k0 * ms
-        second[np.ix_(idx, idx)] = (1j / (2.0 * k0)) * ks
-    return AbcFacetMatrices(first_order=first, second_order=second)
+    taxes, p2 = _facet_planes(np.asarray(coords, dtype=float)[None],
+                              np.asarray(normal, dtype=float)[None])
+    first, second = _abc_matrices(taxes, p2, k0, quadrature)
+    return AbcFacetMatrices(first_order=first[0], second_order=second[0])
 
 
 def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
-    """Incident H and curl(H) at one point."""
+    """Incident H and curl(H) at one point, or at every point of a
+    (..., 3) array."""
     point = np.asarray(point, dtype=float)
     kvec = wave.k0 * wave.direction.real
-    phase = np.exp(-1j * kvec @ point)
+    phase = np.exp(np.matmul(-1j * kvec, point[..., None]))
     h = wave.polarization * phase
     curl_h = -1j * np.cross(kvec, wave.polarization) * phase
     return h, curl_h
@@ -219,89 +236,57 @@ def abc_incident_load(wave: PlaneWave, point, normal) -> np.ndarray:
     return g - np.cross(normal, curl_h)
 
 
-def _first_order_incident_load(wave: PlaneWave, point, normal) -> np.ndarray:
-    """jk0 H_it - n x curl(H_i): the load terms evaluated pointwise."""
-    normal = np.asarray(normal, dtype=float)
-    h, curl_h = incident_field(wave, point)
-    ht = h - normal * (normal @ h)
-    return 1j * wave.k0 * ht - np.cross(normal, curl_h)
-
-
 # ---------------------------------------------------------------------------
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------
 
-class _BlockCache:
-    """Element/facet block cache.
+# Owned nodes per block of the array passes in assemble_rows and
+# symmetrize: bounds their temporaries at a few MB whatever the rank size.
+_BLOCK_NODES = 128
 
-    Box meshes produce congruent elements, so volume blocks only depend
-    on the material pair and facet blocks on the geometry of one
-    representative facet per element-local face.
+
+def _check_range(mesh: HexMesh, node_range: tuple[int, int]):
+    lo, hi = node_range
+    if not (0 <= lo <= hi <= mesh.node_count):
+        raise AssemblyError(f"node range {node_range} out of bounds")
+    return lo, hi
+
+
+def _incidence(conn: np.ndarray, lo: int, hi: int):
+    """Corners of ``conn`` (one row per element or facet) at nodes in
+    [lo, hi): (node, row, local corner), ordered by node, then row."""
+    flat = conn.ravel()
+    hit = np.flatnonzero((flat >= lo) & (flat < hi))
+    hit = hit[np.argsort(flat[hit], kind="stable")]
+    return flat[hit], hit // conn.shape[1], hit % conn.shape[1]
+
+
+def _exterior_facets(mesh: HexMesh):
+    """Ids, corner nodes (F, 4), elements and outward normals (F, 3) of
+    the exterior facets."""
+    ext = [(i, f) for i, f in enumerate(mesh.facets)
+           if f.kind is FacetKind.EXTERIOR]
+    return (np.array([i for i, _ in ext], dtype=np.int64),
+            np.array([f.nodes for _, f in ext], dtype=np.int64).reshape(-1, 4),
+            np.array([f.element for _, f in ext], dtype=np.int64),
+            np.array([f.normal for _, f in ext], dtype=float).reshape(-1, 3))
+
+
+def _canonical(coords: np.ndarray, h: float) -> np.ndarray:
+    """Translate to the origin and snap to exact spacing multiples, so
+    congruent blocks are bitwise identical whichever representative
+    computes them (absolute coordinates carry position-dependent rounding).
     """
-
-    def __init__(self, mesh: HexMesh, params: MaterialParams,
-                 config: AssemblyConfig):
-        self.mesh = mesh
-        self.params = params
-        self.config = config
-        self._elem: dict = {}
-        self._abc: dict = {}
-        self._facet_face: dict = {}
-
-    def _canonical(self, coords: np.ndarray) -> np.ndarray:
-        """Translate to the origin and snap to exact spacing multiples.
-
-        Congruent blocks must be bitwise identical no matter which
-        representative element computes them (absolute coordinates carry
-        position-dependent rounding), so cached blocks are always built
-        from canonicalized coordinates.
-        """
-        h = self.mesh.spacing
-        c = coords - coords.min(axis=0)
-        return np.round(c / h) * h
-
-    def element_block(self, e: int) -> np.ndarray:
-        eps, mu = self.params.element_values(e)
-        key = (eps, mu)
-        blk = self._elem.get(key)
-        if blk is None:
-            em = element_matrices(
-                self._canonical(self.mesh.nodes[self.mesh.elements[e]]),
-                eps, mu, self.params.k0, self.config.quadrature)
-            blk = em.curl_curl - em.mass + self.config.penalty_weight * em.penalty
-            self._elem[key] = blk
-        return blk
-
-    def local_face(self, fid: int, facet: Facet) -> int:
-        face = self._facet_face.get(fid)
-        if face is None:
-            conn = self.mesh.elements[facet.element]
-            for lf, loc in enumerate(HEX_FACES):
-                if tuple(conn[loc]) == facet.nodes:
-                    face = lf
-                    break
-            else:
-                raise AssemblyError("facet does not match any element face")
-            self._facet_face[fid] = face
-        return face
-
-    def abc_block(self, fid: int, facet: Facet) -> np.ndarray:
-        face = self.local_face(fid, facet)
-        blk = self._abc.get(face)
-        if blk is None:
-            am = abc_facet_matrices(
-                self._canonical(self.mesh.nodes[list(facet.nodes)]),
-                facet.normal, self.params.k0, self.config.quadrature)
-            # The boundary term enters the weak form as +W.g_ABC(H),
-            # matching the incident load on the right-hand side.
-            blk = am.first_order + am.second_order
-            self._abc[face] = blk
-        return blk
+    c = coords - coords.min(axis=0)
+    return np.round(c / h) * h
 
 
-def _node_dofs(nodes) -> np.ndarray:
-    nodes = np.asarray(nodes, dtype=np.int64)
-    return (3 * nodes[:, None] + np.arange(3)).ravel()
+def _first_blocks(keys: np.ndarray, build):
+    """Blocks ``build(i)`` for the first entry i of each distinct key (a
+    row of ``keys``), stacked, and every entry's index into them."""
+    _, first, which = np.unique(keys, axis=0, return_index=True,
+                                return_inverse=True)
+    return np.array([build(i) for i in first]), which.reshape(-1)
 
 
 def assemble_rows(mesh: HexMesh, params: MaterialParams,
@@ -310,44 +295,83 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     """Matrix rows of the owned nodes, assembled by degree of freedom.
 
     Returns a list of (columns, values) pairs for the 3*(hi-lo) owned
-    rows.  Row slots are sized in a first pass over the adjacent volume
-    and surface couplings, then filled in a second pass; no inter-rank
-    messages are needed (the mesh is replicated).
+    rows; the three rows of a node share one column array.  A node's
+    rows gather the cached blocks of its elements (ascending), then of
+    its exterior facets (ascending), and sum duplicate columns in that
+    order, so a row is bitwise the same whichever rank assembles it.
+    Owned nodes are processed in blocks of ``_BLOCK_NODES`` as whole
+    arrays; no inter-rank messages are needed (the mesh is replicated).
     """
-    lo, hi = node_range
-    if not (0 <= lo <= hi <= mesh.node_count):
-        raise AssemblyError(f"node range {node_range} out of bounds")
-    cache = _BlockCache(mesh, params, config)
-    node_elems = mesh.node_to_elements()
-    node_facets = mesh.node_to_facets()
+    lo, hi = _check_range(mesh, node_range)
+    e_node, e_elem, e_corner = _incidence(mesh.elements, lo, hi)
+    missing = np.setdiff1d(np.arange(lo, hi), e_node)
+    if missing.size:
+        raise AssemblyError(f"node {missing[0]} belongs to no element")
+    h = mesh.spacing
+
+    # Box meshes produce congruent elements, so a volume block depends
+    # only on the material pair, a facet block only on its element-local
+    # face; each is built once, from the first element or facet met.
+    def element_block(i):
+        e = e_elem[i]
+        em = element_matrices(_canonical(mesh.nodes[mesh.elements[e]], h),
+                              *params.element_values(e), params.k0,
+                              config.quadrature)
+        return em.curl_curl - em.mass + config.penalty_weight * em.penalty
+
+    eps, mu = (np.broadcast_to(np.asarray(v, dtype=np.complex128),
+                               (mesh.element_count,))[e_elem]
+               for v in (params.eps_r, params.mu_r))
+    e_blocks, e_which = _first_blocks(
+        np.column_stack([eps.real, eps.imag, mu.real, mu.imag]), element_block)
+    e_blocks = e_blocks.reshape(-1, 8, 3, 24)
+
+    ids, fnodes, felems, normals = _exterior_facets(mesh)
+    f_node, f_row, f_corner = _incidence(fnodes, lo, hi)
+    match = (mesh.elements[felems[f_row]][:, HEX_FACES]
+             == fnodes[f_row][:, None, :]).all(axis=2)
+    if not match.any(axis=1).all():
+        raise AssemblyError(f"facet {ids[f_row[np.argmin(match.any(axis=1))]]}"
+                            " does not match any element face")
+
+    def facet_block(i):
+        f = f_row[i]
+        am = abc_facet_matrices(_canonical(mesh.nodes[fnodes[f]], h),
+                                normals[f], params.k0, config.quadrature)
+        # The boundary term enters the weak form as +W.g_ABC(H),
+        # matching the incident load on the right-hand side.
+        return am.first_order + am.second_order
+
+    f_blocks, f_which = _first_blocks(match.argmax(axis=1), facet_block)
+    f_blocks = f_blocks.reshape(-1, 4, 3, 12)
+    n3 = 3 * mesh.node_count
+    edges = np.append(np.arange(lo, hi, _BLOCK_NODES), hi)
+    e_cut = np.searchsorted(e_node, edges)
+    f_cut = np.searchsorted(f_node, edges)
     rows = []
-    for n in range(lo, hi):
-        col_groups = []
-        val_groups = []
-        for e in node_elems[n]:
-            conn = mesh.elements[e]
-            a = int(np.nonzero(conn == n)[0][0])
-            blk = cache.element_block(e)
-            col_groups.append(_node_dofs(conn))
-            val_groups.append(blk[3 * a:3 * a + 3, :])
-        for fid in node_facets[n]:
-            facet = mesh.facets[fid]
-            af = facet.nodes.index(n)
-            if facet.kind is FacetKind.EXTERIOR:
-                blk = cache.abc_block(fid, facet)
-                col_groups.append(_node_dofs(facet.nodes))
-                val_groups.append(blk[3 * af:3 * af + 3, :])
-        if not col_groups:
-            raise AssemblyError(f"node {n} belongs to no element")
-        all_cols = np.concatenate(col_groups)
-        all_vals = np.concatenate(val_groups, axis=1)      # (3, total)
-        ucols = np.unique(all_cols)                        # pass 1: reserve
-        acc = np.zeros((3, len(ucols)), dtype=np.complex128)
-        pos = np.searchsorted(ucols, all_cols)
-        for c in range(3):                                  # pass 2: fill
-            np.add.at(acc[c], pos, all_vals[c])
+    for b0, b1, es, ee, fs, fe in zip(edges[:-1], edges[1:], e_cut[:-1],
+                                      e_cut[1:], f_cut[:-1], f_cut[1:]):
+        node = np.concatenate([np.repeat(e_node[es:ee], 24),
+                               np.repeat(f_node[fs:fe], 12)])
+        cols = 3 * np.concatenate([mesh.elements[e_elem[es:ee]].ravel(),
+                                   fnodes[f_row[fs:fe]].ravel()])
+        cols = (cols[:, None] + np.arange(3)).ravel()
+        vals = np.concatenate(
+            [e_blocks[e_which[es:ee], e_corner[es:ee]].transpose(1, 0, 2)
+             .reshape(3, -1),
+             f_blocks[f_which[fs:fe], f_corner[fs:fe]].transpose(1, 0, 2)
+             .reshape(3, -1)], axis=1)
+        # Per node: element entries, then facet entries, each ascending.
+        order = np.argsort(node, kind="stable")
+        ukey, pos = np.unique((node[order] - b0) * n3 + cols[order],
+                              return_inverse=True)
+        acc = np.zeros((3, len(ukey)), dtype=np.complex128)
         for c in range(3):
-            rows.append((ucols.copy(), acc[c].copy()))
+            np.add.at(acc[c], pos, vals[c, order])
+        ucols = ukey % n3
+        cut = np.searchsorted(ukey, n3 * np.arange(b1 - b0 + 1))
+        for s, e in zip(cut[:-1], cut[1:]):
+            rows.extend((ucols[s:e], acc[c, s:e]) for c in range(3))
     return rows
 
 
@@ -359,41 +383,33 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
     the tangential-Laplacian term applies the same integrated-by-parts
     facet stiffness used on the left-hand side to the nodal trace of the
     incident field, so the dropped edge contour terms cancel between the
-    two sides instead of polluting the solution.
+    two sides instead of polluting the solution.  The loads of all
+    touched facets are integrated together; each node sums its facets'
+    loads in ascending facet order.
     """
-    lo, hi = node_range
-    if not (0 <= lo <= hi <= mesh.node_count):
-        raise AssemblyError(f"node range {node_range} out of bounds")
-    seg = np.zeros(3 * (hi - lo), dtype=np.complex128)
-    node_facets = mesh.node_to_facets()
+    lo, hi = _check_range(mesh, node_range)
+    ids, fnodes, _, normals = _exterior_facets(mesh)
+    f_node, f_row, f_corner = _incidence(fnodes, lo, hi)
+    touched, which = np.unique(f_row, return_inverse=True)
+    coords, normals = mesh.nodes[fnodes[touched]], normals[touched]
+    taxes, p2 = _facet_planes(coords, normals, ids[touched])
     pts, wts = _gauss(config.quadrature)
-    facet_loads: dict[int, np.ndarray] = {}
-    for n in range(lo, hi):
-        for fid in node_facets[n]:
-            facet = mesh.facets[fid]
-            if facet.kind is not FacetKind.EXTERIOR:
-                continue
-            load = facet_loads.get(fid)
-            if load is None:
-                coords = mesh.nodes[list(facet.nodes)]
-                nax, taxes = _facet_frame(coords, facet.normal)
-                p2 = coords[:, taxes]
-                load = np.zeros((4, 3), dtype=np.complex128)
-                for u, wu in zip(pts, wts):
-                    for v, wv in zip(pts, wts):
-                        m, dm = _quad_shapes(np.array([u, v]))
-                        det = abs(np.linalg.det(dm.T @ p2))
-                        x = m @ coords
-                        vec = _first_order_incident_load(wave, x, facet.normal)
-                        load += wu * wv * det * np.outer(m, vec)
-                am = abc_facet_matrices(coords, facet.normal, wave.k0,
-                                        config.quadrature)
-                trace = np.array([incident_field(wave, p)[0]
-                                  for p in coords]).ravel()
-                load += (am.second_order @ trace).reshape(4, 3)
-                facet_loads[fid] = load
-            af = facet.nodes.index(n)
-            seg[3 * (n - lo):3 * (n - lo) + 3] += load[af]
+    load = np.zeros((len(touched), 4, 3), dtype=np.complex128)
+    for u, wu in zip(pts, wts):
+        for v, wv in zip(pts, wts):
+            m, dm = _quad_shapes(np.array([u, v]))
+            det = np.abs(np.linalg.det(dm.T @ p2))
+            # jk0 H_it - n x curl(H_i), evaluated pointwise.
+            h, curl_h = incident_field(wave, m @ coords)
+            ht = h - normals * np.matmul(normals[:, None, :], h[:, :, None])[:, 0]
+            vec = 1j * wave.k0 * ht - np.cross(normals, curl_h)
+            load += (wu * wv * det)[:, None, None] * (m[:, None] * vec[:, None, :])
+    _, second = _abc_matrices(taxes, p2, wave.k0, config.quadrature)
+    trace = incident_field(wave, coords)[0].reshape(-1, 12, 1)
+    load += (second @ trace).reshape(-1, 4, 3)
+    seg = np.zeros(3 * (hi - lo), dtype=np.complex128)
+    np.add.at(seg, (3 * (f_node - lo)[:, None] + np.arange(3)).ravel(),
+              load[which, f_corner].ravel())
     return seg
 
 
@@ -450,19 +466,21 @@ def apply_symmetry_bc(rows, rhs_seg: np.ndarray, mesh: HexMesh,
         merged = np.sort(np.concatenate(gathered))
     else:
         merged = all_constrained
-    cset = set(merged.tolist())
-    for local, dof in enumerate(range(lo, hi)):
+    if not len(merged):
+        return rows, rhs_seg
+    ptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
+    drop = np.isin(np.concatenate([cols for cols, _ in rows]), merged)
+    # Eliminated columns carry zero solution values, so the right-hand
+    # side is unchanged.
+    for local in np.unique(np.searchsorted(ptr, np.flatnonzero(drop),
+                                           side="right") - 1):
         cols, vals = rows[local]
-        if dof in cset:
-            rows[local] = (np.array([dof], dtype=np.int64),
-                           np.array([1.0 + 0.0j]))
-            rhs_seg[local] = 0.0
-        else:
-            keep = np.array([c not in cset for c in cols.tolist()], dtype=bool)
-            if not keep.all():
-                # Eliminated columns carry zero solution values, so the
-                # right-hand side is unchanged.
-                rows[local] = (cols[keep], vals[keep])
+        keep = ~drop[ptr[local]:ptr[local + 1]]
+        rows[local] = (cols[keep], vals[keep])
+    for dof in merged[(merged >= lo) & (merged < hi)]:
+        rows[dof - lo] = (np.array([dof], dtype=np.int64),
+                          np.array([1.0 + 0.0j]))
+        rhs_seg[dof - lo] = 0.0
     return rows, rhs_seg
 
 
@@ -473,22 +491,18 @@ def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
     Every rank ships the transpose images of its entries to the owner of
     the destination row; the result is exactly symmetric because both
     stored copies of a pair are formed by the same commutative addition.
+    Rows merge with the incoming transposes in ``_BLOCK_NODES``-node blocks.
     """
     lo, hi = partition.dof_range(rank)
     nrows = hi - lo
-    cols_all = np.concatenate([cols for cols, _ in rows]) if nrows else \
-        np.empty(0, dtype=np.int64)
-    vals_all = np.concatenate([vals for _, vals in rows]) if nrows else \
-        np.empty(0, dtype=np.complex128)
-    rows_all = np.repeat(np.arange(lo, hi),
-                         [len(cols) for cols, _ in rows])
+    ptr, cols_all, vals_all = _csr_from_rows(rows, nrows)
+    rows_all = np.repeat(np.arange(lo, hi), np.diff(ptr))
     # Transpose triple (j, i, v) for every stored (i, j, v), grouped by
     # the owner of row j.
-    dof_starts = partition.dofs_per_node * partition.node_starts
-    owner = np.searchsorted(dof_starts, cols_all, side="right") - 1
     incoming = []
     if fabric is not None and fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
+        owner = partition.owner_of_dof(cols_all)
         for q in range(fabric.ranks):
             sel = owner == q
             triple = (cols_all[sel], rows_all[sel], vals_all[sel])
@@ -500,21 +514,30 @@ def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
             incoming.append(local if src == rank else fabric.recv(rank, src))
     else:
         incoming.append((cols_all, rows_all, vals_all))
-    add_rows = np.concatenate([t[0] for t in incoming])
-    add_cols = np.concatenate([t[1] for t in incoming])
-    add_vals = np.concatenate([t[2] for t in incoming])
+    add_rows, add_cols, add_vals = (np.concatenate(t) for t in zip(*incoming))
+    del incoming
     order = np.lexsort((add_cols, add_rows))
-    add_rows, add_cols, add_vals = (add_rows[order], add_cols[order],
-                                    add_vals[order])
-    bounds = np.searchsorted(add_rows, np.arange(lo, hi + 1))
-    for local in range(nrows):
-        s, e = bounds[local], bounds[local + 1]
-        ac, av = add_cols[s:e], add_vals[s:e]
-        cols, vals = rows[local]
-        ucols = np.union1d(cols, ac)
-        merged = np.zeros(len(ucols), dtype=np.complex128)
-        merged[np.searchsorted(ucols, cols)] = vals
-        merged[np.searchsorted(ucols, ac)] += av
-        rows[local] = (ucols, merged)
+    add_rows = add_rows[order]
+    add_cols = add_cols[order]
+    add_vals = add_vals[order]
+    # Per block, key (row - block start) * n + col orders entries by
+    # row, then column; a pair stored on both sides gets one v + v_t.
+    n = partition.dofs_per_node * partition.node_count
+    step = partition.dofs_per_node * _BLOCK_NODES
+    edges = np.append(np.arange(0, nrows, step), nrows)
+    in_cut = np.searchsorted(add_rows, lo + edges)
+    for b0, b1, s, e in zip(edges[:-1], edges[1:], in_cut[:-1], in_cut[1:]):
+        own = slice(ptr[b0], ptr[b1])
+        own_key = (rows_all[own] - lo - b0) * n + cols_all[own]
+        in_key = (add_rows[s:e] - lo - b0) * n + add_cols[s:e]
+        ukey = np.sort(np.concatenate([own_key, in_key]))
+        ukey = ukey[np.diff(ukey, prepend=-1) != 0]
+        merged = np.zeros(len(ukey), dtype=np.complex128)
+        merged[np.searchsorted(ukey, own_key)] = vals_all[own]
+        merged[np.searchsorted(ukey, in_key)] += add_vals[s:e]
+        ucols = ukey % n
+        cut = np.searchsorted(ukey, n * np.arange(b1 - b0 + 1))
+        for local, (rs, re) in enumerate(zip(cut[:-1], cut[1:]), start=b0):
+            rows[local] = (ucols[rs:re], merged[rs:re])
     rhs_seg *= 2.0
     return rows, rhs_seg

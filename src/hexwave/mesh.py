@@ -91,30 +91,6 @@ class HexMesh:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
-    def node_to_elements(self) -> list[np.ndarray]:
-        """Elements incident on each node (cached)."""
-        cache = getattr(self, "_node_elems", None)
-        if cache is None:
-            lists: list[list[int]] = [[] for _ in range(self.node_count)]
-            for e, conn in enumerate(self.elements):
-                for n in conn:
-                    lists[n].append(e)
-            cache = [np.asarray(l, dtype=np.int64) for l in lists]
-            self._node_elems = cache
-        return cache
-
-    def node_to_facets(self) -> list[np.ndarray]:
-        """Facets incident on each node (cached)."""
-        cache = getattr(self, "_node_facets", None)
-        if cache is None:
-            lists: list[list[int]] = [[] for _ in range(self.node_count)]
-            for f, facet in enumerate(self.facets):
-                for n in facet.nodes:
-                    lists[n].append(f)
-            cache = [np.asarray(l, dtype=np.int64) for l in lists]
-            self._node_facets = cache
-        return cache
-
     def export_text(self, path) -> None:
         """Plain-text node/element/facet listing, one record per line."""
         with open(path, "w") as fh:

@@ -155,12 +155,11 @@ class LowerSymmetricRows(_CsrBase):
     @classmethod
     def from_symmetric_rows(cls, rows, n: int) -> "LowerSymmetricRows":
         """Keep the lower triangle of full structurally symmetric rows."""
-        lower = []
-        for i, (cols, vals) in enumerate(rows):
-            cols = np.asarray(cols)
-            keep = cols <= i
-            lower.append((cols[keep], np.asarray(vals)[keep]))
-        return cls(n, *_csr_from_rows(lower, n))
+        indptr, indices, data = _csr_from_rows(rows, n)
+        entry_rows = np.repeat(np.arange(n), np.diff(indptr))
+        keep = indices <= entry_rows
+        return cls(n, np.searchsorted(entry_rows[keep], np.arange(n + 1)),
+                   indices[keep], data[keep])
 
     def to_dense(self) -> np.ndarray:
         a = super().to_dense()

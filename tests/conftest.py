@@ -145,6 +145,93 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
     return a
 
 
+def node_loop_rows(mesh, params, config):
+    """Rows of every node, one node at a time.
+
+    A node gathers the rows of its elements' blocks (ascending element),
+    then of its exterior facets' blocks (ascending facet), and sums
+    duplicate columns in that order.  Each block is computed from its own
+    element's or facet's coordinates, translated to the origin and snapped
+    to the grid, so the sums are bitwise comparable with the package.
+    """
+    from hexwave.assembly import abc_facet_matrices, element_matrices
+    h = mesh.spacing
+
+    def snapped(nodes):
+        c = mesh.nodes[list(nodes)]
+        return np.round((c - c.min(axis=0)) / h) * h
+
+    def dofs(nodes):
+        return (3 * np.asarray(nodes)[:, None] + np.arange(3)).ravel()
+
+    blocks = []
+    for e, conn in enumerate(mesh.elements):
+        em = element_matrices(snapped(conn), *params.element_values(e),
+                              params.k0, config.quadrature)
+        blocks.append((conn, em.curl_curl - em.mass
+                       + config.penalty_weight * em.penalty))
+    elem_blocks, blocks = blocks, []
+    for f in mesh.facets:
+        if f.kind is FacetKind.EXTERIOR:
+            am = abc_facet_matrices(snapped(f.nodes), f.normal, params.k0,
+                                    config.quadrature)
+            blocks.append((np.asarray(f.nodes), am.first_order + am.second_order))
+    rows = []
+    for n in range(mesh.node_count):
+        cols, vals = [], []
+        for nodes, blk in elem_blocks + blocks:
+            if n in nodes:
+                a = list(nodes).index(n)
+                cols.append(dofs(nodes))
+                vals.append(blk[3 * a:3 * a + 3])
+        all_cols = np.concatenate(cols)
+        all_vals = np.concatenate(vals, axis=1)
+        ucols = np.unique(all_cols)
+        acc = np.zeros((3, len(ucols)), dtype=np.complex128)
+        for c in range(3):
+            np.add.at(acc[c], np.searchsorted(ucols, all_cols), all_vals[c])
+        rows.extend((ucols, acc[c]) for c in range(3))
+    return rows
+
+
+def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
+    """Global right-hand side built facet by facet, then scattered.
+
+    Each exterior facet integrates jk0 H_t - n x curl(H) against its
+    bilinear shape functions at the Gauss points (shape functions written
+    out here), adds its second-order block applied to the nodal incident
+    trace, and adds its four corner loads to the global vector.  Only
+    ``incident_field`` and ``abc_facet_matrices`` come from the package.
+    """
+    from hexwave.assembly import abc_facet_matrices, incident_field
+    b = np.zeros(3 * mesh.node_count, dtype=np.complex128)
+    pts, wts = np.polynomial.legendre.leggauss(quadrature)
+    su = np.array([-1.0, 1.0, 1.0, -1.0])
+    sv = np.array([-1.0, -1.0, 1.0, 1.0])
+    for facet in mesh.facets:
+        if facet.kind is not FacetKind.EXTERIOR:
+            continue
+        coords = mesh.nodes[list(facet.nodes)]
+        n = facet.normal
+        tangential = [d for d in range(3) if abs(n[d]) < 0.5]
+        load = np.zeros((4, 3), dtype=np.complex128)
+        for u, wu in zip(pts, wts):
+            for v, wv in zip(pts, wts):
+                m = 0.25 * (1 + su * u) * (1 + sv * v)
+                dm = 0.25 * np.column_stack([su * (1 + sv * v),
+                                             sv * (1 + su * u)])
+                det = abs(np.linalg.det(dm.T @ coords[:, tangential]))
+                h, curl_h = incident_field(wave, m @ coords)
+                vec = 1j * wave.k0 * (h - n * (n @ h)) - np.cross(n, curl_h)
+                load += wu * wv * det * np.outer(m, vec)
+        am = abc_facet_matrices(coords, n, wave.k0, quadrature)
+        trace = np.concatenate([incident_field(wave, p)[0] for p in coords])
+        load += (am.second_order @ trace).reshape(4, 3)
+        for a, node in enumerate(facet.nodes):
+            b[3 * node:3 * node + 3] += load[a]
+    return b
+
+
 def rows_to_dense(rows, n: int) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.complex128)
     for i, (cols, vals) in enumerate(rows):

@@ -1,6 +1,8 @@
 """Element integrals, boundary terms, RHS, constraints, symmetrization."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,16 @@ from hexwave.assembly import (AssemblyConfig, AssemblyError, MaterialParams,
                               assemble_rhs, assemble_rows, constrained_dofs,
                               element_matrices, incident_field, symmetrize)
 from hexwave.fabric import CommFabric, run_spmd
-from hexwave.mesh import (HEX_CORNERS, ScattererSpec, build_box_mesh,
-                          classify_boundary, embed_pec_scatterer)
+from hexwave.mesh import (HEX_CORNERS, FacetKind, HexMesh, ScattererSpec,
+                          build_box_mesh, classify_boundary,
+                          embed_pec_scatterer)
 from hexwave.sparse import partition_rows
 
 from conftest import (curl_block_oracle, element_loop_assemble,
-                      mass_block_oracle, penalty_block_oracle, rows_to_dense,
-                      surface_mass_oracle, surface_stiffness_oracle)
+                      facet_loop_rhs, mass_block_oracle, node_loop_rows,
+                      penalty_block_oracle,
+                      rows_to_dense, surface_mass_oracle,
+                      surface_stiffness_oracle)
 
 
 # -- element integrals vs closed-form tensor-product oracles -----------------
@@ -220,6 +225,105 @@ def test_assembly_partition_invariant_bitwise():
         assert np.array_equal(va, vb)
 
 
+def test_two_material_regions_match_element_loop_and_partition():
+    """Per-element eps_r/mu_r arrays: two regions, two cached blocks.
+    Rows are bitwise the per-node loop's and independent of the split."""
+    mesh = _scatter_mesh()
+    centroids = mesh.nodes[mesh.elements].mean(axis=1)
+    inner = centroids[:, 0] < 0.5
+    params = MaterialParams(eps_r=np.where(inner, 4.0 - 0.3j, 1.0 + 0.0j),
+                            mu_r=np.where(inner, 2.0 + 0.1j, 1.0 + 0.0j),
+                            k0=2 * np.pi)
+    config = AssemblyConfig()
+    full = assemble_rows(mesh, params, (0, mesh.node_count), config)
+    got = rows_to_dense(full, 3 * mesh.node_count)
+    ref = element_loop_assemble(mesh, params, config)
+    assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
+    uniform = element_loop_assemble(mesh, MaterialParams(k0=2 * np.pi), config)
+    assert np.abs(ref - uniform).max() > 0.1 * np.abs(ref).max()
+    loop = node_loop_rows(mesh, params, config)
+    part = partition_rows(mesh.node_count, 3)
+    split = [row for r in range(3)
+             for row in assemble_rows(mesh, params, part.node_range(r), config)]
+    assert len(split) == len(full) == len(loop)
+    for (ca, va), (cb, vb), (cc, vc) in zip(full, split, loop):
+        assert np.array_equal(ca, cb) and np.array_equal(ca, cc)
+        assert np.array_equal(va, vb) and np.array_equal(va, vc)
+
+
+@pytest.mark.parametrize("direction,polarization", [
+    ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)),
+    ((0.6, 0.0, -0.8), (0.0, 1.0, 0.0)),
+])
+def test_rhs_matches_facet_loop_reference(direction, polarization):
+    mesh = _scatter_mesh()
+    wave = _wave(direction, polarization)
+    ref = facet_loop_rhs(mesh, wave)
+    part = partition_rows(mesh.node_count, 3)
+    for got in (assemble_rhs(mesh, wave, (0, mesh.node_count)),
+                np.concatenate([assemble_rhs(mesh, wave, part.node_range(r))
+                                for r in range(3)])):
+        assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
+
+
+def _corner_facet(mesh, node, axis):
+    """Id of the exterior facet at ``node`` whose normal lies on ``axis``."""
+    return next(i for i, f in enumerate(mesh.facets)
+                if node in f.nodes and f.axis == axis)
+
+
+def test_rhs_rejects_nonplanar_exterior_facet():
+    mesh = build_box_mesh((1.,) * 3, 3)
+    nodes = mesh.nodes.copy()
+    nodes[26, 2] += 0.3 * mesh.spacing      # lift the top corner
+    bent = HexMesh(nodes=nodes, elements=mesh.elements, facets=mesh.facets,
+                   spacing=mesh.spacing)
+    fid = _corner_facet(mesh, 26, 2)
+    with pytest.raises(AssemblyError, match=f"facet {fid} is not planar"):
+        assemble_rhs(bent, _wave(), (0, mesh.node_count))
+
+
+def test_non_axis_aligned_exterior_facet_rejected():
+    mesh = build_box_mesh((1.,) * 3, 3)
+    fid = _corner_facet(mesh, 26, 2)
+    facets = list(mesh.facets)
+    facets[fid] = replace(facets[fid], normal=np.array([0.0, 0.6, 0.8]))
+    tilted = replace(mesh, facets=facets)
+    with pytest.raises(AssemblyError,
+                       match=f"facet {fid} normal is not axis-aligned"):
+        assemble_rhs(tilted, _wave(), (0, mesh.node_count))
+    with pytest.raises(AssemblyError, match="normal is not axis-aligned"):
+        assemble_rows(tilted, MaterialParams(), (26, 27))
+
+
+def test_facet_matching_no_element_face_named():
+    mesh = build_box_mesh((1.,) * 3, 3)
+    fid = _corner_facet(mesh, 26, 2)
+    facets = list(mesh.facets)
+    facets[fid] = replace(facets[fid], element=0)
+    with pytest.raises(AssemblyError,
+                       match=f"facet {fid} does not match any element face"):
+        assemble_rows(replace(mesh, facets=facets), MaterialParams(),
+                      (0, mesh.node_count))
+
+
+def test_node_in_no_element_is_named():
+    mesh = build_box_mesh((1.,) * 3, 3)
+    n = mesh.node_count
+    orphan = replace(mesh, nodes=np.vstack([mesh.nodes, [[5.0, 5.0, 5.0]]]))
+    with pytest.raises(AssemblyError, match=f"node {n} belongs to no element"):
+        assemble_rows(orphan, MaterialParams(), (0, n + 1))
+
+
+@pytest.mark.parametrize("node_range", [(-1, 3), (0, 28), (5, 4)])
+def test_node_range_out_of_bounds(node_range):
+    mesh = build_box_mesh((1.,) * 3, 3)
+    with pytest.raises(AssemblyError, match="out of bounds"):
+        assemble_rows(mesh, MaterialParams(), node_range)
+    with pytest.raises(AssemblyError, match="out of bounds"):
+        assemble_rhs(mesh, _wave(), node_range)
+
+
 def test_rhs_segments_concatenate(npw=4):
     mesh = build_box_mesh((1.,) * 3, npw)
     wave = _wave()
@@ -360,6 +464,27 @@ def test_apply_symmetry_bc_parallel_matches_serial():
     assert fab3.phase_totals("bc").messages == 6     # broadcast per rank
 
 
+def test_apply_symmetry_bc_without_constraints_leaves_rows():
+    mesh = build_box_mesh((1.,) * 3, 3)
+    assert constrained_dofs(mesh).size == 0
+    out, part, fab = _assembled(mesh, ranks=2)
+    before = [[(c.copy(), v.copy()) for c, v in rows] for rows, _ in out]
+    rhs_before = [rhs.copy() for _, rhs in out]
+
+    def fn(f, r):
+        return apply_symmetry_bc(*out[r], mesh, part, r, fabric=f)
+
+    res = run_spmd(2, fn, fabric=fab)
+    for (rows, rhs), ref, ref_rhs in zip(res, before, rhs_before):
+        assert len(rows) == len(ref)
+        for (ca, va), (cb, vb) in zip(rows, ref):
+            assert np.array_equal(ca, cb)
+            assert np.array_equal(va, vb)
+        assert np.array_equal(rhs, ref_rhs)
+    bc = fab.phase_totals("bc")
+    assert (bc.messages, bc.bytes) == (2, 0)       # empty broadcasts
+
+
 # -- symmetrization ----------------------------------------------------------
 
 def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
@@ -402,6 +527,24 @@ def test_symmetrize_parallel_matches_serial_bitwise():
         assert np.array_equal(ca, cb)
         assert np.array_equal(va, vb)
     assert fab4.phase_totals("symmetrize").messages == 12
+
+
+def test_rows_and_symmetrize_across_node_blocks():
+    """216 nodes span two blocks of the array passes: rows stay bitwise
+    the per-node loop's and A + A^T is exact."""
+    from hexwave import assembly
+    mesh = build_box_mesh((1.,) * 3, 6)
+    n = 3 * mesh.node_count
+    assert mesh.node_count > assembly._BLOCK_NODES
+    params, config = MaterialParams(k0=2 * np.pi), AssemblyConfig()
+    rows = assemble_rows(mesh, params, (0, mesh.node_count), config)
+    for (ca, va), (cb, vb) in zip(rows, node_loop_rows(mesh, params, config)):
+        assert np.array_equal(ca, cb)
+        assert np.array_equal(va, vb)
+    before = rows_to_dense(rows, n)
+    symmetrize(rows, np.zeros(n, dtype=np.complex128),
+               partition_rows(mesh.node_count, 1), 0)
+    assert np.array_equal(rows_to_dense(rows, n), before + before.T)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])

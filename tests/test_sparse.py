@@ -67,6 +67,20 @@ def test_lower_storage_keeps_lower_triangle(rng):
         assert np.all(np.diff(cols) > 0)
 
 
+def test_lower_storage_from_rows_equals_row_loop(rng):
+    """Bitwise the CSR of each row's cols <= i entries, row by row; row 0
+    keeps no entry."""
+    rows, _ = random_symmetric_sparse(rng, 9)
+    rows[0] = (rows[0][0][1:], rows[0][1][1:])
+    lower = [(c[c <= i], v[c <= i]) for i, (c, v) in enumerate(rows)]
+    m = LowerSymmetricRows.from_symmetric_rows(rows, 9)
+    assert m.row(0)[0].size == 0
+    assert np.array_equal(m.indptr,
+                          np.cumsum([0] + [len(c) for c, _ in lower]))
+    assert np.array_equal(m.indices, np.concatenate([c for c, _ in lower]))
+    assert np.array_equal(m.data, np.concatenate([v for _, v in lower]))
+
+
 def test_lower_storage_rejects_upper_entries():
     with pytest.raises(SparseFormatError, match="row 0"):
         LowerSymmetricRows(2, [0, 1, 2], [1, 1], [1.0, 2.0])
