@@ -264,12 +264,9 @@ def _incidence(conn: np.ndarray, lo: int, hi: int):
 def _exterior_facets(mesh: HexMesh):
     """Ids, corner nodes (F, 4), elements and outward normals (F, 3) of
     the exterior facets."""
-    ext = [(i, f) for i, f in enumerate(mesh.facets)
-           if f.kind is FacetKind.EXTERIOR]
-    return (np.array([i for i, _ in ext], dtype=np.int64),
-            np.array([f.nodes for _, f in ext], dtype=np.int64).reshape(-1, 4),
-            np.array([f.element for _, f in ext], dtype=np.int64),
-            np.array([f.normal for _, f in ext], dtype=float).reshape(-1, 3))
+    ids = np.flatnonzero(mesh.facet_kinds == FacetKind.EXTERIOR)
+    return (ids, mesh.facet_nodes[ids], mesh.facet_elements[ids],
+            mesh.facet_normals[ids])
 
 
 def _canonical(coords: np.ndarray, h: float) -> np.ndarray:
@@ -424,25 +421,23 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
     antisymmetry plane both tangential components do.  A node reached by
     both kinds through the same plane axis is a configuration error.
     """
-    per_node: dict[int, dict[int, FacetKind]] = {}
-    for facet in mesh.facets:
-        if facet.kind not in (FacetKind.SYMMETRY, FacetKind.ANTISYMMETRY):
-            continue
-        ax = facet.axis
-        for n in facet.nodes:
-            kinds = per_node.setdefault(n, {})
-            if ax in kinds and kinds[ax] is not facet.kind:
-                raise AssemblyError(
-                    f"node {n} tagged with conflicting plane kinds on axis {ax}")
-            kinds[ax] = facet.kind
-    dofs = set()
-    for n, kinds in per_node.items():
-        for ax, kind in kinds.items():
-            if kind is FacetKind.SYMMETRY:
-                dofs.add(3 * n + ax)
-            else:
-                dofs.update(3 * n + c for c in range(3) if c != ax)
-    return np.asarray(sorted(dofs), dtype=np.int64)
+    kinds = mesh.facet_kinds
+    plane = np.flatnonzero((kinds == FacetKind.SYMMETRY)
+                           | (kinds == FacetKind.ANTISYMMETRY))
+    axis = np.argmax(np.abs(mesh.facet_normals[plane]), axis=1)
+    # One (node, axis) key per facet corner, in facet order.
+    key = (3 * mesh.facet_nodes[plane] + axis[:, None]).ravel()
+    anti = np.repeat(kinds[plane] == FacetKind.ANTISYMMETRY, 4)
+    ukey, first, which = np.unique(key, return_index=True, return_inverse=True)
+    clash = anti != anti[first][which]
+    if clash.any():
+        k = key[np.argmax(clash)]
+        raise AssemblyError(
+            f"node {k // 3} tagged with conflicting plane kinds on axis {k % 3}")
+    anti = anti[first]
+    node, ax = np.divmod(ukey[anti], 3)
+    return np.unique(np.concatenate([ukey[~anti], 3 * node + (ax + 1) % 3,
+                                     3 * node + (ax + 2) % 3]))
 
 
 def apply_symmetry_bc(rows, rhs_seg: np.ndarray, mesh: HexMesh,

@@ -1,15 +1,18 @@
-"""Structured hexahedral box meshes with tagged boundary facets.
+"""Structured hexahedral box meshes with a table of tagged boundary facets.
 
 Meshes are regular axis-aligned grids of trilinear hexahedra.  Boundary
-facets (element faces appearing exactly once) carry a tag that selects
-their treatment during assembly: absorbing boundary on the exterior,
-perfect-electric-conductor on scatterer surfaces, or symmetry-plane
-constraints on declared bounding-box faces.
+facets (element faces appearing exactly once) form one table of
+parallel arrays on the mesh: corner nodes, owning element, outward
+normal and a ``FacetKind`` tag that selects their treatment during
+assembly: absorbing boundary on the exterior, perfect-electric-conductor
+on scatterer surfaces, or symmetry-plane constraints on declared
+bounding-box faces.  The table is built, tagged and retagged with whole
+array operations.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,32 +54,26 @@ class FacetKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Facet:
-    """One quadrilateral boundary face of a single element."""
-    nodes: tuple[int, int, int, int]
-    element: int
-    normal: np.ndarray            # outward unit normal
-    kind: FacetKind = FacetKind.EXTERIOR
-
-    @property
-    def axis(self) -> int:
-        """Dominant axis of the outward normal."""
-        return int(np.argmax(np.abs(self.normal)))
-
-
-@dataclass(frozen=True)
 class ScattererSpec:
     """Axis-aligned PEC box, corners in meters, snapped to grid nodes."""
     corner_min: tuple[float, float, float]
     corner_max: tuple[float, float, float]
-    snapped: bool = False
 
 
 @dataclass
 class HexMesh:
+    """Nodes, elements and the boundary facet table.
+
+    Facet ``f`` is row ``f`` of four parallel arrays, ordered
+    lexicographically by corner tuple: its corners in the element-face
+    winding, its element, its outward unit normal and its ``FacetKind``.
+    """
     nodes: np.ndarray             # (N, 3) coordinates in meters
     elements: np.ndarray          # (E, 8) node indices, VTK corner order
-    facets: list[Facet]
+    facet_nodes: np.ndarray       # (F, 4) corner node indices
+    facet_elements: np.ndarray    # (F,) element owning each facet
+    facet_normals: np.ndarray     # (F, 3) outward unit normals
+    facet_kinds: np.ndarray       # (F,) FacetKind members (object array)
     spacing: float                # grid step h in meters
 
     @property
@@ -100,40 +97,33 @@ class HexMesh:
             fh.write(f"elements {self.element_count}\n")
             for e, conn in enumerate(self.elements):
                 fh.write("e " + str(e) + " " + " ".join(map(str, conn)) + "\n")
-            fh.write(f"facets {len(self.facets)}\n")
-            for f in self.facets:
-                n = f.normal
-                fh.write("f " + " ".join(map(str, f.nodes))
-                         + f" {f.element} {f.kind.value}"
+            fh.write(f"facets {len(self.facet_kinds)}\n")
+            for quad, e, n, kind in zip(self.facet_nodes, self.facet_elements,
+                                        self.facet_normals, self.facet_kinds):
+                fh.write("f " + " ".join(map(str, quad))
+                         + f" {e} {kind.value}"
                          + f" {n[0]:.1f} {n[1]:.1f} {n[2]:.1f}\n")
 
 
-def _boundary_facets(nodes: np.ndarray, elements: np.ndarray) -> list[Facet]:
-    """Enumerate element faces; faces appearing once are boundary facets."""
-    seen: dict[tuple, tuple[int, tuple]] = {}
-    dup: set[tuple] = set()
-    for e, conn in enumerate(elements):
-        for face in HEX_FACES:
-            quad = tuple(conn[face])
-            key = tuple(sorted(quad))
-            if key in seen:
-                dup.add(key)
-            else:
-                seen[key] = (e, quad)
-    facets = []
-    for key, (e, quad) in seen.items():
-        if key in dup:
-            continue
-        face_c = nodes[list(quad)].mean(axis=0)
-        elem_c = nodes[elements[e]].mean(axis=0)
-        normal = face_c - elem_c
-        normal = normal / np.linalg.norm(normal)
-        normal[np.abs(normal) < 1e-12] = 0.0
-        normal = normal / np.linalg.norm(normal)
-        facets.append(Facet(nodes=quad, element=e, normal=normal))
-    # Deterministic order regardless of dict history.
-    facets.sort(key=lambda f: f.nodes)
-    return facets
+def _mesh_with_boundary(nodes: np.ndarray, elements: np.ndarray,
+                        spacing: float) -> HexMesh:
+    """Mesh whose facets are the element faces appearing exactly once,
+    all tagged exterior."""
+    quads = elements[:, HEX_FACES].reshape(-1, 4)      # face 6e + k
+    _, first, count = np.unique(np.sort(quads, axis=1), axis=0,
+                                return_index=True, return_counts=True)
+    once = first[count == 1]
+    once = once[np.lexsort(quads[once].T[::-1])]
+    fnodes, felems = quads[once], once // len(HEX_FACES)
+    normals = nodes[fnodes].mean(axis=1) - nodes[elements[felems]].mean(axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[np.abs(normals) < 1e-12] = 0.0
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return HexMesh(nodes=nodes, elements=elements, facet_nodes=fnodes,
+                   facet_elements=felems, facet_normals=normals,
+                   facet_kinds=np.full(len(once), FacetKind.EXTERIOR,
+                                       dtype=object),
+                   spacing=spacing)
 
 
 def _edge_node_count(side_wavelengths: float, nodes_per_wavelength: int) -> int:
@@ -166,24 +156,15 @@ def build_box_mesh(extent, nodes_per_wavelength: int, wavelength: float = 1.0,
         raise MeshError(f"mesh of {nx * ny * nz} nodes exceeds budget {node_budget}")
     h = wavelength / nodes_per_wavelength
 
-    # Node id = i + nx*(j + ny*k), x fastest.
+    # Node id = i + nx*(j + ny*k), x fastest; elements in the same order.
     kk, jj, ii = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),
                              indexing="ij")
     nodes = np.column_stack([ii.ravel() * h, jj.ravel() * h,
                              kk.ravel() * h]).astype(float)
-
-    def nid(i, j, k):
-        return i + nx * (j + ny * k)
-
-    elems = []
-    for k in range(nz - 1):
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                elems.append([nid(i + dx, j + dy, k + dz)
-                              for dx, dy, dz in HEX_CORNERS])
-    elements = np.asarray(elems, dtype=np.int64)
-    facets = _boundary_facets(nodes, elements)
-    return HexMesh(nodes=nodes, elements=elements, facets=facets, spacing=h)
+    base = (np.arange(nx - 1) + nx * (np.arange(ny - 1)[:, None]
+                                      + ny * np.arange(nz - 1)[:, None, None]))
+    elements = base.reshape(-1, 1) + HEX_CORNERS @ np.array([1, nx, nx * ny])
+    return _mesh_with_boundary(nodes, elements, h)
 
 
 def embed_pec_scatterer(mesh: HexMesh, spec: ScattererSpec | None) -> HexMesh:
@@ -207,7 +188,6 @@ def embed_pec_scatterer(mesh: HexMesh, spec: ScattererSpec | None) -> HexMesh:
         offs = corner / mesh.spacing
         if np.any(np.abs(offs - np.round(offs)) > 1e-6):
             raise MeshError(f"scatterer corner {corner} is not grid-aligned")
-    spec = replace(spec, snapped=True)
 
     centroids = mesh.nodes[mesh.elements].mean(axis=1)
     inside = np.all((centroids > lo) & (centroids < hi), axis=1)
@@ -222,20 +202,14 @@ def embed_pec_scatterer(mesh: HexMesh, spec: ScattererSpec | None) -> HexMesh:
     nodes = mesh.nodes[used]
     elements = renum[kept]
 
-    facets = _boundary_facets(nodes, elements)
+    out = _mesh_with_boundary(nodes, elements, mesh.spacing)
     # Facets not on the bounding box were exposed by the removal: tag PEC.
     tol = 1e-9 * mesh.spacing
-    out = []
-    for f in facets:
-        coords = nodes[list(f.nodes)]
-        on_box = False
-        for d in range(3):
-            if (np.all(np.abs(coords[:, d] - bb_lo[d]) < tol)
-                    or np.all(np.abs(coords[:, d] - bb_hi[d]) < tol)):
-                on_box = True
-        out.append(f if on_box else replace(f, kind=FacetKind.PEC))
-    return HexMesh(nodes=nodes, elements=elements, facets=out,
-                   spacing=mesh.spacing)
+    coords = nodes[out.facet_nodes]
+    on_box = ((np.abs(coords - bb_lo) < tol).all(axis=1)
+              | (np.abs(coords - bb_hi) < tol).all(axis=1)).any(axis=1)
+    out.facet_kinds[~on_box] = FacetKind.PEC
+    return out
 
 
 def classify_boundary(mesh: HexMesh,
@@ -267,18 +241,10 @@ def classify_boundary(mesh: HexMesh,
         coord = bb_hi[axis] if side else bb_lo[axis]
         planes.append((axis, coord, kind))
 
-    facets = []
-    for f in mesh.facets:
-        if f.kind is FacetKind.PEC:
-            facets.append(f)
-            continue
-        tagged = f if f.kind is FacetKind.EXTERIOR else replace(
-            f, kind=FacetKind.EXTERIOR)
-        for axis, coord, kind in planes:
-            coords = mesh.nodes[list(f.nodes), axis]
-            if np.all(np.abs(coords - coord) < tol):
-                tagged = replace(f, kind=kind)
-                break
-        facets.append(tagged)
-    return HexMesh(nodes=mesh.nodes, elements=mesh.elements, facets=facets,
-                   spacing=mesh.spacing)
+    kinds = np.where(mesh.facet_kinds == FacetKind.PEC, FacetKind.PEC,
+                     FacetKind.EXTERIOR)
+    # Reversed, so the first declared plane a facet lies on wins.
+    for axis, coord, kind in reversed(planes):
+        on = (np.abs(mesh.nodes[mesh.facet_nodes, axis] - coord) < tol).all(axis=1)
+        kinds[on & (kinds != FacetKind.PEC)] = kind
+    return replace(mesh, facet_kinds=kinds)

@@ -83,6 +83,11 @@ class Preconditioner:
 
 @dataclass
 class SolveReport:
+    """Outcome of one CG solve.
+
+    ``matrix_bytes`` and ``precond_bytes`` count stored complex values
+    only (16 B each), not index arrays or level schedules.
+    """
     iterations: int
     residual_history: list
     converged: bool
@@ -249,10 +254,8 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
             lj = j - lo
             l_vals[lj][-1] = _ic_diag(l_vals[lj][:-1], pat_avals[lj][-1], j)
             row_j = publish_row(j)
-            if j + 1 < n and j in updates:
+            if j in updates:
                 pending = row_j
-        elif j + 1 <= n and j in updates:
-            pending = None              # will be received at the next step
         fabric.barrier(rank)
 
     def join(parts):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hexwave.mesh import HEX_CORNERS, FacetKind
+from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,84 @@ def surface_stiffness_oracle(h: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Loop-based mesh references
+# ---------------------------------------------------------------------------
+
+def loop_box_elements(nx: int, ny: int, nz: int) -> np.ndarray:
+    """(E, 8) connectivity of an nx x ny x nz node grid, one element at a
+    time (k outermost, i innermost; node id i + nx*(j + ny*k))."""
+    elems = []
+    for k in range(nz - 1):
+        for j in range(ny - 1):
+            for i in range(nx - 1):
+                elems.append([i + dx + nx * (j + dy + ny * (k + dz))
+                              for dx, dy, dz in HEX_CORNERS])
+    return np.asarray(elems, dtype=np.int64)
+
+
+def dict_boundary_facets(nodes: np.ndarray, elements: np.ndarray):
+    """Boundary facets found by hashing every element face in a dict.
+
+    A face seen once is a boundary facet; its normal runs from the
+    element centroid to the face centroid, normalized, with components
+    below 1e-12 zeroed and renormalized.  Returns corners (F, 4) in the
+    element-face winding, elements (F,) and normals (F, 3), sorted by
+    corner tuple.
+    """
+    seen: dict[tuple, tuple[int, tuple]] = {}
+    dup: set[tuple] = set()
+    for e, conn in enumerate(elements):
+        for face in HEX_FACES:
+            quad = tuple(int(n) for n in conn[face])
+            key = tuple(sorted(quad))
+            if key in seen:
+                dup.add(key)
+            else:
+                seen[key] = (e, quad)
+    facets = []
+    for key, (e, quad) in seen.items():
+        if key in dup:
+            continue
+        normal = nodes[list(quad)].mean(axis=0) - nodes[elements[e]].mean(axis=0)
+        normal = normal / np.linalg.norm(normal)
+        normal[np.abs(normal) < 1e-12] = 0.0
+        normal = normal / np.linalg.norm(normal)
+        facets.append((quad, e, normal))
+    facets.sort(key=lambda f: f[0])
+    return (np.array([f[0] for f in facets], dtype=np.int64).reshape(-1, 4),
+            np.array([f[1] for f in facets], dtype=np.int64),
+            np.array([f[2] for f in facets]).reshape(-1, 3))
+
+
+def facet_loop_kinds(mesh, planes) -> list:
+    """Kind of each facet, one facet at a time, from its geometry alone.
+
+    A facet on no bounding-box face is PEC; otherwise it takes the kind
+    of the first declared ``(face, kind)`` plane it lies on (``x`` means
+    ``x-``), else EXTERIOR.
+    """
+    lo, hi = mesh.bounding_box
+    tol = 1e-9 * mesh.spacing
+    kinds = []
+    for quad in mesh.facet_nodes:
+        coords = mesh.nodes[quad]
+        kind = FacetKind.PEC
+        for d in range(3):
+            if (np.all(np.abs(coords[:, d] - lo[d]) < tol)
+                    or np.all(np.abs(coords[:, d] - hi[d]) < tol)):
+                kind = FacetKind.EXTERIOR
+        if kind is FacetKind.EXTERIOR:
+            for face, plane_kind in planes:
+                d = "xyz".index(face[0])
+                coord = hi[d] if face.endswith("+") else lo[d]
+                if np.all(np.abs(coords[:, d] - coord) < tol):
+                    kind = FacetKind(plane_kind)
+                    break
+        kinds.append(kind)
+    return kinds
+
+
+# ---------------------------------------------------------------------------
 # Dense element-loop assembly oracle
 # ---------------------------------------------------------------------------
 
@@ -134,13 +212,14 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
         blk = em.curl_curl - em.mass + config.penalty_weight * em.penalty
         dofs = (3 * conn[:, None] + np.arange(3)).ravel()
         a[np.ix_(dofs, dofs)] += blk
-    for facet in mesh.facets:
-        if facet.kind is not FacetKind.EXTERIOR:
+    for quad, normal, kind in zip(mesh.facet_nodes, mesh.facet_normals,
+                                  mesh.facet_kinds):
+        if kind is not FacetKind.EXTERIOR:
             continue
-        coords = mesh.nodes[list(facet.nodes)]
-        am = abc_facet_matrices(coords - coords.min(axis=0), facet.normal,
+        coords = mesh.nodes[quad]
+        am = abc_facet_matrices(coords - coords.min(axis=0), normal,
                                 params.k0, config.quadrature)
-        fdofs = (3 * np.asarray(facet.nodes)[:, None] + np.arange(3)).ravel()
+        fdofs = (3 * quad[:, None] + np.arange(3)).ravel()
         a[np.ix_(fdofs, fdofs)] += am.first_order + am.second_order
     return a
 
@@ -171,11 +250,12 @@ def node_loop_rows(mesh, params, config):
         blocks.append((conn, em.curl_curl - em.mass
                        + config.penalty_weight * em.penalty))
     elem_blocks, blocks = blocks, []
-    for f in mesh.facets:
-        if f.kind is FacetKind.EXTERIOR:
-            am = abc_facet_matrices(snapped(f.nodes), f.normal, params.k0,
+    for quad, normal, kind in zip(mesh.facet_nodes, mesh.facet_normals,
+                                  mesh.facet_kinds):
+        if kind is FacetKind.EXTERIOR:
+            am = abc_facet_matrices(snapped(quad), normal, params.k0,
                                     config.quadrature)
-            blocks.append((np.asarray(f.nodes), am.first_order + am.second_order))
+            blocks.append((quad, am.first_order + am.second_order))
     rows = []
     for n in range(mesh.node_count):
         cols, vals = [], []
@@ -208,11 +288,11 @@ def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
     pts, wts = np.polynomial.legendre.leggauss(quadrature)
     su = np.array([-1.0, 1.0, 1.0, -1.0])
     sv = np.array([-1.0, -1.0, 1.0, 1.0])
-    for facet in mesh.facets:
-        if facet.kind is not FacetKind.EXTERIOR:
+    for quad, n, kind in zip(mesh.facet_nodes, mesh.facet_normals,
+                             mesh.facet_kinds):
+        if kind is not FacetKind.EXTERIOR:
             continue
-        coords = mesh.nodes[list(facet.nodes)]
-        n = facet.normal
+        coords = mesh.nodes[quad]
         tangential = [d for d in range(3) if abs(n[d]) < 0.5]
         load = np.zeros((4, 3), dtype=np.complex128)
         for u, wu in zip(pts, wts):
@@ -227,7 +307,7 @@ def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
         am = abc_facet_matrices(coords, n, wave.k0, quadrature)
         trace = np.concatenate([incident_field(wave, p)[0] for p in coords])
         load += (am.second_order @ trace).reshape(4, 3)
-        for a, node in enumerate(facet.nodes):
+        for a, node in enumerate(quad):
             b[3 * node:3 * node + 3] += load[a]
     return b
 

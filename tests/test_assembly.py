@@ -12,7 +12,7 @@ from hexwave.assembly import (AssemblyConfig, AssemblyError, MaterialParams,
                               assemble_rhs, assemble_rows, constrained_dofs,
                               element_matrices, incident_field, symmetrize)
 from hexwave.fabric import CommFabric, run_spmd
-from hexwave.mesh import (HEX_CORNERS, FacetKind, HexMesh, ScattererSpec,
+from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
 from hexwave.sparse import partition_rows
@@ -268,16 +268,16 @@ def test_rhs_matches_facet_loop_reference(direction, polarization):
 
 def _corner_facet(mesh, node, axis):
     """Id of the exterior facet at ``node`` whose normal lies on ``axis``."""
-    return next(i for i, f in enumerate(mesh.facets)
-                if node in f.nodes and f.axis == axis)
+    return next(i for i, (quad, normal) in enumerate(zip(mesh.facet_nodes,
+                                                         mesh.facet_normals))
+                if node in quad and np.argmax(np.abs(normal)) == axis)
 
 
 def test_rhs_rejects_nonplanar_exterior_facet():
     mesh = build_box_mesh((1.,) * 3, 3)
     nodes = mesh.nodes.copy()
     nodes[26, 2] += 0.3 * mesh.spacing      # lift the top corner
-    bent = HexMesh(nodes=nodes, elements=mesh.elements, facets=mesh.facets,
-                   spacing=mesh.spacing)
+    bent = replace(mesh, nodes=nodes)
     fid = _corner_facet(mesh, 26, 2)
     with pytest.raises(AssemblyError, match=f"facet {fid} is not planar"):
         assemble_rhs(bent, _wave(), (0, mesh.node_count))
@@ -286,9 +286,9 @@ def test_rhs_rejects_nonplanar_exterior_facet():
 def test_non_axis_aligned_exterior_facet_rejected():
     mesh = build_box_mesh((1.,) * 3, 3)
     fid = _corner_facet(mesh, 26, 2)
-    facets = list(mesh.facets)
-    facets[fid] = replace(facets[fid], normal=np.array([0.0, 0.6, 0.8]))
-    tilted = replace(mesh, facets=facets)
+    normals = mesh.facet_normals.copy()
+    normals[fid] = (0.0, 0.6, 0.8)
+    tilted = replace(mesh, facet_normals=normals)
     with pytest.raises(AssemblyError,
                        match=f"facet {fid} normal is not axis-aligned"):
         assemble_rhs(tilted, _wave(), (0, mesh.node_count))
@@ -299,11 +299,11 @@ def test_non_axis_aligned_exterior_facet_rejected():
 def test_facet_matching_no_element_face_named():
     mesh = build_box_mesh((1.,) * 3, 3)
     fid = _corner_facet(mesh, 26, 2)
-    facets = list(mesh.facets)
-    facets[fid] = replace(facets[fid], element=0)
+    elements = mesh.facet_elements.copy()
+    elements[fid] = 0
     with pytest.raises(AssemblyError,
                        match=f"facet {fid} does not match any element face"):
-        assemble_rows(replace(mesh, facets=facets), MaterialParams(),
+        assemble_rows(replace(mesh, facet_elements=elements), MaterialParams(),
                       (0, mesh.node_count))
 
 
@@ -341,10 +341,9 @@ def test_rhs_zero_on_pec_only_nodes():
     b = assemble_rhs(mesh, wave, (0, mesh.node_count))
     pec_nodes = set()
     ext_nodes = set()
-    from hexwave.mesh import FacetKind
-    for f in mesh.facets:
-        target = pec_nodes if f.kind is FacetKind.PEC else ext_nodes
-        target.update(f.nodes)
+    for quad, kind in zip(mesh.facet_nodes, mesh.facet_kinds):
+        target = pec_nodes if kind is FacetKind.PEC else ext_nodes
+        target.update(quad.tolist())
     for n in pec_nodes - ext_nodes:
         np.testing.assert_array_equal(b[3 * n:3 * n + 3], 0.0)
 
@@ -395,6 +394,17 @@ def test_conflicting_plane_kinds_rejected():
                              [("z-", "symmetry"), ("z+", "antisymmetry")])
     # Same axis, different kinds, but disjoint faces: allowed.
     constrained_dofs(mesh)
+
+
+def test_conflicting_plane_kinds_on_shared_node_named():
+    mesh = classify_boundary(build_box_mesh((1.,) * 3, 3), [("z+", "symmetry")])
+    top = np.flatnonzero(mesh.facet_kinds == FacetKind.SYMMETRY)
+    assert len(top) == 4
+    kinds = mesh.facet_kinds.copy()
+    kinds[top[1]] = FacetKind.ANTISYMMETRY   # shares nodes 19, 22 with top[0]
+    with pytest.raises(AssemblyError, match="node 19 tagged with conflicting "
+                                            "plane kinds on axis 2"):
+        constrained_dofs(replace(mesh, facet_kinds=kinds))
 
 
 def _assembled(mesh, ranks=1):

@@ -8,12 +8,14 @@ from hexwave.mesh import (FacetKind, MeshError, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
 
+from conftest import dict_boundary_facets, facet_loop_kinds, loop_box_elements
+
 
 def test_minimal_grid_one_element():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 2)
     assert mesh.node_count == 8
     assert mesh.element_count == 1
-    assert len(mesh.facets) == 6
+    assert len(mesh.facet_kinds) == 6
     assert mesh.spacing == 0.5
 
 
@@ -53,17 +55,17 @@ def test_node_budget_enforced():
 def test_boundary_facet_count_cube():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 4)
     # 6 faces x 3x3 element faces each.
-    assert len(mesh.facets) == 54
-    assert all(f.kind is FacetKind.EXTERIOR for f in mesh.facets)
+    assert len(mesh.facet_kinds) == 54
+    assert all(k is FacetKind.EXTERIOR for k in mesh.facet_kinds)
 
 
 def test_facet_normals_outward():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 3)
     lo, hi = mesh.bounding_box
-    for f in mesh.facets:
-        center = mesh.nodes[list(f.nodes)].mean(axis=0)
-        ax = f.axis
-        if f.normal[ax] > 0:
+    for quad, normal in zip(mesh.facet_nodes, mesh.facet_normals):
+        center = mesh.nodes[quad].mean(axis=0)
+        ax = np.argmax(np.abs(normal))
+        if normal[ax] > 0:
             assert center[ax] == pytest.approx(hi[ax])
         else:
             assert center[ax] == pytest.approx(lo[ax])
@@ -77,11 +79,9 @@ def test_pec_box_removes_elements_and_tags_facets():
     assert out.element_count == mesh.element_count - 8
     # One interior node disappears.
     assert out.node_count == mesh.node_count - 1
-    pec = [f for f in out.facets if f.kind is FacetKind.PEC]
     # 2x2 exposed faces per box side.
-    assert len(pec) == 24
-    ext = [f for f in out.facets if f.kind is FacetKind.EXTERIOR]
-    assert len(ext) == 6 * 16
+    assert sum(k is FacetKind.PEC for k in out.facet_kinds) == 24
+    assert sum(k is FacetKind.EXTERIOR for k in out.facet_kinds) == 6 * 16
 
 
 def test_pec_box_must_be_interior():
@@ -109,14 +109,14 @@ def test_classify_symmetry_plane():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 3)
     out = classify_boundary(mesh, [("z+", "symmetry"), ("x", "antisymmetry")])
     hi = mesh.bounding_box[1]
-    for f in out.facets:
-        coords = out.nodes[list(f.nodes)]
+    for quad, kind in zip(out.facet_nodes, out.facet_kinds):
+        coords = out.nodes[quad]
         if np.allclose(coords[:, 2], hi[2]):
-            assert f.kind is FacetKind.SYMMETRY
+            assert kind is FacetKind.SYMMETRY
         elif np.allclose(coords[:, 0], 0.0):
-            assert f.kind is FacetKind.ANTISYMMETRY
+            assert kind is FacetKind.ANTISYMMETRY
         else:
-            assert f.kind is FacetKind.EXTERIOR
+            assert kind is FacetKind.EXTERIOR
 
 
 def test_duplicate_plane_rejected():
@@ -144,4 +144,44 @@ def test_export_text_roundtrippable(tmp_path):
 def test_facet_order_deterministic():
     a = build_box_mesh((1.0, 1.0, 1.0), 4)
     b = build_box_mesh((1.0, 1.0, 1.0), 4)
-    assert [f.nodes for f in a.facets] == [f.nodes for f in b.facets]
+    np.testing.assert_array_equal(a.facet_nodes, b.facet_nodes)
+
+
+def _scatter_mesh():
+    """The 1701-node PEC-box scattering mesh of the acceptance gate."""
+    return embed_pec_scatterer(build_box_mesh((1.2, 1.2, 1.2), 10),
+                               ScattererSpec(corner_min=(0.4, 0.4, 0.4),
+                                             corner_max=(0.8, 0.8, 0.8)))
+
+
+@pytest.mark.parametrize("mesh", [
+    build_box_mesh((1.0, 1.0, 1.0), 3),
+    build_box_mesh((1.0, 1.25, 1.5), 4),
+    _scatter_mesh(),
+], ids=["cube", "non-cubic", "scatterer"])
+def test_facet_table_matches_dict_reference(mesh):
+    nodes, elems, normals = dict_boundary_facets(mesh.nodes, mesh.elements)
+    assert mesh.facet_nodes.dtype == nodes.dtype
+    assert mesh.facet_elements.dtype == elems.dtype
+    for got, want in ((mesh.facet_nodes, nodes), (mesh.facet_elements, elems),
+                      (mesh.facet_normals, normals)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_box_elements_match_triple_loop():
+    mesh = build_box_mesh((1.0, 1.25, 1.5), 4)
+    want = loop_box_elements(4, 5, 6)
+    assert mesh.elements.shape == want.shape
+    assert mesh.elements.tobytes() == want.tobytes()
+
+
+def test_classified_kinds_match_facet_loop():
+    planes = [("z+", "symmetry"), ("x", "antisymmetry")]
+    mesh = classify_boundary(_scatter_mesh(), planes)
+    want = facet_loop_kinds(mesh, planes)
+    assert list(mesh.facet_kinds) == want
+    assert set(want) == set(FacetKind)
+    # Retagging starts over: earlier planes revert to exterior.
+    again = classify_boundary(mesh, [("y-", "antisymmetry")])
+    assert list(again.facet_kinds) == facet_loop_kinds(again, [("y-", "antisymmetry")])
