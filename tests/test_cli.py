@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 import scipy.io
 
@@ -14,7 +15,6 @@ from hexwave import cli
 from hexwave.cli import main
 from hexwave.runner import ConfigError, Scenario
 from hexwave.solver import FactorBreakdownError
-from hexwave.sparse import read_rhs
 
 SMALL_CONFIG = """\
 [domain]
@@ -114,6 +114,31 @@ def test_missing_config_file_exit_four(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 4
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_nonpositive_max_iter_exit_four(config_path, tmp_path, capsys,
+                                        max_iter):
+    """A cap below one iteration is a config error, not a non-converged
+    run, from the config file and from the flag alike."""
+    p = tmp_path / "cap.ini"
+    p.write_text(SMALL_CONFIG + f"max_iter = {max_iter}\n")
+    assert main(["run", "--config", str(p)]) == 4
+    assert f"max_iter must be >= 1, got {max_iter}" in capsys.readouterr().err
+    assert main(["run", "--config", config_path,
+                 "--max-iter", str(max_iter)]) == 4
+    with pytest.raises(ConfigError):
+        Scenario(max_iter=max_iter)
+
+
+@pytest.mark.parametrize("flag", ["--export-matrix", "--report"])
+def test_unwritable_output_path_exit_four(config_path, tmp_path, capsys,
+                                          flag):
+    missing = tmp_path / "no-such-dir" / "out"
+    assert main(["run", "--config", config_path, flag, str(missing)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
 def test_node_budget_exit_five(tmp_path, capsys):
     p = tmp_path / "big.ini"
     p.write_text("[domain]\nextent = 2 2 2\nnodes_per_wavelength = 10\n"
@@ -143,7 +168,7 @@ def test_export_matrix_round_trips_through_scipy(config_path, tmp_path):
                  "--export-matrix", str(mm), "--report", str(report)])
     assert code == 0
     a = scipy.io.mmread(str(mm)).tocsr()
-    b = read_rhs(str(mm) + ".rhs")
+    b = np.loadtxt(str(mm) + ".rhs", skiprows=1).view(np.complex128).ravel()
     blob = json.loads(report.read_text())
     n = blob["complex_unknowns"]
     assert a.shape == (n, n) and b.shape == (n,)

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from hexwave import runner, solver
 from hexwave.fabric import CommFabric, run_spmd
+from hexwave.mesh import ScattererSpec
+from hexwave.runner import Scenario, run_scenario
 from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             Preconditioner, SingularPreconditionerError,
-                            build_bicp, build_dp, build_icp, cg_solve,
-                            forward_back_substitute)
-from hexwave.sparse import RedundantRows, RowPartition, partition_rows
+                            _row_destinations, build_bicp, build_dp,
+                            build_icp, cg_solve, forward_back_substitute)
+from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
+                            partition_rows, to_redundant)
 
 from conftest import dense_ic_oracle, random_symmetric_sparse
 
@@ -168,6 +172,119 @@ def test_bicp_needs_no_messages(rng):
     fab = CommFabric(3)
     run_spmd(3, lambda f, r: build_bicp(ar, part, r), fabric=fab)
     assert fab.counters_report()["totals"]["messages"] == 0
+
+
+# -- factor builds on either storage -----------------------------------------
+
+def _lower(m: RedundantRows) -> LowerSymmetricRows:
+    return LowerSymmetricRows.from_symmetric_rows(
+        [m.row(i) for i in range(m.n)], m.n)
+
+
+def _other_layout(m):
+    return to_redundant(m) if isinstance(m, LowerSymmetricRows) else _lower(m)
+
+
+def _dof_split(n, ranks):
+    return RowPartition(node_starts=partition_rows(n, ranks).node_starts,
+                        dofs_per_node=1)
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+def test_factor_builds_equal_on_either_storage(rng, ranks):
+    """Both builds read only the lower triangle, so storage #1 and #2
+    give bitwise the same factors and the same build traffic."""
+    rows, _ = random_symmetric_sparse(rng, 15, density=0.35)
+    full = RedundantRows.from_rows(rows, 15)
+    part = _dof_split(15, ranks)
+    built = []
+    for a in (full, _lower(full)):
+        fab = CommFabric(ranks)
+        icp = run_spmd(ranks, lambda f, r: build_icp(a, part, r, f),
+                       fabric=fab)[0]
+        bicp = [build_bicp(a, part, r) for r in range(ranks)]
+        built.append(([icp] + bicp, fab.counters_report()))
+    (factors2, counters2), (factors1, counters1) = built
+    assert counters1 == counters2
+    for f1, f2 in zip(factors1, factors2):
+        for name in ("indptr", "indices", "data", "col_ptr", "col_pos"):
+            assert np.array_equal(getattr(f1, name), getattr(f2, name))
+
+
+@pytest.mark.parametrize("ranks", [2, 3, 5])
+def test_row_destinations_match_column_loop(rng, ranks):
+    """Column j's destinations are the owners of its stored rows below
+    the diagonal, ascending, on either storage."""
+    rows, dense = random_symmetric_sparse(rng, 20, density=0.25)
+    full = RedundantRows.from_rows(rows, 20)
+    part = _dof_split(20, ranks)
+    owner = part.owner_of_dof(np.arange(20))
+    for a in (full, _lower(full)):
+        for r in range(ranks):
+            lo, hi = part.dof_range(r)
+            ptr, dest = _row_destinations(a, owner, ranks, lo, hi)
+            assert len(ptr) == hi - lo + 1 and ptr[-1] == len(dest)
+            for j in range(lo, hi):
+                below = j + 1 + np.nonzero(dense[j + 1:, j])[0]
+                assert (dest[ptr[j - lo]:ptr[j - lo + 1]].tolist()
+                        == sorted(set(owner[below].tolist())))
+
+
+def _grid_scenario(**kw) -> Scenario:
+    # 4 x 4 x 5 nodes with a one-by-one-by-two-element PEC box: 80 nodes
+    # before the box, 240 unknowns.
+    return Scenario(extent=(1.0, 1.0, 1.25), nodes_per_wavelength=4,
+                    scatterer=ScattererSpec(corner_min=(0.25, 0.25, 0.25),
+                                            corner_max=(0.5, 0.5, 0.75)),
+                    direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
+                    **kw)
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+@pytest.mark.parametrize("precond", ["icp", "bicp"])
+def test_run_factor_from_either_storage_identical(monkeypatch, precond,
+                                                  ranks, storage):
+    """A run whose factor is built from the stored layout equals, bitwise
+    and count for count, one whose factor is built from the other."""
+    sc = _grid_scenario(preconditioner=precond, ranks=ranks, storage=storage)
+    direct = run_scenario(sc)
+    for name in ("build_icp", "build_bicp"):
+        build = getattr(solver, name)
+        monkeypatch.setattr(runner, name, lambda a, *args, _b=build:
+                            _b(_other_layout(a), *args))
+    other = run_scenario(sc)
+    assert direct.solution.tobytes() == other.solution.tobytes()
+    assert direct.report.iterations == other.report.iterations
+    assert direct.report.counters == other.report.counters
+    assert direct.precond_total_bytes == other.precond_total_bytes
+
+
+# Precond-build traffic of ``_grid_scenario`` with icp, either storage:
+# messages and bytes per rank, and total barriers of the run (the
+# build's n + 1 = 241 plus the system join and the precond-bytes gather).
+ICP_BUILD_TRAFFIC = {
+    2: ([60, 0], [42408, 0], 243),
+    3: ([63, 63, 0], [31752, 40824, 0], 243),
+    5: ([48, 48, 48, 48, 0], [11376, 32976, 31680, 32112, 0], 243),
+}
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+@pytest.mark.parametrize("ranks", sorted(ICP_BUILD_TRAFFIC))
+def test_precond_build_traffic_pinned(ranks, storage):
+    counters = {}
+    for precond in ("icp", "bicp"):
+        report = run_scenario(_grid_scenario(
+            preconditioner=precond, ranks=ranks, storage=storage)).report
+        build = [[c for c in per_rank if c["phase"] == "precond-build"]
+                 for per_rank in report.counters["per_rank"]]
+        counters[precond] = (
+            [sum(c["messages"] for c in b) for b in build],
+            [sum(c["bytes"] for c in b) for b in build],
+            report.counters["totals"]["barriers"])
+    assert counters["icp"] == ICP_BUILD_TRAFFIC[ranks]
+    assert counters["bicp"] == ([0] * ranks, [0] * ranks, 2)
 
 
 # -- triangular solves -------------------------------------------------------

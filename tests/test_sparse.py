@@ -1,19 +1,17 @@
-"""Sparse storage layouts, partitioning, partial products, file I/O."""
+"""Sparse storage layouts, partitioning, partial products, file export."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 import scipy.io
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, GeneralRows,
-                            LowerSymmetricRows, RedundantRows, RowPartition,
-                            SparseFormatError, SparseVector, full_matvec,
-                            partition_rows, read_matrix_market, spmv_partial,
-                            to_redundant, write_matrix_market, write_rhs,
-                            read_rhs)
+from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
+                            RedundantRows, RowPartition, SparseFormatError,
+                            SparseVector, full_matvec, partition_rows,
+                            spmv_partial, to_redundant, write_matrix_market,
+                            write_rhs)
 from conftest import random_symmetric_sparse
 
 
@@ -89,27 +87,13 @@ def test_lower_storage_rejects_upper_entries():
         LowerSymmetricRows(3, [0, 1, 3, 5], [0, 0, 1, 1, 1], np.ones(5))
 
 
-def test_redundant_column_index_contiguous(rng):
-    rows, dense = random_symmetric_sparse(rng, 10)
-    m = RedundantRows.from_rows(rows, 10)
-    np.testing.assert_array_equal(m.to_dense(), dense)
-    for j in range(10):
-        ridx, vals = m.column(j)
-        np.testing.assert_array_equal(vals, dense[ridx, j])
-        assert np.all(np.diff(ridx) > 0)
-        # contiguous traversal: positions of column j form one range
-        lo, hi = m.col_ptr[j], m.col_ptr[j + 1]
-        assert hi - lo == len(ridx)
-
-
 def test_to_redundant_matches_dense(rng):
     rows, dense = random_symmetric_sparse(rng, 9)
     lower = LowerSymmetricRows.from_symmetric_rows(rows, 9)
     full = to_redundant(lower)
     np.testing.assert_array_equal(full.to_dense(), dense)
     ref = RedundantRows.from_rows(rows, 9)
-    for name in ("indptr", "indices", "data", "col_ptr", "col_rows",
-                 "col_pos"):
+    for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
 
 
@@ -120,8 +104,7 @@ def test_diagonal_matches_dense_on_every_layout(rng):
     rows[4] = (cols[cols != 4], vals[cols != 4])
     dense[4, 4] = 0.0
     assert len(rows[4][0]) > 0
-    for m in (GeneralRows.from_rows(rows, 10),
-              LowerSymmetricRows.from_symmetric_rows(rows, 10),
+    for m in (LowerSymmetricRows.from_symmetric_rows(rows, 10),
               RedundantRows.from_rows(rows, 10)):
         np.testing.assert_array_equal(m.diagonal(), np.diag(m.to_dense()))
         np.testing.assert_array_equal(m.diagonal(), np.diag(dense))
@@ -131,7 +114,6 @@ def test_byte_accounting(rng):
     rows, _ = random_symmetric_sparse(rng, 6)
     m = RedundantRows.from_rows(rows, 6)
     assert m.value_bytes() == 16 * m.nnz
-    assert m.index_bytes() == 8 * m.nnz
     v = SparseVector.from_dense(np.array([0, 1 + 1j, 0, 2.0]))
     assert v.payload_bytes() == 2 * (INDEX_BYTES + COMPLEX_BYTES)
 
@@ -165,7 +147,9 @@ def test_redundant_partial_is_owned_segment(rng):
     x = rng.standard_normal(12) + 0j
     sv = spmv_partial(m, part, 1, x)
     assert sv.indices.min() >= 6
-    np.testing.assert_allclose(sv.densify()[6:], (dense @ x)[6:], rtol=1e-13)
+    got = np.zeros(12, dtype=np.complex128)
+    got[sv.indices] = sv.values
+    np.testing.assert_allclose(got[6:], (dense @ x)[6:], rtol=1e-13)
 
 
 def test_redundant_segment_bitwise_rank_invariant(rng):
@@ -210,65 +194,39 @@ def test_sparse_vector_filters_zeros():
     assert sv.payload_bytes() == 2 * (INDEX_BYTES + COMPLEX_BYTES)
 
 
-# -- Matrix Market round trips (scipy as oracle) -----------------------------
+# -- Matrix Market export, read back by scipy --------------------------------
+
+def _assert_csr_equal(a, m) -> None:
+    """scipy CSR matrix ``a`` holds bitwise the arrays of stored matrix m."""
+    np.testing.assert_array_equal(a.indptr, m.indptr)
+    np.testing.assert_array_equal(a.indices, m.indices)
+    np.testing.assert_array_equal(a.data, m.data)
+
 
 def test_mm_symmetric_roundtrip_vs_scipy(rng, tmp_path):
-    rows, dense = random_symmetric_sparse(rng, 7)
+    """scipy mirrors the lower-triangle export into the full matrix."""
+    rows, _ = random_symmetric_sparse(rng, 7)
     m = LowerSymmetricRows.from_symmetric_rows(rows, 7)
     path = tmp_path / "sym.mtx"
     write_matrix_market(path, m, comment="test system")
-    via_scipy = scipy.io.mmread(str(path)).toarray()
-    np.testing.assert_allclose(via_scipy, dense, rtol=1e-15)
-    back = read_matrix_market(path)
-    assert isinstance(back, LowerSymmetricRows)
-    np.testing.assert_array_equal(back.to_dense(), dense)
+    assert path.read_text().startswith(
+        "%%MatrixMarket matrix coordinate complex symmetric\n% test system\n")
+    _assert_csr_equal(scipy.io.mmread(str(path)).tocsr(), to_redundant(m))
 
 
 def test_mm_general_roundtrip_vs_scipy(rng, tmp_path):
-    rows, dense = random_symmetric_sparse(rng, 6)
+    rows, _ = random_symmetric_sparse(rng, 6)
     m = RedundantRows.from_rows(rows, 6)
     path = tmp_path / "gen.mtx"
     write_matrix_market(path, m)
-    np.testing.assert_allclose(scipy.io.mmread(str(path)).toarray(), dense,
-                               rtol=1e-15)
-    back = read_matrix_market(path)
-    assert isinstance(back, GeneralRows)
-    np.testing.assert_array_equal(back.to_dense(), dense)
-
-
-def test_mm_reads_scipy_written_file(rng, tmp_path):
-    dense = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    path = tmp_path / "scipy.mtx"
-    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(dense))
-    back = read_matrix_market(path)
-    np.testing.assert_allclose(back.to_dense(), dense, rtol=1e-12)
-
-
-def test_mm_bad_header_rejected(tmp_path):
-    path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix array real general\n1 1\n1.0\n")
-    with pytest.raises(SparseFormatError):
-        read_matrix_market(path)
-
-
-def test_mm_upper_entry_in_symmetric_rejected(tmp_path):
-    path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate complex symmetric\n"
-                    "2 2 1\n1 2 1.0 0.0\n")
-    with pytest.raises(SparseFormatError, match="upper"):
-        read_matrix_market(path)
-
-
-def test_mm_out_of_bounds_rejected(tmp_path):
-    path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate complex general\n"
-                    "2 2 1\n3 1 1.0 0.0\n")
-    with pytest.raises(SparseFormatError, match="bounds"):
-        read_matrix_market(path)
+    assert path.read_text().startswith(
+        "%%MatrixMarket matrix coordinate complex general\n6 6 ")
+    _assert_csr_equal(scipy.io.mmread(str(path)).tocsr(), m)
 
 
 def test_rhs_roundtrip_exact(rng, tmp_path):
     b = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     path = tmp_path / "b.rhs"
     write_rhs(path, b)
-    np.testing.assert_array_equal(read_rhs(path), b)
+    back = np.loadtxt(path, skiprows=1).view(np.complex128).ravel()
+    np.testing.assert_array_equal(back, b)
