@@ -224,18 +224,6 @@ def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
     return h, curl_h
 
 
-def abc_incident_load(wave: PlaneWave, point, normal) -> np.ndarray:
-    """g_ABC(H_i) - n x curl(H_i) at one point of an exterior facet."""
-    normal = np.asarray(normal, dtype=float)
-    h, curl_h = incident_field(wave, point)
-    ht = h - normal * (normal @ h)
-    kvec = wave.k0 * wave.direction.real
-    kt2 = float(np.linalg.norm(kvec - normal * (normal @ kvec)) ** 2)
-    # Laplacian of the tangential plane-wave trace is -|k_t|^2 H_t.
-    g = 1j * wave.k0 * ht + (1j / (2.0 * wave.k0)) * kt2 * ht
-    return g - np.cross(normal, curl_h)
-
-
 # ---------------------------------------------------------------------------
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------

@@ -107,15 +107,6 @@ class CommFabric:
                 "barrier_count_per_rank": list(self._barrier_count),
                 "totals": totals}
 
-    def phase_totals(self, phase: str) -> MessageCounters:
-        out = MessageCounters(phase=phase)
-        with self._lock:
-            for (rank, ph), c in self._counters.items():
-                if ph == phase:
-                    out.messages += c.messages
-                    out.bytes += c.bytes
-        return out
-
     # -- point-to-point ------------------------------------------------------
 
     def send(self, src: int, dst: int, payload, nbytes: int | None = None) -> None:

@@ -5,10 +5,14 @@ x^H y) appropriate for complex symmetric matrices.  Three
 preconditioners are available: inverse diagonal (DP), zero-fill
 incomplete Cholesky built column by column across ranks (ICP), and a
 block variant that factors only rank-local entries and therefore needs
-no build communication (BICP).  Both factored preconditioners apply
-L L^T through one level-scheduled triangular-solve kernel: the rows of
-a segment are grouped once per factor into dependency levels, and each
-level is solved as one vectorized gather-and-reduce.  ICP pipelines its
+no build communication (BICP).  Both builds run one column kernel: a
+rank holds its rows of the lower pattern as flat CSR arrays, and all of
+its entries in column j come at once from one gather, multiply and
+segmented sum over the row prefixes left of j.  Both factored
+preconditioners apply L L^T through one level-scheduled
+triangular-solve kernel: the rows of a segment are grouped once per
+factor into dependency levels, and each level is solved as one
+vectorized gather-and-reduce.  ICP pipelines its
 segments over the fabric; BICP blocks solve independently.
 """
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
-                     RowPartition, SparseVector, _CsrBase, _csr_from_rows,
-                     full_matvec, spmv_partial)
+                     RowPartition, SparseVector, _CsrBase, full_matvec,
+                     spmv_partial)
 
 
 class SolverError(RuntimeError):
@@ -138,23 +142,6 @@ def build_dp(a, partition: RowPartition | None = None) -> Preconditioner:
     return Preconditioner(kind="dp", inv_diag=1.0 / d)
 
 
-def _lower_pattern(a: LowerSymmetricRows | RedundantRows, rows_range,
-                   col_min: int):
-    """Per-row pattern (cols sorted, diagonal last) and the A values on it;
-    only the lower triangle is read, so either storage gives the same."""
-    pat_cols = []
-    pat_avals = []
-    for i in range(*rows_range):
-        cols, vals = a.row(i)
-        keep = (cols >= col_min) & (cols <= i)
-        cols, vals = cols[keep], vals[keep]
-        if len(cols) == 0 or cols[-1] != i:
-            raise FactorBreakdownError(f"missing diagonal in row {i}")
-        pat_cols.append(cols.copy())
-        pat_avals.append(vals.copy())
-    return pat_cols, pat_avals
-
-
 def _ic_diag(l_row_below: np.ndarray, a_jj: complex, j: int) -> complex:
     val = a_jj - np.dot(l_row_below, l_row_below)
     piv = np.sqrt(np.complex128(val))        # principal branch
@@ -163,19 +150,75 @@ def _ic_diag(l_row_below: np.ndarray, a_jj: complex, j: int) -> complex:
     return piv
 
 
-def _ic_offdiag(l_vals_i, l_cols_i, pos, scratch, a_ij, l_jj):
-    s = np.dot(l_vals_i[:pos], scratch[l_cols_i[:pos]])
-    return (a_ij - s) / l_jj
+class _RankFactor:
+    """One rank's rows [lo, hi) of the zero-fill factor, built column by
+    column (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
+    section 10.3).
 
+    The pattern is A's lower triangle from column ``col_min`` on, read
+    from either storage, held as flat CSR arrays with the diagonal last
+    in each row: ``indptr`` (local), ``indices``, the A values ``a`` and
+    the factor values ``l``.  ``by_col[col_ptr[j]:col_ptr[j + 1]]`` are
+    the strict-lower entries of column j, rows ascending.
+    """
 
-def _column_updates(pat_cols, row_start: int):
-    """For each column j: the (row, position) pairs of off-diagonal work."""
-    updates: dict[int, list] = {}
-    for li, cols in enumerate(pat_cols):
-        i = row_start + li
-        for pos, j in enumerate(cols[:-1].tolist()):
-            updates.setdefault(j, []).append((i, pos))
-    return updates
+    def __init__(self, a: LowerSymmetricRows | RedundantRows, lo: int,
+                 hi: int, col_min: int):
+        s, e = a.indptr[lo], a.indptr[hi]
+        rows = np.repeat(np.arange(lo, hi), np.diff(a.indptr[lo:hi + 1]))
+        cols = a.indices[s:e]
+        keep = (cols <= rows) & (cols >= col_min)
+        rows, self.indices = rows[keep], cols[keep]
+        self.a = a.data[s:e][keep]
+        self.l = np.zeros(len(self.a), dtype=np.complex128)
+        self.indptr = np.searchsorted(rows, np.arange(lo, hi + 1))
+        missing = np.ones(hi - lo, dtype=bool)
+        missing[rows[self.indices == rows] - lo] = False
+        if missing.any():
+            raise FactorBreakdownError(
+                f"missing diagonal in row {lo + int(np.argmax(missing))}")
+        strict = np.flatnonzero(self.indices < rows)
+        self.by_col = strict[np.lexsort((rows[strict], self.indices[strict]))]
+        self.col_ptr = np.searchsorted(self.indices[self.by_col],
+                                       np.arange(a.n + 1))
+        # Entries left of each by_col entry in its row.
+        self.prefix = self.by_col - self.indptr[rows[self.by_col] - lo]
+        self.lo = lo
+        self.scratch = np.zeros(a.n, dtype=np.complex128)
+
+    def row(self, j: int):
+        """Columns and factor values of row j, diagonal last (views)."""
+        s, e = self.indptr[j - self.lo:j - self.lo + 2]
+        return self.indices[s:e], self.l[s:e]
+
+    def pivot(self, j: int) -> None:
+        """Diagonal of row j, once every entry left of it is known."""
+        s, e = self.indptr[j - self.lo:j - self.lo + 2]
+        self.l[e - 1] = _ic_diag(self.l[s:e - 1], self.a[e - 1], j)
+
+    def touches(self, j: int) -> bool:
+        """Whether a row of this rank has an entry below row j in column j."""
+        return self.col_ptr[j + 1] > self.col_ptr[j]
+
+    def column(self, j: int, cols_j: np.ndarray, vals_j: np.ndarray) -> None:
+        """Every entry of column j on this rank from row j of L.
+
+        Entry (i, j) subtracts the product of row i's prefix (its entries
+        left of column j) with row j, gathered from the dense scratch;
+        the prefixes of all rows are summed at once with ``reduceat``.
+        """
+        c0, c1 = self.col_ptr[j], self.col_ptr[j + 1]
+        ent, count = self.by_col[c0:c1], self.prefix[c0:c1]
+        new = self.a[ent]
+        full = count > 0
+        if full.any():
+            # reduceat mishandles empty segments, so they are left out.
+            self.scratch[cols_j] = vals_j
+            pre = _ranges(ent - count, ent)
+            prod = self.l[pre] * self.scratch[self.indices[pre]]
+            new[full] -= np.add.reduceat(prod, (count.cumsum() - count)[full])
+            self.scratch[cols_j] = 0.0
+        self.l[ent] = new / vals_j[-1]
 
 
 def build_bicp(a: LowerSymmetricRows | RedundantRows,
@@ -184,23 +227,12 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows,
     owned by this rank are factored; no communication.  With one rank
     this is exactly the classical ICP factor."""
     lo, hi = partition.dof_range(rank)
-    pat_cols, pat_avals = _lower_pattern(a, (lo, hi), col_min=lo)
-    l_vals = [np.zeros(len(c), dtype=np.complex128) for c in pat_cols]
-    updates = _column_updates(pat_cols, lo)
-    scratch = np.zeros(a.n, dtype=np.complex128)
+    f = _RankFactor(a, lo, hi, col_min=lo)
     for j in range(lo, hi):
-        lj = j - lo
-        piv = _ic_diag(l_vals[lj][:-1], pat_avals[lj][-1], j)
-        l_vals[lj][-1] = piv
-        cols_j = pat_cols[lj]
-        scratch[cols_j] = l_vals[lj]
-        for i, pos in updates.get(j, ()):
-            li = i - lo
-            l_vals[li][pos] = _ic_offdiag(l_vals[li], pat_cols[li], pos,
-                                          scratch, pat_avals[li][pos], piv)
-        scratch[cols_j] = 0.0
-    return CholeskyFactor(a.n, lo, hi,
-                          *_csr_from_rows(list(zip(pat_cols, l_vals)), hi - lo),
+        f.pivot(j)
+        if f.touches(j):
+            f.column(j, *f.row(j))
+    return CholeskyFactor(a.n, lo, hi, f.indptr, f.indices, f.l,
                           block_local=partition.ranks > 1)
 
 
@@ -228,52 +260,37 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
     """
     n = a.n
     lo, hi = partition.dof_range(rank)
-    pat_cols, pat_avals = _lower_pattern(a, (lo, hi), col_min=0)
-    l_vals = [np.zeros(len(c), dtype=np.complex128) for c in pat_cols]
-    updates = _column_updates(pat_cols, lo)
-    scratch = np.zeros(n, dtype=np.complex128)
+    f = _RankFactor(a, lo, hi, col_min=0)
     owner = partition.owner_of_dof(np.arange(n))
     dest_ptr, dest = _row_destinations(a, owner, partition.ranks, lo, hi)
-
-    def publish_row(j):
-        lj = j - lo
-        row = (pat_cols[lj], l_vals[lj])
-        for q in dest[dest_ptr[lj]:dest_ptr[lj + 1]].tolist():
-            if q != rank:
-                fabric.send(rank, q, row)
-        return row
 
     pending = None                      # row j-1 of L, if this rank needs it
     for j in range(n):
         # Pipeline step j: finish column j-1, then compute pivot j.
         if j > 0:
-            prev = j - 1
-            if prev in updates:
+            if f.touches(j - 1):
                 if pending is None:
-                    pending = fabric.recv(rank, int(owner[prev]))
-                cols_p, vals_p = pending
-                scratch[cols_p] = vals_p
-                piv_prev = vals_p[-1]
-                for i, pos in updates[prev]:
-                    li = i - lo
-                    l_vals[li][pos] = _ic_offdiag(
-                        l_vals[li], pat_cols[li], pos, scratch,
-                        pat_avals[li][pos], piv_prev)
-                scratch[cols_p] = 0.0
+                    pending = fabric.recv(rank, int(owner[j - 1]))
+                f.column(j - 1, *pending)
             pending = None
         if lo <= j < hi:
-            lj = j - lo
-            l_vals[lj][-1] = _ic_diag(l_vals[lj][:-1], pat_avals[lj][-1], j)
-            row_j = publish_row(j)
-            if j in updates:
+            f.pivot(j)
+            row_j = f.row(j)
+            for q in dest[dest_ptr[j - lo]:dest_ptr[j - lo + 1]].tolist():
+                if q != rank:
+                    fabric.send(rank, q, row_j)
+            if f.touches(j):
                 pending = row_j
         fabric.barrier(rank)
 
     def join(parts):
-        rows = [row for cols, vals in parts for row in zip(cols, vals)]
-        return CholeskyFactor(n, 0, n, *_csr_from_rows(rows, n))
+        counts = np.concatenate([np.diff(p.indptr) for p in parts])
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return CholeskyFactor(n, 0, n, indptr,
+                              np.concatenate([p.indices for p in parts]),
+                              np.concatenate([p.l for p in parts]))
 
-    return fabric.allgather_object(rank, (pat_cols, l_vals), join)
+    return fabric.allgather_object(rank, f, join)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +300,7 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
 def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Concatenation of ``arange(b, e)`` over the pairs of begin/end."""
     count = end - begin
-    return np.arange(count.sum()) + np.repeat(begin - np.cumsum(count) + count,
-                                              count)
+    return np.arange(count.sum()) + (end - count.cumsum()).repeat(count)
 
 
 def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:

@@ -4,7 +4,7 @@ The oracles here are deliberately independent of the package
 implementation: element integrals come from closed-form tensor products
 of 1D linear-element matrices, global assembly from a dense
 element-by-element scatter, and the incomplete factorization from a
-dense zero-fill loop.
+dense zero-fill loop or a sparse loop over single stored entries.
 """
 from __future__ import annotations
 
@@ -312,11 +312,34 @@ def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
     return b
 
 
+def abc_incident_load(wave, point, normal) -> np.ndarray:
+    """g_ABC(H_i) - n x curl(H_i) at one point of an exterior facet,
+    evaluated pointwise from the plane wave."""
+    from hexwave.assembly import incident_field
+    normal = np.asarray(normal, dtype=float)
+    h, curl_h = incident_field(wave, point)
+    ht = h - normal * (normal @ h)
+    kvec = wave.k0 * wave.direction.real
+    kt2 = float(np.linalg.norm(kvec - normal * (normal @ kvec)) ** 2)
+    # Laplacian of the tangential plane-wave trace is -|k_t|^2 H_t.
+    g = 1j * wave.k0 * ht + (1j / (2.0 * wave.k0)) * kt2 * ht
+    return g - np.cross(normal, curl_h)
+
+
 def rows_to_dense(rows, n: int) -> np.ndarray:
     a = np.zeros((n, n), dtype=np.complex128)
     for i, (cols, vals) in enumerate(rows):
         a[i, cols] = vals
     return a
+
+
+def phase_traffic(fabric, phase: str) -> tuple[int, int]:
+    """Messages and bytes of one phase, summed over ranks, as the
+    fabric's counters report gives them."""
+    counters = [c for per_rank in fabric.counters_report()["per_rank"]
+                for c in per_rank if c["phase"] == phase]
+    return (sum(c["messages"] for c in counters),
+            sum(c["bytes"] for c in counters))
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +362,39 @@ def dense_ic_oracle(a: np.ndarray, pattern: np.ndarray | None = None) -> np.ndar
                 s = a[i, j] - np.dot(lo[i, :j], lo[j, :j])
                 lo[i, j] = s / lo[j, j]
     return lo
+
+
+def entry_loop_ic(a, lo: int, hi: int):
+    """Zero-fill incomplete Cholesky of the block A[lo:hi, lo:hi] on its
+    stored lower pattern, one stored entry at a time.
+
+    Rows come from ``a.row(i)`` of either storage.  Column by column, the
+    pivot is computed first, then every entry (i, j) below it from one
+    ``np.dot`` of row i's entries left of column j with row j of L.
+    Returns ``(cols, vals)`` per row, diagonal last.
+    """
+    pat_cols, pat_avals = [], []
+    for i in range(lo, hi):
+        cols, vals = a.row(i)
+        keep = (cols >= lo) & (cols <= i)
+        pat_cols.append(cols[keep])
+        pat_avals.append(vals[keep])
+    l_vals = [np.zeros(len(c), dtype=np.complex128) for c in pat_cols]
+    updates: dict[int, list] = {}
+    for li, cols in enumerate(pat_cols):
+        for pos, j in enumerate(cols[:-1].tolist()):
+            updates.setdefault(j, []).append((li, pos))
+    scratch = np.zeros(a.n, dtype=np.complex128)
+    for j in range(lo, hi):
+        row_j = l_vals[j - lo]
+        val = pat_avals[j - lo][-1] - np.dot(row_j[:-1], row_j[:-1])
+        row_j[-1] = np.sqrt(np.complex128(val))
+        scratch[pat_cols[j - lo]] = row_j
+        for li, pos in updates.get(j, ()):
+            s = np.dot(l_vals[li][:pos], scratch[pat_cols[li][:pos]])
+            l_vals[li][pos] = (pat_avals[li][pos] - s) / row_j[-1]
+        scratch[pat_cols[j - lo]] = 0.0
+    return list(zip(pat_cols, l_vals))
 
 
 @pytest.fixture

@@ -8,19 +8,19 @@ import pytest
 
 from hexwave.assembly import (AssemblyConfig, AssemblyError, MaterialParams,
                               PlaneWave, abc_facet_matrices,
-                              abc_incident_load, apply_symmetry_bc,
-                              assemble_rhs, assemble_rows, constrained_dofs,
-                              element_matrices, incident_field, symmetrize)
+                              apply_symmetry_bc, assemble_rhs, assemble_rows,
+                              constrained_dofs, element_matrices,
+                              incident_field, symmetrize)
 from hexwave.fabric import CommFabric, run_spmd
 from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
 from hexwave.sparse import partition_rows
 
-from conftest import (curl_block_oracle, element_loop_assemble,
-                      facet_loop_rhs, mass_block_oracle, node_loop_rows,
-                      penalty_block_oracle,
-                      rows_to_dense, surface_mass_oracle,
+from conftest import (abc_incident_load, curl_block_oracle,
+                      element_loop_assemble, facet_loop_rhs,
+                      mass_block_oracle, node_loop_rows, penalty_block_oracle,
+                      phase_traffic, rows_to_dense, surface_mass_oracle,
                       surface_stiffness_oracle)
 
 
@@ -471,7 +471,7 @@ def test_apply_symmetry_bc_parallel_matches_serial():
     np.testing.assert_array_equal(rows_to_dense(rows3, 81),
                                   rows_to_dense(rows1, 81))
     np.testing.assert_array_equal(rhs3, rhs1)
-    assert fab3.phase_totals("bc").messages == 6     # broadcast per rank
+    assert phase_traffic(fab3, "bc")[0] == 6     # broadcast per rank
 
 
 def test_apply_symmetry_bc_without_constraints_leaves_rows():
@@ -491,8 +491,7 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
             assert np.array_equal(ca, cb)
             assert np.array_equal(va, vb)
         assert np.array_equal(rhs, ref_rhs)
-    bc = fab.phase_totals("bc")
-    assert (bc.messages, bc.bytes) == (2, 0)       # empty broadcasts
+    assert phase_traffic(fab, "bc") == (2, 0)       # empty broadcasts
 
 
 # -- symmetrization ----------------------------------------------------------
@@ -536,7 +535,7 @@ def test_symmetrize_parallel_matches_serial_bitwise():
     for (ca, va), (cb, vb) in zip(rows1, rows4):
         assert np.array_equal(ca, cb)
         assert np.array_equal(va, vb)
-    assert fab4.phase_totals("symmetrize").messages == 12
+    assert phase_traffic(fab4, "symmetrize")[0] == 12
 
 
 def test_rows_and_symmetrize_across_node_blocks():

@@ -17,9 +17,10 @@ from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             _row_destinations, build_bicp, build_dp,
                             build_icp, cg_solve, forward_back_substitute)
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
-                            partition_rows, to_redundant)
+                            _csr_from_rows, partition_rows, to_redundant)
 
-from conftest import dense_ic_oracle, random_symmetric_sparse
+from conftest import (dense_ic_oracle, entry_loop_ic, phase_traffic,
+                      random_symmetric_sparse)
 
 
 def _one_rank(n):
@@ -287,6 +288,102 @@ def test_precond_build_traffic_pinned(ranks, storage):
     assert counters["bicp"] == ([0] * ranks, [0] * ranks, 2)
 
 
+# -- column-batched kernel against the per-entry loop ------------------------
+
+def _kernel_system(rng, kind, storage):
+    """``(matrix, partition maker)`` of a random pattern whose column 5
+    no row below touches, or of the 240-unknown grid system."""
+    if kind == "grid":
+        sc = _grid_scenario(storage=storage)
+        mesh = runner.build_scenario_mesh(sc)
+        nodes = mesh.node_count
+        a, _ = runner.assemble_system(sc, mesh, partition_rows(nodes, 1), 0,
+                                      CommFabric(1))
+        return a, lambda ranks: partition_rows(nodes, ranks)
+    _, dense = random_symmetric_sparse(rng, 30, density=0.12,
+                                       diag_boost=10.0)
+    dense[6:, 5] = dense[5, 6:] = 0.0
+    a = _redundant(dense)
+    return (a if storage == "2" else _lower(a)), lambda r: _dof_split(30, r)
+
+
+def _oracle_factor(a, lo, hi, block_local=False):
+    return CholeskyFactor(a.n, lo, hi,
+                          *_csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo),
+                          block_local=block_local)
+
+
+def _assert_kernel_edge_cases(a, part):
+    """Some row starts its lower part off the diagonal (an empty prefix),
+    and with several ranks some rank holds rows below a column that other
+    ranks' rows touch but none of its own do."""
+    rows = a.entry_rows()
+    below = a.indices < rows
+    first = a.indices[np.searchsorted(rows, np.arange(a.n))]
+    assert (first < np.arange(a.n)).any()
+    owner = part.owner_of_dof(rows[below])
+    touched = set(zip(owner.tolist(), a.indices[below].tolist()))
+    skipped = [(r, j) for _, j in touched for r in range(part.ranks)
+               if part.dof_range(r)[1] - 1 > j and (r, j) not in touched]
+    assert part.ranks == 1 or skipped
+
+
+def _assert_same_factor(got, ref):
+    """Pattern and column twin bitwise; values to 1e-12 normwise, since
+    the kernel sums each prefix in another order than ``np.dot``."""
+    for name in ("indptr", "indices", "col_ptr", "col_rows", "col_pos"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got.block_local == ref.block_local
+    gap = np.linalg.norm(got.data - ref.data) / np.linalg.norm(ref.data)
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize("ranks", [1, 2, 3, 5])
+def test_icp_kernel_matches_entry_loop(rng, ranks, kind, storage):
+    a, split = _kernel_system(rng, kind, storage)
+    part = split(ranks)
+    _assert_kernel_edge_cases(a, part)
+    out = run_spmd(ranks, lambda f, r: build_icp(a, part, r, f),
+                   fabric=CommFabric(ranks))
+    _assert_same_factor(out[0], _oracle_factor(a, 0, a.n))
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+@pytest.mark.parametrize("kind", ["random", "grid"])
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_bicp_kernel_matches_entry_loop(rng, ranks, kind, storage):
+    a, split = _kernel_system(rng, kind, storage)
+    part = split(ranks)
+    _assert_kernel_edge_cases(a, part)
+    for r in range(ranks):
+        lo, hi = part.dof_range(r)
+        _assert_same_factor(build_bicp(a, part, r),
+                            _oracle_factor(a, lo, hi, block_local=ranks > 1))
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+def test_factor_builds_name_first_row_without_diagonal(storage):
+    """Rows 2 and 4 store an entry left of the diagonal but no diagonal;
+    every build names the first such row among the rows it factors."""
+    dense = (4.0 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)).astype(complex)
+    dense[2, 2] = dense[4, 4] = 0.0
+    a = _redundant(dense) if storage == "2" else _lower(_redundant(dense))
+    whole, halves = _one_rank(6), _split([0, 3, 6])
+    with pytest.raises(FactorBreakdownError, match="missing diagonal in row 2"):
+        build_icp(a, whole, 0, CommFabric(1))
+    for part in (halves, _split([0, 2, 6])):
+        with pytest.raises(FactorBreakdownError,
+                           match="missing diagonal in row 2"):
+            run_spmd(2, lambda f, r: build_icp(a, part, r, f),
+                     fabric=CommFabric(2, timeout=10.0))
+    with pytest.raises(FactorBreakdownError, match="missing diagonal in row 2"):
+        build_bicp(a, whole, 0)
+    with pytest.raises(FactorBreakdownError, match="missing diagonal in row 4"):
+        build_bicp(a, halves, 1)
+
+
 # -- triangular solves -------------------------------------------------------
 
 def test_substitution_matches_scipy(rng):
@@ -322,7 +419,7 @@ def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     for x in out:
         assert np.array_equal(x, serial)
     # one segment broadcast per rank per triangular solve
-    assert fab.phase_totals("solve").messages == 2 * ranks * (ranks - 1)
+    assert phase_traffic(fab, "solve")[0] == 2 * ranks * (ranks - 1)
 
 
 def test_block_substitution_is_block_exact(rng):
@@ -490,7 +587,7 @@ def test_cg_iteration_message_counts(rng):
             fabric=fab)
         rep = out[0][1]
         assert rep.converged
-        msgs = fab.phase_totals("solve-iteration").messages
+        msgs = phase_traffic(fab, "solve-iteration")[0]
         assert msgs == per_iter * rep.iterations
 
 
