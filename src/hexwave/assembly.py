@@ -8,9 +8,11 @@ side comes from the incident plane wave on those facets.  Assembly is by
 degree of freedom: each rank produces the three matrix rows of every
 node it owns from the cached blocks of the adjacent elements and facets,
 with no inter-rank traffic.  Symmetry-plane constraints and the A + A^T
-symmetrization are collective operations over the fabric.  Each stage
-works on whole arrays of the rank's data in a node-by-node summation
-order, so rows are bitwise independent of the partition.
+symmetrization are collective operations over the fabric.  A rank's rows
+travel from stage to stage as one CSR row block (``sparse._CsrBase``
+with ``row_start`` at its first owned row); each stage returns a new
+block built by whole-array operations in a node-by-node summation order,
+so rows are bitwise independent of the partition.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import RowPartition, _csr_from_rows
+from .sparse import RowPartition, _CsrBase, _csr_join, _ranges
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -276,14 +278,15 @@ def _first_blocks(keys: np.ndarray, build):
 
 def assemble_rows(mesh: HexMesh, params: MaterialParams,
                   node_range: tuple[int, int],
-                  config: AssemblyConfig = AssemblyConfig()):
+                  config: AssemblyConfig = AssemblyConfig()) -> _CsrBase:
     """Matrix rows of the owned nodes, assembled by degree of freedom.
 
-    Returns a list of (columns, values) pairs for the 3*(hi-lo) owned
-    rows; the three rows of a node share one column array.  A node's
-    rows gather the cached blocks of its elements (ascending), then of
-    its exterior facets (ascending), and sum duplicate columns in that
-    order, so a row is bitwise the same whichever rank assembles it.
+    Returns the 3*(hi-lo) owned rows as one CSR row block starting at
+    row 3*lo, columns ascending within each row; every row stores its
+    diagonal.  A node's rows gather the cached blocks of its elements
+    (ascending), then of its exterior facets (ascending), and sum
+    duplicate columns in that order, so a row is bitwise the same
+    whichever rank assembles it.
     Owned nodes are processed in blocks of ``_BLOCK_NODES`` as whole
     arrays; no inter-rank messages are needed (the mesh is replicated).
     """
@@ -333,7 +336,7 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     edges = np.append(np.arange(lo, hi, _BLOCK_NODES), hi)
     e_cut = np.searchsorted(e_node, edges)
     f_cut = np.searchsorted(f_node, edges)
-    rows = []
+    counts, indices, data = [], [], []
     for b0, b1, es, ee, fs, fe in zip(edges[:-1], edges[1:], e_cut[:-1],
                                       e_cut[1:], f_cut[:-1], f_cut[1:]):
         node = np.concatenate([np.repeat(e_node[es:ee], 24),
@@ -353,11 +356,15 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         acc = np.zeros((3, len(ukey)), dtype=np.complex128)
         for c in range(3):
             np.add.at(acc[c], pos, vals[c, order])
-        ucols = ukey % n3
+        # The three rows of a node gather its segment of ukey and acc once.
         cut = np.searchsorted(ukey, n3 * np.arange(b1 - b0 + 1))
-        for s, e in zip(cut[:-1], cut[1:]):
-            rows.extend((ucols[s:e], acc[c, s:e]) for c in range(3))
-    return rows
+        at = _ranges(np.repeat(cut[:-1], 3), np.repeat(cut[1:], 3))
+        length = np.repeat(np.diff(cut), 3)
+        comp = np.repeat(np.tile(np.arange(3), b1 - b0), length)
+        counts.append(length)
+        indices.append(ukey[at] % n3)
+        data.append(acc[comp, at])
+    return _CsrBase(n3, *_csr_join(counts, indices, data), row_start=3 * lo)
 
 
 def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
@@ -428,14 +435,16 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
                                      3 * node + (ax + 2) % 3]))
 
 
-def apply_symmetry_bc(rows, rhs_seg: np.ndarray, mesh: HexMesh,
+def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray, mesh: HexMesh,
                       partition: RowPartition, rank: int, fabric=None):
-    """Replace constrained rows with identity/zero and eliminate the
-    matching columns everywhere.
+    """``(block, rhs)`` with constrained rows made identity/zero and
+    their columns eliminated everywhere, leaving the inputs unchanged.
 
-    Column entries of a constrained dof live on other ranks, so every
-    rank broadcasts the constrained dofs it owns; the traffic is counted
-    under the "bc" phase.  Idempotent.
+    An entry is kept when neither its row nor its column is constrained;
+    a constrained row keeps only its diagonal (every assembled row stores
+    one), set to 1.  Column entries of a constrained dof live on other
+    ranks, so every rank broadcasts the constrained dofs it owns; the
+    traffic is counted under the "bc" phase.  Idempotent.
     """
     lo, hi = partition.dof_range(rank)
     all_constrained = constrained_dofs(mesh)
@@ -443,46 +452,44 @@ def apply_symmetry_bc(rows, rhs_seg: np.ndarray, mesh: HexMesh,
     if fabric is not None and fabric.ranks > 1:
         fabric.set_phase(rank, "bc")
         fabric.broadcast(rank, mine)
-        gathered = []
-        for src in range(fabric.ranks):
-            gathered.append(mine if src == rank else fabric.recv(rank, src))
-        merged = np.sort(np.concatenate(gathered))
+        merged = np.sort(np.concatenate(
+            [mine if src == rank else fabric.recv(rank, src)
+             for src in range(fabric.ranks)]))
     else:
         merged = all_constrained
     if not len(merged):
-        return rows, rhs_seg
-    ptr = np.cumsum([0] + [len(cols) for cols, _ in rows])
-    drop = np.isin(np.concatenate([cols for cols, _ in rows]), merged)
+        return block, rhs_seg
+    fixed = np.zeros(block.n, dtype=bool)
+    fixed[merged] = True
+    rows, cols = block.entry_rows(), block.indices
+    diag = fixed[rows] & (cols == rows)
+    keep = ~(fixed[rows] | fixed[cols]) | diag
+    data = block.data[keep]
+    data[diag[keep]] = 1.0
     # Eliminated columns carry zero solution values, so the right-hand
-    # side is unchanged.
-    for local in np.unique(np.searchsorted(ptr, np.flatnonzero(drop),
-                                           side="right") - 1):
-        cols, vals = rows[local]
-        keep = ~drop[ptr[local]:ptr[local + 1]]
-        rows[local] = (cols[keep], vals[keep])
-    for dof in merged[(merged >= lo) & (merged < hi)]:
-        rows[dof - lo] = (np.array([dof], dtype=np.int64),
-                          np.array([1.0 + 0.0j]))
-        rhs_seg[dof - lo] = 0.0
-    return rows, rhs_seg
+    # side is unchanged outside the constrained rows.
+    rhs_seg = rhs_seg.copy()
+    rhs_seg[mine - lo] = 0.0
+    return _CsrBase(block.n, np.append(0, np.cumsum(keep))[block.indptr],
+                    cols[keep], data, row_start=block.row_start), rhs_seg
 
 
-def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
-               fabric=None):
-    """A <- A + A^T (no 1/2 factor) and rhs <- 2*rhs.
+def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
+               rank: int, fabric=None):
+    """A new ``(block, rhs)``: A + A^T (no 1/2 factor) and 2*rhs.
 
     Every rank ships the transpose images of its entries to the owner of
     the destination row; the result is exactly symmetric because both
     stored copies of a pair are formed by the same commutative addition.
-    Rows merge with the incoming transposes in ``_BLOCK_NODES``-node blocks.
+    Owned rows merge with the incoming transposes in ``_BLOCK_NODES``-node
+    blocks, each emitting one CSR piece.
     """
     lo, hi = partition.dof_range(rank)
-    nrows = hi - lo
-    ptr, cols_all, vals_all = _csr_from_rows(rows, nrows)
-    rows_all = np.repeat(np.arange(lo, hi), np.diff(ptr))
+    ptr, cols_all, vals_all = block.indptr, block.indices, block.data
+    rows_all = block.entry_rows()
     # Transpose triple (j, i, v) for every stored (i, j, v), grouped by
     # the owner of row j.
-    incoming = []
+    incoming = [(cols_all, rows_all, vals_all)]
     if fabric is not None and fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
         owner = partition.owner_of_dof(cols_all)
@@ -493,10 +500,8 @@ def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
                 local = triple
             else:
                 fabric.send(rank, q, triple)
-        for src in range(fabric.ranks):
-            incoming.append(local if src == rank else fabric.recv(rank, src))
-    else:
-        incoming.append((cols_all, rows_all, vals_all))
+        incoming = [local if src == rank else fabric.recv(rank, src)
+                    for src in range(fabric.ranks)]
     add_rows, add_cols, add_vals = (np.concatenate(t) for t in zip(*incoming))
     del incoming
     order = np.lexsort((add_cols, add_rows))
@@ -505,10 +510,11 @@ def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
     add_vals = add_vals[order]
     # Per block, key (row - block start) * n + col orders entries by
     # row, then column; a pair stored on both sides gets one v + v_t.
-    n = partition.dofs_per_node * partition.node_count
-    step = partition.dofs_per_node * _BLOCK_NODES
-    edges = np.append(np.arange(0, nrows, step), nrows)
+    n = block.n
+    edges = np.arange(0, hi - lo, partition.dofs_per_node * _BLOCK_NODES)
+    edges = np.append(edges, hi - lo)
     in_cut = np.searchsorted(add_rows, lo + edges)
+    counts, indices, data = [], [], []
     for b0, b1, s, e in zip(edges[:-1], edges[1:], in_cut[:-1], in_cut[1:]):
         own = slice(ptr[b0], ptr[b1])
         own_key = (rows_all[own] - lo - b0) * n + cols_all[own]
@@ -518,9 +524,10 @@ def symmetrize(rows, rhs_seg: np.ndarray, partition: RowPartition, rank: int,
         merged = np.zeros(len(ukey), dtype=np.complex128)
         merged[np.searchsorted(ukey, own_key)] = vals_all[own]
         merged[np.searchsorted(ukey, in_key)] += add_vals[s:e]
-        ucols = ukey % n
         cut = np.searchsorted(ukey, n * np.arange(b1 - b0 + 1))
-        for local, (rs, re) in enumerate(zip(cut[:-1], cut[1:]), start=b0):
-            rows[local] = (ucols[rs:re], merged[rs:re])
-    rhs_seg *= 2.0
-    return rows, rhs_seg
+        counts.append(np.diff(cut))
+        indices.append(ukey % n)
+        data.append(merged)
+    del add_rows, add_cols, add_vals, rows_all
+    return (_CsrBase(n, *_csr_join(counts, indices, data), row_start=lo),
+            rhs_seg * 2.0)

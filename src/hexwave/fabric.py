@@ -11,7 +11,7 @@ from __future__ import annotations
 import queue
 import threading
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,8 +34,7 @@ class MessageCounters:
     bytes: int = 0
 
     def as_dict(self) -> dict:
-        return {"phase": self.phase, "messages": self.messages,
-                "bytes": self.bytes}
+        return asdict(self)
 
 
 def payload_bytes(payload) -> int:

@@ -177,8 +177,8 @@ def build_scenario_mesh(scenario: Scenario) -> HexMesh:
 def assemble_system(scenario: Scenario, mesh: HexMesh,
                     partition: RowPartition, rank: int,
                     fabric: CommFabric):
-    """Assemble, constrain and symmetrize this rank's rows, then join
-    every rank's rows into one global ``(matrix, b)``.
+    """Assemble, constrain and symmetrize this rank's CSR row block, then
+    stack every rank's block into one global ``(matrix, b)``.
 
     The join is built once and every rank gets the same read-only
     object, standing in for each rank's replicated copy of the final
@@ -194,21 +194,19 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
     config = AssemblyConfig(penalty_weight=scenario.penalty_weight)
     node_range = partition.node_range(rank)
     fabric.set_phase(rank, "assemble")
-    rows = assemble_rows(mesh, params, node_range, config)
+    block = assemble_rows(mesh, params, node_range, config)
     rhs_seg = assemble_rhs(mesh, wave, node_range, config)
-    apply_symmetry_bc(rows, rhs_seg, mesh, partition, rank, fabric=fabric)
-    symmetrize(rows, rhs_seg, partition, rank, fabric=fabric)
-    n = 3 * mesh.node_count
+    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, mesh, partition, rank,
+                                       fabric=fabric)
+    block, rhs_seg = symmetrize(block, rhs_seg, partition, rank, fabric=fabric)
 
     def join(parts):
-        all_rows = [row for part_rows, _ in parts for row in part_rows]
-        if scenario.storage == "1":
-            matrix = LowerSymmetricRows.from_symmetric_rows(all_rows, n)
-        else:
-            matrix = RedundantRows.from_rows(all_rows, n)
-        return matrix, np.concatenate([seg for _, seg in parts])
+        build = (LowerSymmetricRows.from_symmetric_rows
+                 if scenario.storage == "1" else RedundantRows.from_rows)
+        return (build([blk for blk, _ in parts], block.n),
+                np.concatenate([seg for _, seg in parts]))
 
-    return fabric.allgather_object(rank, (rows, rhs_seg), join)
+    return fabric.allgather_object(rank, (block, rhs_seg), join)
 
 
 def build_preconditioner(scenario: Scenario, matrix, partition: RowPartition,
@@ -241,6 +239,8 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
     All ranks share one system object (and, for ``icp``, one factor),
     so ``matrix_bytes`` and ``export_matrix`` describe that one copy.
     """
+    if probe_stride < 0:
+        raise ConfigError(f"probe stride must be >= 0, got {probe_stride}")
     start = time.monotonic()
     mesh = build_scenario_mesh(scenario)
     constrained_dofs(mesh)         # surface conflicting symmetry planes early

@@ -17,7 +17,7 @@ segments over the fabric; BICP blocks solve independently.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 import json
 import threading
 
@@ -25,8 +25,8 @@ import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
-                     RowPartition, SparseVector, _CsrBase, full_matvec,
-                     spmv_partial)
+                     RowPartition, SparseVector, _CsrBase, _csr_join, _ranges,
+                     full_matvec, spmv_partial)
 
 
 class SolverError(RuntimeError):
@@ -53,8 +53,8 @@ class CholeskyFactor(_CsrBase):
 
     def __init__(self, n, row_start, row_end, indptr, indices, data,
                  block_local=False):
-        super().__init__(n, indptr, indices, data)
-        self.row_start, self.row_end = row_start, row_end
+        super().__init__(n, indptr, indices, data, row_start)
+        self.row_end = row_end
         self.block_local = block_local
         rows = self.entry_rows()
         self.col_pos = np.lexsort((rows, self.indices))
@@ -109,20 +109,7 @@ class SolveReport:
     counters: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": self.residual_history,
-            "converged": self.converged,
-            "breakdown": self.breakdown,
-            "preconditioner": self.preconditioner,
-            "strategy": self.strategy,
-            "ranks": self.ranks,
-            "tol": self.tol,
-            "matrix_bytes": self.matrix_bytes,
-            "precond_bytes": self.precond_bytes,
-            "true_residual": self.true_residual,
-            "counters": self.counters,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.as_dict(), **kwargs)
@@ -284,11 +271,9 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
         fabric.barrier(rank)
 
     def join(parts):
-        counts = np.concatenate([np.diff(p.indptr) for p in parts])
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        return CholeskyFactor(n, 0, n, indptr,
-                              np.concatenate([p.indices for p in parts]),
-                              np.concatenate([p.l for p in parts]))
+        return CholeskyFactor(n, 0, n, *_csr_join(
+            [np.diff(p.indptr) for p in parts], [p.indices for p in parts],
+            [p.l for p in parts]))
 
     return fabric.allgather_object(rank, f, join)
 
@@ -296,12 +281,6 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
 # ---------------------------------------------------------------------------
 # Triangular solves
 # ---------------------------------------------------------------------------
-
-def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(b, e)`` over the pairs of begin/end."""
-    count = end - begin
-    return np.arange(count.sum()) + (end - count.cumsum()).repeat(count)
-
 
 def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
     """Dependency level of each row of [lo, hi) in one triangular sweep:

@@ -63,23 +63,14 @@ def partition_rows(node_count: int, ranks: int) -> RowPartition:
     return RowPartition(node_starts=starts)
 
 
-def _csr_from_rows(rows, n: int):
-    """CSR ``(indptr, indices, data)`` of n rows given as (columns, values)."""
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
-    indices = np.concatenate([cols for cols, _ in rows] or [[]])
-    data = np.concatenate([vals for _, vals in rows] or [[]])
-    return (indptr, np.asarray(indices, dtype=np.int64),
-            np.asarray(data, dtype=np.complex128))
-
-
 class _CsrBase:
     """Shared CSR plumbing: rows [row_start, row_start + len(indptr) - 1)
-    of an n x n complex matrix.  The storage layouts hold all n rows."""
-    row_start = 0
+    of an n x n complex matrix.  The storage layouts hold all n rows; a
+    rank's assembled rows travel as one such row block."""
 
-    def __init__(self, n, indptr, indices, data):
+    def __init__(self, n, indptr, indices, data, row_start=0):
         self.n = int(n)
+        self.row_start = int(row_start)
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.complex128)
@@ -114,6 +105,28 @@ class _CsrBase:
         return a
 
 
+def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(b, e)`` over the pairs of begin/end."""
+    count = end - begin
+    return np.arange(count.sum()) + (end - count.cumsum()).repeat(count)
+
+
+def _csr_join(counts, indices, data):
+    """CSR ``(indptr, indices, data)`` of consecutive row pieces, each
+    given as its row lengths, columns and values."""
+    return (np.concatenate([[0], *counts]).cumsum(),
+            np.concatenate(indices or [[]]), np.concatenate(data or [[]]))
+
+
+def _stacked(blocks, n: int):
+    """CSR ``(indptr, indices, data)`` of row blocks stacked in order."""
+    ends = [b.row_start + len(b.indptr) - 1 for b in blocks]
+    if [b.row_start for b in blocks] + [n] != [0] + ends:
+        raise SparseFormatError(f"row blocks do not cover rows [0, {n})")
+    return _csr_join([np.diff(b.indptr) for b in blocks],
+                     [b.indices for b in blocks], [b.data for b in blocks])
+
+
 class LowerSymmetricRows(_CsrBase):
     """Storage #1: only the lower triangle of a symmetric matrix, row-wise."""
 
@@ -128,9 +141,9 @@ class LowerSymmetricRows(_CsrBase):
                 "increasing and <= row")
 
     @classmethod
-    def from_symmetric_rows(cls, rows, n: int) -> "LowerSymmetricRows":
-        """Keep the lower triangle of full structurally symmetric rows."""
-        indptr, indices, data = _csr_from_rows(rows, n)
+    def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
+        """Keep the lower triangle of structurally symmetric row blocks."""
+        indptr, indices, data = _stacked(blocks, n)
         entry_rows = np.repeat(np.arange(n), np.diff(indptr))
         keep = indices <= entry_rows
         return cls(n, np.searchsorted(entry_rows[keep], np.arange(n + 1)),
@@ -147,8 +160,9 @@ class RedundantRows(_CsrBase):
     each row holds its full symmetric pattern; no column index."""
 
     @classmethod
-    def from_rows(cls, rows, n: int) -> "RedundantRows":
-        return cls(n, *_csr_from_rows(rows, n))
+    def from_rows(cls, blocks, n: int) -> "RedundantRows":
+        """Stack full row blocks that cover rows [0, n) in order."""
+        return cls(n, *_stacked(blocks, n))
 
 
 def to_redundant(m: LowerSymmetricRows) -> RedundantRows:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
+from hexwave.sparse import _CsrBase
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,28 @@ def abc_incident_load(wave, point, normal) -> np.ndarray:
     return g - np.cross(normal, curl_h)
 
 
-def rows_to_dense(rows, n: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=np.complex128)
-    for i, (cols, vals) in enumerate(rows):
-        a[i, cols] = vals
-    return a
+def csr_from_rows(rows, n: int):
+    """CSR ``(indptr, indices, data)`` of n rows given as (columns, values)."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
+    indices = np.concatenate([cols for cols, _ in rows] or [[]])
+    data = np.concatenate([vals for _, vals in rows] or [[]])
+    return (indptr, np.asarray(indices, dtype=np.int64),
+            np.asarray(data, dtype=np.complex128))
+
+
+def row_block(rows, n: int, row_start: int = 0) -> _CsrBase:
+    """Rows [row_start, row_start + len(rows)) of an n x n matrix, given
+    as (columns, values), as one CSR row block."""
+    return _CsrBase(n, *csr_from_rows(rows, len(rows)), row_start=row_start)
+
+
+def assert_same_csr(a, b) -> None:
+    """Bitwise-equal CSR arrays and row range."""
+    assert a.n == b.n and a.row_start == b.row_start
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(a, name), getattr(b, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
 def phase_traffic(fabric, phase: str) -> tuple[int, int]:

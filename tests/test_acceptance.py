@@ -36,7 +36,7 @@ from hexwave.runner import (Scenario, assemble_system, build_scenario_mesh,
 from hexwave.solver import Preconditioner, build_bicp, build_icp, cg_solve
 from hexwave.sparse import RedundantRows, RowPartition, partition_rows, to_redundant
 
-from conftest import dense_ic_oracle, element_loop_assemble, rows_to_dense
+from conftest import dense_ic_oracle, element_loop_assemble, row_block
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -79,8 +79,8 @@ def test_criterion_1_assembly_matches_element_loop_oracle():
         mesh = classify_boundary(mesh, [])
         params = MaterialParams(eps_r=1.0, mu_r=1.0, k0=2 * np.pi)
         config = AssemblyConfig()
-        rows = assemble_rows(mesh, params, (0, mesh.node_count), config)
-        got = rows_to_dense(rows, 3 * mesh.node_count)
+        got = assemble_rows(mesh, params, (0, mesh.node_count),
+                            config).to_dense()
         ref = element_loop_assemble(mesh, params, config)
         gaps.append(np.abs(got - ref).max() / np.abs(ref).max())
     ok = all(g <= 1e-12 for g in gaps)
@@ -173,7 +173,7 @@ def test_criterion_5_dense_pattern_factorization_is_exact(rng):
     m = rng.standard_normal((20, 20))
     a = (m @ m.T + 20 * np.eye(20)).astype(complex)
     rows = [(np.arange(20), a[i].copy()) for i in range(20)]
-    ar = RedundantRows.from_rows(rows, 20)
+    ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
     part = RowPartition(node_starts=np.array([0, 20]), dofs_per_node=1)
     factor = build_icp(ar, part, 0, CommFabric(1))
     gap = np.abs(factor.to_dense() - np.linalg.cholesky(a.real)).max()
@@ -214,7 +214,7 @@ def test_criterion_7_assembled_system_exactly_symmetric():
         direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
         scatterer=ScattererSpec(corner_min=(2 / 6, 2 / 6, 2 / 6),
                                 corner_max=(3 / 6, 3 / 6, 3 / 6))))
-    dense = rows_to_dense([matrix.row(i) for i in range(matrix.n)], matrix.n)
+    dense = matrix.to_dense()
     gap = np.abs(dense - dense.T).max()
     _verdict(7, gap == 0.0,
              f"symmetrized system gap max|A - A^T| = {gap} (exactly 0.0)")
@@ -243,8 +243,8 @@ def test_criterion_9_storage_layouts_hold_identical_entries():
     sc2 = _small_scenario(storage="2")
     m1, b1, _ = _assembled(sc1)
     m2, b2, part = _assembled(sc2)
-    d1 = rows_to_dense([to_redundant(m1).row(i) for i in range(m1.n)], m1.n)
-    d2 = rows_to_dense([m2.row(i) for i in range(m2.n)], m2.n)
+    d1 = to_redundant(m1).to_dense()
+    d2 = m2.to_dense()
     same_entries = np.array_equal(d1, d2) and np.array_equal(b1, b2)
     factor = build_icp(m2, part, 0, CommFabric(1))
     stored = np.zeros((m2.n, m2.n), dtype=bool)

@@ -15,12 +15,12 @@ from hexwave.fabric import CommFabric, run_spmd
 from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
-from hexwave.sparse import partition_rows
+from hexwave.sparse import RedundantRows, partition_rows
 
-from conftest import (abc_incident_load, curl_block_oracle,
+from conftest import (abc_incident_load, assert_same_csr, curl_block_oracle,
                       element_loop_assemble, facet_loop_rhs,
                       mass_block_oracle, node_loop_rows, penalty_block_oracle,
-                      phase_traffic, rows_to_dense, surface_mass_oracle,
+                      phase_traffic, row_block, surface_mass_oracle,
                       surface_stiffness_oracle)
 
 
@@ -203,26 +203,35 @@ def test_dof_assembly_equals_element_loop(npw):
     mesh = _scatter_mesh(npw) if npw == 5 else build_box_mesh((1.,) * 3, npw)
     params = MaterialParams(k0=2 * np.pi)
     config = AssemblyConfig()
-    rows = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    got = rows_to_dense(rows, 3 * mesh.node_count)
+    block = assemble_rows(mesh, params, (0, mesh.node_count), config)
+    assert block.row_start == 0 and block.n == 3 * mesh.node_count
+    got = block.to_dense()
     ref = element_loop_assemble(mesh, params, config)
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() / scale < 1e-12
 
 
+def _stacked_rows(mesh, params, config, ranks):
+    """Every rank's row block, each starting at its first owned dof,
+    stacked into one matrix."""
+    part = partition_rows(mesh.node_count, ranks)
+    blocks = [assemble_rows(mesh, params, part.node_range(r), config)
+              for r in range(ranks)]
+    assert [b.row_start for b in blocks] == [part.dof_range(r)[0]
+                                             for r in range(ranks)]
+    return RedundantRows.from_rows(blocks, 3 * mesh.node_count)
+
+
 def test_assembly_partition_invariant_bitwise():
+    """Blocks of three ranks stack bitwise into the one-rank block and
+    the per-node loop's rows."""
     mesh = _scatter_mesh()
     params = MaterialParams(k0=2 * np.pi)
     config = AssemblyConfig()
     full = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    part = partition_rows(mesh.node_count, 3)
-    split = []
-    for r in range(3):
-        split.extend(assemble_rows(mesh, params, part.node_range(r), config))
-    assert len(full) == len(split)
-    for (ca, va), (cb, vb) in zip(full, split):
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(va, vb)
+    assert_same_csr(_stacked_rows(mesh, params, config, 3), full)
+    assert_same_csr(full, row_block(node_loop_rows(mesh, params, config),
+                                    3 * mesh.node_count))
 
 
 def test_two_material_regions_match_element_loop_and_partition():
@@ -236,19 +245,14 @@ def test_two_material_regions_match_element_loop_and_partition():
                             k0=2 * np.pi)
     config = AssemblyConfig()
     full = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    got = rows_to_dense(full, 3 * mesh.node_count)
+    got = full.to_dense()
     ref = element_loop_assemble(mesh, params, config)
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
     uniform = element_loop_assemble(mesh, MaterialParams(k0=2 * np.pi), config)
     assert np.abs(ref - uniform).max() > 0.1 * np.abs(ref).max()
-    loop = node_loop_rows(mesh, params, config)
-    part = partition_rows(mesh.node_count, 3)
-    split = [row for r in range(3)
-             for row in assemble_rows(mesh, params, part.node_range(r), config)]
-    assert len(split) == len(full) == len(loop)
-    for (ca, va), (cb, vb), (cc, vc) in zip(full, split, loop):
-        assert np.array_equal(ca, cb) and np.array_equal(ca, cc)
-        assert np.array_equal(va, vb) and np.array_equal(va, vc)
+    assert_same_csr(full, row_block(node_loop_rows(mesh, params, config),
+                                    3 * mesh.node_count))
+    assert_same_csr(_stacked_rows(mesh, params, config, 3), full)
 
 
 @pytest.mark.parametrize("direction,polarization", [
@@ -413,9 +417,9 @@ def _assembled(mesh, ranks=1):
     fab = CommFabric(ranks)
 
     def fn(f, r):
-        rows = assemble_rows(mesh, params, part.node_range(r))
+        block = assemble_rows(mesh, params, part.node_range(r))
         rhs = assemble_rhs(mesh, _wave(), part.node_range(r))
-        return rows, rhs
+        return block, rhs
 
     out = run_spmd(ranks, fn, fabric=fab)
     return out, part, fab
@@ -424,10 +428,20 @@ def _assembled(mesh, ranks=1):
 def test_apply_symmetry_bc_identity_rows_and_columns():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry")])
-    (rows_rhs,), part, fab = _assembled(mesh)
-    rows, rhs = rows_rhs
-    apply_symmetry_bc(rows, rhs, mesh, part, 0)
-    dense = rows_to_dense(rows, 81)
+    ((block_in, _),), part, fab = _assembled(mesh)
+    # A load on every dof, so zeroing the constrained ones shows.
+    rhs_in = (1.0 + 0.5j) * np.arange(1, 82)
+    ref = (block_in.to_dense(), rhs_in.copy())
+    block, rhs = apply_symmetry_bc(block_in, rhs_in, mesh, part, 0)
+    # The input block and rhs are left as they were.
+    np.testing.assert_array_equal(block_in.to_dense(), ref[0])
+    np.testing.assert_array_equal(rhs_in, ref[1])
+    dense = block.to_dense()
+    kept = np.ones(81, dtype=bool)
+    kept[constrained_dofs(mesh)] = False
+    np.testing.assert_array_equal(dense[np.ix_(kept, kept)],
+                                  ref[0][np.ix_(kept, kept)])
+    np.testing.assert_array_equal(rhs[kept], rhs_in[kept])
     for dof in constrained_dofs(mesh):
         expect = np.zeros(81)
         expect[dof] = 1.0
@@ -441,35 +455,28 @@ def test_apply_symmetry_bc_identity_rows_and_columns():
 def test_apply_symmetry_bc_idempotent():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("y", "antisymmetry")])
-    (rows_rhs,), part, fab = _assembled(mesh)
-    rows, rhs = rows_rhs
-    apply_symmetry_bc(rows, rhs, mesh, part, 0)
-    once = rows_to_dense([r for r in rows], 81).copy()
-    rhs_once = rhs.copy()
-    apply_symmetry_bc(rows, rhs, mesh, part, 0)
-    np.testing.assert_array_equal(rows_to_dense(rows, 81), once)
-    np.testing.assert_array_equal(rhs, rhs_once)
+    ((block, rhs),), part, fab = _assembled(mesh)
+    once, rhs_once = apply_symmetry_bc(block, rhs, mesh, part, 0)
+    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, mesh, part, 0)
+    assert_same_csr(twice, once)
+    np.testing.assert_array_equal(rhs_twice, rhs_once)
 
 
 def test_apply_symmetry_bc_parallel_matches_serial():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry"), ("x", "antisymmetry")])
     out1, part1, _ = _assembled(mesh, ranks=1)
-    rows1, rhs1 = out1[0]
-    apply_symmetry_bc(rows1, rhs1, mesh, part1, 0)
+    block1, rhs1 = apply_symmetry_bc(*out1[0], mesh, part1, 0)
 
     out3, part3, fab3 = _assembled(mesh, ranks=3)
 
     def fn(f, r):
-        rows, rhs = out3[r]
-        apply_symmetry_bc(rows, rhs, mesh, part3, r, fabric=f)
-        return rows, rhs
+        return apply_symmetry_bc(*out3[r], mesh, part3, r, fabric=f)
 
     res = run_spmd(3, fn, fabric=fab3)
-    rows3 = [row for rows, _ in res for row in rows]
+    assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res], 81),
+                    block1)
     rhs3 = np.concatenate([rhs for _, rhs in res])
-    np.testing.assert_array_equal(rows_to_dense(rows3, 81),
-                                  rows_to_dense(rows1, 81))
     np.testing.assert_array_equal(rhs3, rhs1)
     assert phase_traffic(fab3, "bc")[0] == 6     # broadcast per rank
 
@@ -478,19 +485,16 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
     mesh = build_box_mesh((1.,) * 3, 3)
     assert constrained_dofs(mesh).size == 0
     out, part, fab = _assembled(mesh, ranks=2)
-    before = [[(c.copy(), v.copy()) for c, v in rows] for rows, _ in out]
-    rhs_before = [rhs.copy() for _, rhs in out]
+    before = [(blk.indptr.copy(), blk.indices.copy(), blk.data.copy(),
+               rhs.copy()) for blk, rhs in out]
 
     def fn(f, r):
         return apply_symmetry_bc(*out[r], mesh, part, r, fabric=f)
 
     res = run_spmd(2, fn, fabric=fab)
-    for (rows, rhs), ref, ref_rhs in zip(res, before, rhs_before):
-        assert len(rows) == len(ref)
-        for (ca, va), (cb, vb) in zip(rows, ref):
-            assert np.array_equal(ca, cb)
-            assert np.array_equal(va, vb)
-        assert np.array_equal(rhs, ref_rhs)
+    for (blk, rhs), ref in zip(res, before):
+        for got, want in zip((blk.indptr, blk.indices, blk.data, rhs), ref):
+            assert np.array_equal(got, want)
     assert phase_traffic(fab, "bc") == (2, 0)       # empty broadcasts
 
 
@@ -498,43 +502,39 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
 
 def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
     mesh = _scatter_mesh(4)
-    (rows_rhs,), part, fab = _assembled(mesh)
-    rows, rhs = rows_rhs
-    before = rows_to_dense([r for r in rows], 3 * mesh.node_count).copy()
-    rhs_before = rhs.copy()
-    symmetrize(rows, rhs, part, 0)
-    after = rows_to_dense(rows, 3 * mesh.node_count)
+    ((block, rhs_before),), part, fab = _assembled(mesh)
+    before = block.to_dense()
+    sym, rhs = symmetrize(block, rhs_before, part, 0)
+    after = sym.to_dense()
     np.testing.assert_allclose(after, before + before.T, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(rhs, 2.0 * rhs_before)
+    np.testing.assert_array_equal(block.to_dense(), before)
 
 
 def test_symmetrize_exactly_symmetric():
     mesh = _scatter_mesh(4)
-    (rows_rhs,), part, fab = _assembled(mesh)
-    rows, rhs = rows_rhs
-    symmetrize(rows, rhs, part, 0)
-    dense = rows_to_dense(rows, 3 * mesh.node_count)
+    ((block, rhs),), part, fab = _assembled(mesh)
+    dense = symmetrize(block, rhs, part, 0)[0].to_dense()
     assert np.abs(dense - dense.T).max() == 0.0
 
 
 def test_symmetrize_parallel_matches_serial_bitwise():
     mesh = build_box_mesh((1.,) * 3, 4)
     out1, part1, _ = _assembled(mesh, ranks=1)
-    rows1, rhs1 = out1[0]
-    symmetrize(rows1, rhs1, part1, 0)
+    block1, rhs1 = symmetrize(*out1[0], part1, 0)
 
     out4, part4, fab4 = _assembled(mesh, ranks=4)
 
     def fn(f, r):
-        rows, rhs = out4[r]
-        symmetrize(rows, rhs, part4, r, fabric=f)
-        return rows, rhs
+        return symmetrize(*out4[r], part4, r, fabric=f)
 
     res = run_spmd(4, fn, fabric=fab4)
-    rows4 = [row for rows, _ in res for row in rows]
-    for (ca, va), (cb, vb) in zip(rows1, rows4):
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(va, vb)
+    assert [blk.row_start for blk, _ in res] == [part4.dof_range(r)[0]
+                                                 for r in range(4)]
+    assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res],
+                                            block1.n), block1)
+    np.testing.assert_array_equal(np.concatenate([rhs for _, rhs in res]),
+                                  rhs1)
     assert phase_traffic(fab4, "symmetrize")[0] == 12
 
 
@@ -546,38 +546,46 @@ def test_rows_and_symmetrize_across_node_blocks():
     n = 3 * mesh.node_count
     assert mesh.node_count > assembly._BLOCK_NODES
     params, config = MaterialParams(k0=2 * np.pi), AssemblyConfig()
-    rows = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    for (ca, va), (cb, vb) in zip(rows, node_loop_rows(mesh, params, config)):
-        assert np.array_equal(ca, cb)
-        assert np.array_equal(va, vb)
-    before = rows_to_dense(rows, n)
-    symmetrize(rows, np.zeros(n, dtype=np.complex128),
-               partition_rows(mesh.node_count, 1), 0)
-    assert np.array_equal(rows_to_dense(rows, n), before + before.T)
+    block = assemble_rows(mesh, params, (0, mesh.node_count), config)
+    assert_same_csr(block, row_block(node_loop_rows(mesh, params, config), n))
+    before = block.to_dense()
+    sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128),
+                        partition_rows(mesh.node_count, 1), 0)
+    assert np.array_equal(sym.to_dense(), before + before.T)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
 def test_assemble_system_shares_one_system_across_ranks(storage):
-    """At P = 3 every rank gets the same (matrix, b) object, equal to the
-    one-rank system."""
+    """At P = 2 and 3 every rank gets the same (matrix, b) object,
+    bitwise equal to the one-rank system: on an empty box, and with a
+    scatterer, a z+ symmetry plane and an x antisymmetry plane."""
     from hexwave.runner import Scenario, build_scenario_mesh, assemble_system
 
-    sc = Scenario(extent=(0.5, 0.5, 0.75), nodes_per_wavelength=4,
-                  storage=storage)
-    mesh = build_scenario_mesh(sc)
-    serial = assemble_system(sc, mesh, partition_rows(mesh.node_count, 1), 0,
-                             CommFabric(1))
-    part3 = partition_rows(mesh.node_count, 3)
-    fab = CommFabric(3)
-    out = run_spmd(3, lambda f, r: assemble_system(sc, mesh, part3, r, f),
-                   fabric=fab)
-    assert out[0] is out[1] is out[2]
-    (matrix, b), (ref, ref_b) = out[0], serial
-    assert type(matrix) is type(ref)
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(matrix, name), getattr(ref, name))
-    assert np.array_equal(b, ref_b)
-    assert fab.barrier_collectives == 1
+    planes = [("z+", "symmetry"), ("x", "antisymmetry")]
+    for sc in (Scenario(extent=(0.5, 0.5, 0.75), nodes_per_wavelength=4,
+                        storage=storage),
+               Scenario(extent=(1.25, 1.25, 1.5), nodes_per_wavelength=4,
+                        scatterer=ScattererSpec(corner_min=(0.25, 0.25, 0.25),
+                                                corner_max=(0.5, 0.75, 0.5)),
+                        symmetry_planes=planes, direction=(0.6, 0.8, 0.0),
+                        polarization=(0.0, 0.0, 1.0), storage=storage)):
+        mesh = build_scenario_mesh(sc)
+        assert (constrained_dofs(mesh).size > 0) == bool(sc.symmetry_planes)
+        ref, ref_b = assemble_system(sc, mesh,
+                                     partition_rows(mesh.node_count, 1), 0,
+                                     CommFabric(1))
+        for ranks in (2, 3):
+            part = partition_rows(mesh.node_count, ranks)
+            fab = CommFabric(ranks)
+            out = run_spmd(ranks,
+                           lambda f, r: assemble_system(sc, mesh, part, r, f),
+                           fabric=fab)
+            assert all(o is out[0] for o in out)
+            matrix, b = out[0]
+            assert type(matrix) is type(ref)
+            assert_same_csr(matrix, ref)
+            assert np.array_equal(b, ref_b)
+            assert fab.barrier_collectives == 1
 
 
 # -- half-domain symmetry-plane equivalence ----------------------------------

@@ -129,6 +129,25 @@ def test_nonpositive_max_iter_exit_four(config_path, tmp_path, capsys,
         Scenario(max_iter=max_iter)
 
 
+def test_negative_probe_stride_exit_four_before_mesh(config_path, tmp_path,
+                                                    capsys, monkeypatch):
+    """A negative stride is rejected before any mesh is built, and no
+    report is written."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a rejected probe stride")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    report = tmp_path / "r.json"
+    assert main(["run", "--config", config_path, "--probe-grid", "-1",
+                 "--report", str(report)]) == 4
+    assert "probe stride must be >= 0, got -1" in capsys.readouterr().err
+    assert not report.exists()
+    with pytest.raises(ConfigError, match="probe stride"):
+        runner.run_scenario(Scenario(), probe_stride=-3)
+
+
 @pytest.mark.parametrize("flag", ["--export-matrix", "--report"])
 def test_unwritable_output_path_exit_four(config_path, tmp_path, capsys,
                                           flag):

@@ -17,10 +17,10 @@ from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             _row_destinations, build_bicp, build_dp,
                             build_icp, cg_solve, forward_back_substitute)
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
-                            _csr_from_rows, partition_rows, to_redundant)
+                            partition_rows, to_redundant)
 
-from conftest import (dense_ic_oracle, entry_loop_ic, phase_traffic,
-                      random_symmetric_sparse)
+from conftest import (csr_from_rows, dense_ic_oracle, entry_loop_ic,
+                      phase_traffic, random_symmetric_sparse, row_block)
 
 
 def _one_rank(n):
@@ -37,14 +37,14 @@ def _redundant(dense):
     for i in range(n):
         cols = np.nonzero(dense[i])[0]
         rows.append((cols.astype(np.int64), dense[i, cols].astype(complex)))
-    return RedundantRows.from_rows(rows, n)
+    return RedundantRows.from_rows([row_block(rows, n)], n)
 
 
 # -- diagonal preconditioner -------------------------------------------------
 
 def test_dp_is_inverse_diagonal(rng):
     rows, dense = random_symmetric_sparse(rng, 9)
-    m = RedundantRows.from_rows(rows, 9)
+    m = RedundantRows.from_rows([row_block(rows, 9)], 9)
     p = build_dp(m)
     np.testing.assert_allclose(p.inv_diag, 1.0 / np.diag(dense), rtol=1e-15)
     assert p.memory_bytes() == 16 * 9
@@ -79,7 +79,7 @@ def test_icp_dense_spd_equals_cholesky(rng):
 def test_icp_sparse_matches_dense_zero_fill_oracle(rng):
     rows, dense = random_symmetric_sparse(rng, 15, density=0.25,
                                           diag_boost=10.0)
-    ar = RedundantRows.from_rows(rows, 15)
+    ar = RedundantRows.from_rows([row_block(rows, 15)], 15)
     factor = build_icp(ar, _one_rank(15), 0, CommFabric(1))
     ref = dense_ic_oracle(dense)
     assert np.abs(factor.to_dense() - ref).max() < 1e-13
@@ -101,7 +101,7 @@ def test_icp_complex_pivot_principal_branch():
 @pytest.mark.parametrize("ranks", [2, 3, 4])
 def test_icp_parallel_bitwise_equals_serial(rng, ranks):
     rows, dense = random_symmetric_sparse(rng, 12, density=0.35)
-    ar = RedundantRows.from_rows(rows, 12)
+    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     serial = build_icp(ar, _one_rank(12), 0, CommFabric(1))
     part = partition_rows(12, ranks)
     part = RowPartition(node_starts=part.node_starts, dofs_per_node=1)
@@ -115,7 +115,7 @@ def test_icp_parallel_bitwise_equals_serial(rng, ranks):
 def test_icp_pipeline_barrier_count_matches_column_count(rng):
     """n columns + the final insertion step."""
     rows, _ = random_symmetric_sparse(rng, 9, density=0.4)
-    ar = RedundantRows.from_rows(rows, 9)
+    ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
     part = _split([0, 3, 6, 9])
     fab = CommFabric(3)
     run_spmd(3, lambda f, r: build_icp(ar, part, r, f), fabric=fab)
@@ -140,7 +140,7 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
 
 def test_bicp_single_rank_is_icp_bitwise(rng):
     rows, _ = random_symmetric_sparse(rng, 12, density=0.3)
-    ar = RedundantRows.from_rows(rows, 12)
+    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part = _one_rank(12)
     icp = build_icp(ar, part, 0, CommFabric(1))
     bicp = build_bicp(ar, part, 0)
@@ -151,7 +151,7 @@ def test_bicp_single_rank_is_icp_bitwise(rng):
 
 def test_bicp_blocks_match_per_block_oracle(rng):
     rows, dense = random_symmetric_sparse(rng, 12, density=0.4)
-    ar = RedundantRows.from_rows(rows, 12)
+    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part = _split([0, 4, 8, 12])
     for r in range(3):
         lo, hi = part.dof_range(r)
@@ -168,7 +168,7 @@ def test_bicp_blocks_match_per_block_oracle(rng):
 
 def test_bicp_needs_no_messages(rng):
     rows, _ = random_symmetric_sparse(rng, 9, density=0.4)
-    ar = RedundantRows.from_rows(rows, 9)
+    ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
     part = _split([0, 3, 6, 9])
     fab = CommFabric(3)
     run_spmd(3, lambda f, r: build_bicp(ar, part, r), fabric=fab)
@@ -178,8 +178,7 @@ def test_bicp_needs_no_messages(rng):
 # -- factor builds on either storage -----------------------------------------
 
 def _lower(m: RedundantRows) -> LowerSymmetricRows:
-    return LowerSymmetricRows.from_symmetric_rows(
-        [m.row(i) for i in range(m.n)], m.n)
+    return LowerSymmetricRows.from_symmetric_rows([m], m.n)
 
 
 def _other_layout(m):
@@ -196,7 +195,7 @@ def test_factor_builds_equal_on_either_storage(rng, ranks):
     """Both builds read only the lower triangle, so storage #1 and #2
     give bitwise the same factors and the same build traffic."""
     rows, _ = random_symmetric_sparse(rng, 15, density=0.35)
-    full = RedundantRows.from_rows(rows, 15)
+    full = RedundantRows.from_rows([row_block(rows, 15)], 15)
     part = _dof_split(15, ranks)
     built = []
     for a in (full, _lower(full)):
@@ -217,7 +216,7 @@ def test_row_destinations_match_column_loop(rng, ranks):
     """Column j's destinations are the owners of its stored rows below
     the diagonal, ascending, on either storage."""
     rows, dense = random_symmetric_sparse(rng, 20, density=0.25)
-    full = RedundantRows.from_rows(rows, 20)
+    full = RedundantRows.from_rows([row_block(rows, 20)], 20)
     part = _dof_split(20, ranks)
     owner = part.owner_of_dof(np.arange(20))
     for a in (full, _lower(full)):
@@ -309,7 +308,7 @@ def _kernel_system(rng, kind, storage):
 
 def _oracle_factor(a, lo, hi, block_local=False):
     return CholeskyFactor(a.n, lo, hi,
-                          *_csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo),
+                          *csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo),
                           block_local=block_local)
 
 
@@ -403,7 +402,7 @@ def test_substitution_matches_scipy(rng):
 @pytest.mark.parametrize("ranks", [2, 3, 4])
 def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     rows, _ = random_symmetric_sparse(rng, 12, density=0.4)
-    ar = RedundantRows.from_rows(rows, 12)
+    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part1 = _one_rank(12)
     factor = build_icp(ar, part1, 0, CommFabric(1))
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
@@ -424,7 +423,7 @@ def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
 
 def test_block_substitution_is_block_exact(rng):
     rows, dense = random_symmetric_sparse(rng, 12, density=0.4)
-    ar = RedundantRows.from_rows(rows, 12)
+    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part = _split([0, 6, 12])
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     fab = CommFabric(2)
@@ -463,7 +462,7 @@ def test_level_counts_diagonal_and_tridiagonal():
 
 def test_level_solve_matches_scipy_full_factor(rng):
     rows, _ = random_symmetric_sparse(rng, 30, density=0.08, diag_boost=10.0)
-    ar = RedundantRows.from_rows(rows, 30)
+    ar = RedundantRows.from_rows([row_block(rows, 30)], 30)
     part = _one_rank(30)
     factor = build_icp(ar, part, 0, CommFabric(1))
     forward, back = factor.schedule(0, 30)
@@ -476,7 +475,7 @@ def test_level_solve_matches_scipy_full_factor(rng):
 
 def test_level_solve_matches_scipy_block_local_factor(rng):
     rows, _ = random_symmetric_sparse(rng, 40, density=0.08, diag_boost=10.0)
-    ar = RedundantRows.from_rows(rows, 40)
+    ar = RedundantRows.from_rows([row_block(rows, 40)], 40)
     part = _split([0, 20, 40])
     factors = [build_bicp(ar, part, r) for r in range(2)]
     for f in factors:
@@ -495,7 +494,7 @@ def test_level_solve_matches_scipy_block_local_factor(rng):
 
 def test_repeated_applies_bitwise_equal(rng):
     rows, _ = random_symmetric_sparse(rng, 20, density=0.2)
-    ar = RedundantRows.from_rows(rows, 20)
+    ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
     part = _one_rank(20)
     factor = build_icp(ar, part, 0, CommFabric(1))
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -506,7 +505,7 @@ def test_repeated_applies_bitwise_equal(rng):
 
 def test_schedule_built_once_under_racing_threads(rng):
     rows, _ = random_symmetric_sparse(rng, 60, density=0.1, diag_boost=20.0)
-    ar = RedundantRows.from_rows(rows, 60)
+    ar = RedundantRows.from_rows([row_block(rows, 60)], 60)
     factor = build_icp(ar, _one_rank(60), 0, CommFabric(1))
     got = []
     start = threading.Barrier(8)
@@ -545,7 +544,7 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
 
 def _cg_system(rng, n=18):
     rows, dense = random_symmetric_sparse(rng, n, density=0.3, diag_boost=9.0)
-    ar = RedundantRows.from_rows(rows, n)
+    ar = RedundantRows.from_rows([row_block(rows, n)], n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return ar, dense, b
 

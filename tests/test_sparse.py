@@ -12,7 +12,7 @@ from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
                             SparseVector, full_matvec, partition_rows,
                             spmv_partial, to_redundant, write_matrix_market,
                             write_rhs)
-from conftest import random_symmetric_sparse
+from conftest import random_symmetric_sparse, row_block
 
 
 # -- partitioning ------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_partition_more_ranks_than_nodes_rejected():
 
 def test_lower_storage_keeps_lower_triangle(rng):
     rows, dense = random_symmetric_sparse(rng, 8)
-    m = LowerSymmetricRows.from_symmetric_rows(rows, 8)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 8)], 8)
     np.testing.assert_array_equal(m.to_dense(), dense)
     for i in range(8):
         cols, _ = m.row(i)
@@ -71,12 +71,33 @@ def test_lower_storage_from_rows_equals_row_loop(rng):
     rows, _ = random_symmetric_sparse(rng, 9)
     rows[0] = (rows[0][0][1:], rows[0][1][1:])
     lower = [(c[c <= i], v[c <= i]) for i, (c, v) in enumerate(rows)]
-    m = LowerSymmetricRows.from_symmetric_rows(rows, 9)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 9)], 9)
     assert m.row(0)[0].size == 0
     assert np.array_equal(m.indptr,
                           np.cumsum([0] + [len(c) for c, _ in lower]))
     assert np.array_equal(m.indices, np.concatenate([c for c, _ in lower]))
     assert np.array_equal(m.data, np.concatenate([v for _, v in lower]))
+
+
+def test_row_blocks_stack_into_either_storage(rng):
+    """Blocks of 3, 0 and 6 rows, each starting at its first row, stack
+    bitwise into the one-block matrix; blocks that leave a gap, overlap
+    or stop short are rejected."""
+    rows, _ = random_symmetric_sparse(rng, 9)
+    split = [row_block(rows[:3], 9), row_block([], 9, 3),
+             row_block(rows[3:], 9, 3)]
+    for build in (RedundantRows.from_rows,
+                  LowerSymmetricRows.from_symmetric_rows):
+        whole = build([row_block(rows, 9)], 9)
+        stacked = build(split, 9)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(stacked, name), getattr(whole, name))
+        for blocks in ([row_block(rows[:3], 9), row_block(rows[4:], 9, 4)],
+                       [row_block(rows[:4], 9), row_block(rows[3:], 9, 3)],
+                       [row_block(rows[:8], 9)],
+                       [row_block(rows[1:], 9, 1)]):
+            with pytest.raises(SparseFormatError, match="do not cover"):
+                build(blocks, 9)
 
 
 def test_lower_storage_rejects_upper_entries():
@@ -89,10 +110,10 @@ def test_lower_storage_rejects_upper_entries():
 
 def test_to_redundant_matches_dense(rng):
     rows, dense = random_symmetric_sparse(rng, 9)
-    lower = LowerSymmetricRows.from_symmetric_rows(rows, 9)
+    lower = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 9)], 9)
     full = to_redundant(lower)
     np.testing.assert_array_equal(full.to_dense(), dense)
-    ref = RedundantRows.from_rows(rows, 9)
+    ref = RedundantRows.from_rows([row_block(rows, 9)], 9)
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
 
@@ -104,15 +125,15 @@ def test_diagonal_matches_dense_on_every_layout(rng):
     rows[4] = (cols[cols != 4], vals[cols != 4])
     dense[4, 4] = 0.0
     assert len(rows[4][0]) > 0
-    for m in (LowerSymmetricRows.from_symmetric_rows(rows, 10),
-              RedundantRows.from_rows(rows, 10)):
+    for m in (LowerSymmetricRows.from_symmetric_rows([row_block(rows, 10)], 10),
+              RedundantRows.from_rows([row_block(rows, 10)], 10)):
         np.testing.assert_array_equal(m.diagonal(), np.diag(m.to_dense()))
         np.testing.assert_array_equal(m.diagonal(), np.diag(dense))
 
 
 def test_byte_accounting(rng):
     rows, _ = random_symmetric_sparse(rng, 6)
-    m = RedundantRows.from_rows(rows, 6)
+    m = RedundantRows.from_rows([row_block(rows, 6)], 6)
     assert m.value_bytes() == 16 * m.nnz
     v = SparseVector.from_dense(np.array([0, 1 + 1j, 0, 2.0]))
     assert v.payload_bytes() == 2 * (INDEX_BYTES + COMPLEX_BYTES)
@@ -127,9 +148,9 @@ def test_spmv_partials_sum_to_full_product(rng, ranks, storage):
     n = 3 * nodes
     rows, dense = random_symmetric_sparse(rng, n)
     if storage == "lower":
-        m = LowerSymmetricRows.from_symmetric_rows(rows, n)
+        m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, n)], n)
     else:
-        m = RedundantRows.from_rows(rows, n)
+        m = RedundantRows.from_rows([row_block(rows, n)], n)
     part = partition_rows(nodes, ranks)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     total = np.zeros(n, dtype=np.complex128)
@@ -142,7 +163,7 @@ def test_spmv_partials_sum_to_full_product(rng, ranks, storage):
 def test_redundant_partial_is_owned_segment(rng):
     nodes = 4
     rows, dense = random_symmetric_sparse(rng, 12)
-    m = RedundantRows.from_rows(rows, 12)
+    m = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part = partition_rows(nodes, 2)
     x = rng.standard_normal(12) + 0j
     sv = spmv_partial(m, part, 1, x)
@@ -156,7 +177,7 @@ def test_redundant_segment_bitwise_rank_invariant(rng):
     """Storage #2 row products do not depend on the rank count."""
     nodes = 6
     rows, _ = random_symmetric_sparse(rng, 18)
-    m = RedundantRows.from_rows(rows, 18)
+    m = RedundantRows.from_rows([row_block(rows, 18)], 18)
     x = rng.standard_normal(18) + 1j * rng.standard_normal(18)
     ref = full_matvec(m, x)
     for ranks in (1, 2, 3, 6):
@@ -171,7 +192,7 @@ def test_redundant_segment_bitwise_rank_invariant(rng):
 
 def test_full_matvec_lower_equals_dense(rng):
     rows, dense = random_symmetric_sparse(rng, 12)
-    m = LowerSymmetricRows.from_symmetric_rows(rows, 12)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 12)], 12)
     x = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     np.testing.assert_allclose(full_matvec(m, x), dense @ x, rtol=1e-13)
 
@@ -182,7 +203,7 @@ def test_spmv_property_random(nodes, seed):
     rng = np.random.default_rng(seed)
     n = 3 * nodes
     rows, dense = random_symmetric_sparse(rng, n, density=0.5)
-    m = RedundantRows.from_rows(rows, n)
+    m = RedundantRows.from_rows([row_block(rows, n)], n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     np.testing.assert_allclose(full_matvec(m, x), dense @ x,
                                rtol=1e-12, atol=1e-12)
@@ -206,7 +227,7 @@ def _assert_csr_equal(a, m) -> None:
 def test_mm_symmetric_roundtrip_vs_scipy(rng, tmp_path):
     """scipy mirrors the lower-triangle export into the full matrix."""
     rows, _ = random_symmetric_sparse(rng, 7)
-    m = LowerSymmetricRows.from_symmetric_rows(rows, 7)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 7)], 7)
     path = tmp_path / "sym.mtx"
     write_matrix_market(path, m, comment="test system")
     assert path.read_text().startswith(
@@ -216,7 +237,7 @@ def test_mm_symmetric_roundtrip_vs_scipy(rng, tmp_path):
 
 def test_mm_general_roundtrip_vs_scipy(rng, tmp_path):
     rows, _ = random_symmetric_sparse(rng, 6)
-    m = RedundantRows.from_rows(rows, 6)
+    m = RedundantRows.from_rows([row_block(rows, 6)], 6)
     path = tmp_path / "gen.mtx"
     write_matrix_market(path, m)
     assert path.read_text().startswith(
