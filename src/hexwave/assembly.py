@@ -87,11 +87,6 @@ class AbcFacetMatrices:
 @dataclass(frozen=True)
 class AssemblyConfig:
     quadrature: int = 2                  # Gauss points per direction
-    penalty_weight: float = 1.0
-
-
-def _gauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
 
 
 def _hex_shapes(xi: np.ndarray):
@@ -123,7 +118,7 @@ def element_matrices(coords: np.ndarray, eps_r: complex, mu_r: complex,
     Jacobians (degenerate or inverted elements).
     """
     coords = np.asarray(coords, dtype=float)
-    pts, wts = _gauss(quadrature)
+    pts, wts = np.polynomial.legendre.leggauss(quadrature)
     curl = np.zeros((8, 3, 8, 3), dtype=np.complex128)
     mass = np.zeros((8, 8))
     pen = np.zeros((8, 3, 8, 3))
@@ -177,7 +172,7 @@ def _abc_matrices(taxes: np.ndarray, p2: np.ndarray, k0: float,
                   quadrature: int = 2):
     """Stacked (F, 12, 12) first- and second-order blocks of F facets from
     the bilinear surface mass and stiffness on their planes."""
-    pts, wts = _gauss(quadrature)
+    pts, wts = np.polynomial.legendre.leggauss(quadrature)
     ms = np.zeros((len(p2), 4, 4))
     ks = np.zeros((len(p2), 4, 4))
     for u, wu in zip(pts, wts):
@@ -230,8 +225,8 @@ def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------
 
-# Owned nodes per block of the array passes in assemble_rows and
-# symmetrize: bounds their temporaries at a few MB whatever the rank size.
+# Owned nodes per block of assemble_rows' array pass: bounds its
+# temporaries at a few MB whatever the rank size.
 _BLOCK_NODES = 128
 
 
@@ -305,7 +300,7 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         em = element_matrices(_canonical(mesh.nodes[mesh.elements[e]], h),
                               *params.element_values(e), params.k0,
                               config.quadrature)
-        return em.curl_curl - em.mass + config.penalty_weight * em.penalty
+        return em.curl_curl - em.mass + em.penalty
 
     eps, mu = (np.broadcast_to(np.asarray(v, dtype=np.complex128),
                                (mesh.element_count,))[e_elem]
@@ -385,7 +380,7 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
     touched, which = np.unique(f_row, return_inverse=True)
     coords, normals = mesh.nodes[fnodes[touched]], normals[touched]
     taxes, p2 = _facet_planes(coords, normals, ids[touched])
-    pts, wts = _gauss(config.quadrature)
+    pts, wts = np.polynomial.legendre.leggauss(config.quadrature)
     load = np.zeros((len(touched), 4, 3), dtype=np.complex128)
     for u, wu in zip(pts, wts):
         for v, wv in zip(pts, wts):
@@ -478,56 +473,36 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
                rank: int, fabric=None):
     """A new ``(block, rhs)``: A + A^T (no 1/2 factor) and 2*rhs.
 
-    Every rank ships the transpose images of its entries to the owner of
-    the destination row; the result is exactly symmetric because both
-    stored copies of a pair are formed by the same commutative addition.
-    Owned rows merge with the incoming transposes in ``_BLOCK_NODES``-node
-    blocks, each emitting one CSR piece.
+    A must be structurally symmetric, as assembly and ``apply_symmetry_bc``
+    leave it: the owner of row j sorts the transposes (j, i, v) it receives
+    into its own pattern and adds them, own value first, so the result
+    shares the input's ``indptr`` and ``indices``.  ``AssemblyError``
+    names the first row whose pattern the transposes do not mirror.
     """
     lo, hi = partition.dof_range(rank)
-    ptr, cols_all, vals_all = block.indptr, block.indices, block.data
-    rows_all = block.entry_rows()
-    # Transpose triple (j, i, v) for every stored (i, j, v), grouped by
-    # the owner of row j.
-    incoming = [(cols_all, rows_all, vals_all)]
+    n, cols, vals = block.n, block.indices, block.data
+    rows = block.entry_rows()
+    incoming = [(cols, rows, vals)]
     if fabric is not None and fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
-        owner = partition.owner_of_dof(cols_all)
+        owner = partition.owner_of_dof(cols)
+        incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])
+                    for q in range(fabric.ranks)]
         for q in range(fabric.ranks):
-            sel = owner == q
-            triple = (cols_all[sel], rows_all[sel], vals_all[sel])
-            if q == rank:
-                local = triple
-            else:
-                fabric.send(rank, q, triple)
-        incoming = [local if src == rank else fabric.recv(rank, src)
-                    for src in range(fabric.ranks)]
-    add_rows, add_cols, add_vals = (np.concatenate(t) for t in zip(*incoming))
-    del incoming
-    order = np.lexsort((add_cols, add_rows))
-    add_rows = add_rows[order]
-    add_cols = add_cols[order]
-    add_vals = add_vals[order]
-    # Per block, key (row - block start) * n + col orders entries by
-    # row, then column; a pair stored on both sides gets one v + v_t.
-    n = block.n
-    edges = np.arange(0, hi - lo, partition.dofs_per_node * _BLOCK_NODES)
-    edges = np.append(edges, hi - lo)
-    in_cut = np.searchsorted(add_rows, lo + edges)
-    counts, indices, data = [], [], []
-    for b0, b1, s, e in zip(edges[:-1], edges[1:], in_cut[:-1], in_cut[1:]):
-        own = slice(ptr[b0], ptr[b1])
-        own_key = (rows_all[own] - lo - b0) * n + cols_all[own]
-        in_key = (add_rows[s:e] - lo - b0) * n + add_cols[s:e]
-        ukey = np.sort(np.concatenate([own_key, in_key]))
-        ukey = ukey[np.diff(ukey, prepend=-1) != 0]
-        merged = np.zeros(len(ukey), dtype=np.complex128)
-        merged[np.searchsorted(ukey, own_key)] = vals_all[own]
-        merged[np.searchsorted(ukey, in_key)] += add_vals[s:e]
-        cut = np.searchsorted(ukey, n * np.arange(b1 - b0 + 1))
-        counts.append(np.diff(cut))
-        indices.append(ukey % n)
-        data.append(merged)
-    del add_rows, add_cols, add_vals, rows_all
-    return (_CsrBase(n, *_csr_join(counts, indices, data), row_start=lo),
-            rhs_seg * 2.0)
+            if q != rank:
+                fabric.send(rank, q, incoming[q])
+        incoming = [incoming[q] if q == rank else fabric.recv(rank, q)
+                    for q in range(fabric.ranks)]
+    in_rows, in_cols, in_vals = (t[0] if len(t) == 1 else np.concatenate(t)
+                                 for t in zip(*incoming))
+    # Key (row - lo) * n + col orders entries by row, then column.
+    in_key = (in_rows - lo) * n + in_cols
+    del incoming, in_rows, in_cols
+    order = np.argsort(in_key)
+    in_key, own_key = in_key[order], (rows - lo) * n + cols
+    if not np.array_equal(in_key, own_key):
+        first = np.setxor1d(in_key, own_key)[0]
+        raise AssemblyError(f"row {lo + first // n} is not mirrored: rows "
+                            f"[{lo}, {hi}) and their transposes differ there")
+    return (_CsrBase(n, block.indptr, cols, vals + in_vals[order],
+                     row_start=lo), rhs_seg * 2.0)

@@ -50,7 +50,6 @@ class Scenario:
     storage: str = "2"             # "1" lower-triangle / "2" redundant
     tol: float = 1e-6
     max_iter: int | None = None
-    penalty_weight: float = 1.0
     node_budget: int = 2_000_000
     seed: int = 0
 
@@ -81,7 +80,7 @@ class Scenario:
 
     @classmethod
     def from_config(cls, path) -> "Scenario":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
         read = cp.read(path)
         if not read:
             raise ConfigError(f"cannot read config file {path}")
@@ -95,45 +94,37 @@ class Scenario:
     @classmethod
     def _from_parser(cls, cp: configparser.ConfigParser) -> "Scenario":
         kw: dict = {}
-        dom = cp["domain"] if cp.has_section("domain") else {}
-        if "extent" in dom:
-            kw["extent"] = tuple(float(v) for v in dom["extent"].split())
-        if "nodes_per_wavelength" in dom:
-            kw["nodes_per_wavelength"] = int(dom["nodes_per_wavelength"])
-        if "frequency" in dom:
-            kw["frequency"] = float(dom["frequency"])
-        if "node_budget" in dom:
-            kw["node_budget"] = int(dom["node_budget"])
+        for section in cp.sections():
+            if section not in _CONFIG_KEYS:
+                raise ConfigError(f"unknown config section [{section}]")
+            if section == "symmetry":       # keys are bounding-box faces
+                kw["symmetry_planes"] = list(cp[section].items())
+                continue
+            for key, value in cp[section].items():
+                if key not in _CONFIG_KEYS[section]:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                kw[key] = _CONFIG_KEYS[section][key](value)
         if cp.has_section("scatterer"):
-            sc = cp["scatterer"]
-            kw["scatterer"] = ScattererSpec(
-                corner_min=tuple(float(v) for v in sc["corner_min"].split()),
-                corner_max=tuple(float(v) for v in sc["corner_max"].split()))
-        if cp.has_section("symmetry"):
-            kw["symmetry_planes"] = [(face, kind) for face, kind
-                                     in cp["symmetry"].items()]
-        if cp.has_section("wave"):
-            wv = cp["wave"]
-            if "direction" in wv:
-                kw["direction"] = tuple(float(v) for v in wv["direction"].split())
-            if "polarization" in wv:
-                kw["polarization"] = tuple(float(v)
-                                           for v in wv["polarization"].split())
-        if cp.has_section("material"):
-            mt = cp["material"]
-            if "eps_r" in mt:
-                kw["eps_r"] = complex(mt["eps_r"])
-            if "mu_r" in mt:
-                kw["mu_r"] = complex(mt["mu_r"])
-        if cp.has_section("solver"):
-            sv = cp["solver"]
-            for name, conv in (("ranks", int), ("preconditioner", str),
-                               ("concat", str), ("storage", str),
-                               ("tol", float), ("max_iter", int),
-                               ("penalty_weight", float), ("seed", int)):
-                if name in sv:
-                    kw[name] = conv(sv[name])
+            kw["scatterer"] = ScattererSpec(corner_min=kw.pop("corner_min"),
+                                            corner_max=kw.pop("corner_max"))
         return cls(**kw)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split())
+
+
+# Per INI section, its keys and their parsers; [symmetry] takes any face.
+_CONFIG_KEYS = {
+    "domain": {"extent": _floats, "nodes_per_wavelength": int,
+               "frequency": float, "node_budget": int},
+    "scatterer": {"corner_min": _floats, "corner_max": _floats},
+    "symmetry": {},
+    "wave": {"direction": _floats, "polarization": _floats},
+    "material": {"eps_r": complex, "mu_r": complex},
+    "solver": {"ranks": int, "preconditioner": str, "concat": str,
+               "storage": str, "tol": float, "max_iter": int, "seed": int},
+}
 
 
 @dataclass
@@ -191,7 +182,7 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
                             k0=scenario.k0)
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
-    config = AssemblyConfig(penalty_weight=scenario.penalty_weight)
+    config = AssemblyConfig()
     node_range = partition.node_range(rank)
     fabric.set_phase(rank, "assemble")
     block = assemble_rows(mesh, params, node_range, config)

@@ -120,9 +120,14 @@ def _csr_join(counts, indices, data):
 
 def _stacked(blocks, n: int):
     """CSR ``(indptr, indices, data)`` of row blocks stacked in order."""
-    ends = [b.row_start + len(b.indptr) - 1 for b in blocks]
-    if [b.row_start for b in blocks] + [n] != [0] + ends:
-        raise SparseFormatError(f"row blocks do not cover rows [0, {n})")
+    row = 0
+    for k, b in enumerate(blocks):
+        if b.row_start != row:
+            raise SparseFormatError(
+                f"row block {k} starts at row {b.row_start}, expected {row}")
+        row += len(b.indptr) - 1
+    if row != n:
+        raise SparseFormatError(f"row blocks end at row {row}, expected {n}")
     return _csr_join([np.diff(b.indptr) for b in blocks],
                      [b.indices for b in blocks], [b.data for b in blocks])
 

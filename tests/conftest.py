@@ -210,7 +210,7 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
         eps, mu = params.element_values(e)
         em = element_matrices(mesh.nodes[conn] - mesh.nodes[conn].min(axis=0),
                               eps, mu, params.k0, config.quadrature)
-        blk = em.curl_curl - em.mass + config.penalty_weight * em.penalty
+        blk = em.curl_curl - em.mass + em.penalty
         dofs = (3 * conn[:, None] + np.arange(3)).ravel()
         a[np.ix_(dofs, dofs)] += blk
     for quad, normal, kind in zip(mesh.facet_nodes, mesh.facet_normals,
@@ -248,8 +248,7 @@ def node_loop_rows(mesh, params, config):
     for e, conn in enumerate(mesh.elements):
         em = element_matrices(snapped(conn), *params.element_values(e),
                               params.k0, config.quadrature)
-        blocks.append((conn, em.curl_curl - em.mass
-                       + config.penalty_weight * em.penalty))
+        blocks.append((conn, em.curl_curl - em.mass + em.penalty))
     elem_blocks, blocks = blocks, []
     for quad, normal, kind in zip(mesh.facet_nodes, mesh.facet_normals,
                                   mesh.facet_kinds):

@@ -15,7 +15,7 @@ from hexwave.fabric import CommFabric, run_spmd
 from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
-from hexwave.sparse import RedundantRows, partition_rows
+from hexwave.sparse import RedundantRows, _CsrBase, partition_rows
 
 from conftest import (abc_incident_load, assert_same_csr, curl_block_oracle,
                       element_loop_assemble, facet_loop_rhs,
@@ -509,6 +509,41 @@ def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
     np.testing.assert_allclose(after, before + before.T, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(rhs, 2.0 * rhs_before)
     np.testing.assert_array_equal(block.to_dense(), before)
+
+
+def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
+    mesh = _scatter_mesh(4)
+    ((block, rhs),), part, _ = _assembled(mesh)
+    before = [a.copy() for a in (block.indptr, block.indices, block.data)]
+    sym, _ = symmetrize(block, rhs, part, 0)
+    assert sym.indptr is block.indptr and sym.indices is block.indices
+    assert not np.shares_memory(sym.data, block.data)
+    for got, want in zip((block.indptr, block.indices, block.data), before):
+        assert np.array_equal(got, want)
+
+
+def test_symmetrize_rejects_unmirrored_pattern():
+    """Dropping one stored entry (r, c), c > r, leaves row r unmirrored."""
+    mesh = build_box_mesh((1.,) * 3, 3)
+    ((block, rhs),), part, _ = _assembled(mesh)
+    r = 30
+    drop = block.indptr[r + 1] - 1               # last (largest) column
+    assert block.indices[drop] > r
+    keep = np.arange(block.nnz) != drop
+    broken = _CsrBase(block.n, block.indptr - (np.arange(block.n + 1) > r),
+                         block.indices[keep], block.data[keep])
+    with pytest.raises(AssemblyError, match=f"^row {r} is not mirrored"):
+        symmetrize(broken, rhs, part, 0)
+
+
+def test_symmetrize_multi_rank_partition_needs_the_fabric():
+    """Without the fabric a rank never receives the transposes owned by
+    other ranks, so its pattern cannot be mirrored."""
+    mesh = build_box_mesh((1.,) * 3, 3)
+    out, part, _ = _assembled(mesh, ranks=2)
+    for r in range(2):
+        with pytest.raises(AssemblyError, match="is not mirrored"):
+            symmetrize(*out[r], part, r)
 
 
 def test_symmetrize_exactly_symmetric():

@@ -110,6 +110,30 @@ def test_bad_config_value_exit_four(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[solver]\nprecondtioner = icp\n", "[solver] precondtioner"),
+    ("[solver]\npenalty_weight = 2.0\n", "[solver] penalty_weight"),
+    ("[domian]\nextent = 1 1 1\n", "[domian]"),
+], ids=["misspelled-key", "removed-key", "misspelled-section"])
+def test_unknown_config_key_or_section_exit_four(tmp_path, capsys, text,
+                                                 named):
+    p = tmp_path / "typo.ini"
+    p.write_text(text)
+    assert main(["run", "--config", str(p)]) == 4
+    assert named in capsys.readouterr().err
+
+
+def test_readme_ini_example_loads(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    p = tmp_path / "readme.ini"
+    p.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    sc = Scenario.from_config(str(p))
+    assert sc.extent == (1.2, 1.2, 1.2)
+    assert sc.preconditioner == "bicp" and sc.ranks == 4
+    assert sc.symmetry_planes == [("z+", "symmetry")]
+    assert sc.scatterer.corner_min == (0.4, 0.4, 0.4)
+
+
 def test_missing_config_file_exit_four(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 4
 

@@ -82,7 +82,7 @@ def test_lower_storage_from_rows_equals_row_loop(rng):
 def test_row_blocks_stack_into_either_storage(rng):
     """Blocks of 3, 0 and 6 rows, each starting at its first row, stack
     bitwise into the one-block matrix; blocks that leave a gap, overlap
-    or stop short are rejected."""
+    or stop short are rejected, naming the row where coverage breaks."""
     rows, _ = random_symmetric_sparse(rng, 9)
     split = [row_block(rows[:3], 9), row_block([], 9, 3),
              row_block(rows[3:], 9, 3)]
@@ -92,11 +92,15 @@ def test_row_blocks_stack_into_either_storage(rng):
         stacked = build(split, 9)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(stacked, name), getattr(whole, name))
-        for blocks in ([row_block(rows[:3], 9), row_block(rows[4:], 9, 4)],
-                       [row_block(rows[:4], 9), row_block(rows[3:], 9, 3)],
-                       [row_block(rows[:8], 9)],
-                       [row_block(rows[1:], 9, 1)]):
-            with pytest.raises(SparseFormatError, match="do not cover"):
+        for blocks, message in (
+                ([row_block(rows[:3], 9), row_block(rows[4:], 9, 4)],
+                 "row block 1 starts at row 4, expected 3"),
+                ([row_block(rows[:4], 9), row_block(rows[3:], 9, 3)],
+                 "row block 1 starts at row 3, expected 4"),
+                ([row_block(rows[:8], 9)], "row blocks end at row 8, expected 9"),
+                ([row_block(rows[1:], 9, 1)],
+                 "row block 0 starts at row 1, expected 0")):
+            with pytest.raises(SparseFormatError, match=f"^{message}$"):
                 build(blocks, 9)
 
 
