@@ -412,6 +412,23 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
 # Conjugate gradient (complex symmetric variant)
 # ---------------------------------------------------------------------------
 
+# OpenBLAS splits a dot longer than 10,000 entries over its thread pool,
+# so its bits follow the core count; the CG sums fixed blocks in order.
+_DOT_BLOCK = 8192
+
+
+def _dot(u: np.ndarray, v: np.ndarray):
+    total = np.dot(u[:_DOT_BLOCK], v[:_DOT_BLOCK])
+    for k in range(_DOT_BLOCK, len(u), _DOT_BLOCK):
+        total += np.dot(u[k:k + _DOT_BLOCK], v[k:k + _DOT_BLOCK])
+    return total
+
+
+def _norm(u: np.ndarray) -> float:
+    """np.linalg.norm's formula for complex input, over _dot."""
+    return float(np.sqrt(_dot(u.real, u.real) + _dot(u.imag, u.imag)))
+
+
 def _apply_preconditioner(precond: Preconditioner, r: np.ndarray,
                           partition: RowPartition, rank: int,
                           fabric: CommFabric, concat: str) -> np.ndarray:
@@ -443,7 +460,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner,
 
     x = np.zeros(n, dtype=np.complex128)
     r = b.astype(np.complex128).copy()
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(r)
     if bnorm == 0.0:
         report = SolveReport(
             iterations=0, residual_history=[0.0], converged=True,
@@ -454,15 +471,15 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner,
 
     z = _apply_preconditioner(precond, r, partition, rank, fabric, concat)
     p = z.copy()
-    rho = np.dot(r, z)
-    history = [float(np.linalg.norm(r)) / bnorm]
+    rho = _dot(r, z)
+    history = [_norm(r) / bnorm]
     converged = False
     breakdown = False
     iterations = 0
     for _ in range(max_iter):
         partial = spmv_partial(a, partition, rank, p)
         q = concat_fn(fabric, rank, partial)
-        denom = np.dot(p, q)
+        denom = _dot(p, q)
         if denom == 0:
             breakdown = True
             break
@@ -470,20 +487,20 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner,
         x = x + alpha * p
         r = r - alpha * q
         iterations += 1
-        rel = float(np.linalg.norm(r)) / bnorm
+        rel = _norm(r) / bnorm
         history.append(rel)
         if rel <= tol:
             converged = True
             break
         z = _apply_preconditioner(precond, r, partition, rank, fabric, concat)
-        rho_new = np.dot(r, z)
+        rho_new = _dot(r, z)
         if rho_new == 0:
             breakdown = True
             break
         p = z + (rho_new / rho) * p
         rho = rho_new
 
-    true_res = float(np.linalg.norm(b - full_matvec(a, x))) / bnorm
+    true_res = _norm(b - full_matvec(a, x)) / bnorm
     report = SolveReport(
         iterations=iterations, residual_history=history,
         converged=converged, breakdown=breakdown,

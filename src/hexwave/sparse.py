@@ -133,7 +133,9 @@ def _stacked(blocks, n: int):
 
 
 class LowerSymmetricRows(_CsrBase):
-    """Storage #1: only the lower triangle of a symmetric matrix, row-wise."""
+    """Storage #1: only the lower triangle of a symmetric matrix, row-wise.
+    ``targets`` holds each stored entry's transpose row, or ``n`` for a
+    diagonal entry; ``indices`` is read-only so it cannot go stale."""
 
     def __init__(self, n, indptr, indices, data):
         super().__init__(n, indptr, indices, data)
@@ -144,6 +146,9 @@ class LowerSymmetricRows(_CsrBase):
             raise SparseFormatError(
                 f"row {rows[np.argmax(bad)]}: columns must be strictly "
                 "increasing and <= row")
+        self.indices = self.indices.view()
+        self.indices.flags.writeable = False
+        self.targets = np.where(self.indices < rows, self.indices, self.n)
 
     @classmethod
     def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
@@ -226,14 +231,14 @@ def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
                   x: np.ndarray) -> np.ndarray:
     """Length-n product of rows [lo, hi) of lower-triangle storage with x,
     each stored off-diagonal entry also acting as its transpose."""
-    out = np.zeros(m.n, dtype=np.complex128)
+    out = np.zeros(m.n + 1, dtype=np.complex128)
     out[lo:hi] = _segment_matvec(m, lo, hi, x)
     s, e = m.indptr[lo], m.indptr[hi]
-    cols = m.indices[s:e]
-    rows = np.repeat(np.arange(lo, hi), np.diff(m.indptr[lo:hi + 1]))
-    off = cols < rows
-    np.add.at(out, cols[off], m.data[s:e][off] * x[rows[off]])
-    return out
+    # np.multiply, not `*`: `*` may reuse the repeat's temporary by swapping
+    # the operands, and the complex product then rounds differently.
+    np.add.at(out, m.targets[s:e], np.multiply(
+        m.data[s:e], np.repeat(x[lo:hi], np.diff(m.indptr[lo:hi + 1]))))
+    return out[:m.n]
 
 
 def spmv_partial(m, partition: RowPartition, rank: int,

@@ -3,8 +3,9 @@
 The oracles here are deliberately independent of the package
 implementation: element integrals come from closed-form tensor products
 of 1D linear-element matrices, global assembly from a dense
-element-by-element scatter, and the incomplete factorization from a
-dense zero-fill loop or a sparse loop over single stored entries.
+element-by-element scatter, the storage-1 product from a mask over the
+strict lower entries, and the incomplete factorization from a dense
+zero-fill loop or a sparse loop over single stored entries.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
-from hexwave.sparse import _CsrBase
+from hexwave.sparse import _CsrBase, _segment_matvec
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +351,13 @@ def assert_same_csr(a, b) -> None:
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
 
 
+def same_bits(got, ref) -> bool:
+    """Equal dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and got.tobytes() == ref.tobytes())
+
+
 def phase_traffic(fabric, phase: str) -> tuple[int, int]:
     """Messages and bytes of one phase, summed over ranks, as the
     fabric's counters report gives them."""
@@ -357,6 +365,23 @@ def phase_traffic(fabric, phase: str) -> tuple[int, int]:
                 for c in per_rank if c["phase"] == phase]
     return (sum(c["messages"] for c in counters),
             sum(c["bytes"] for c in counters))
+
+
+def masked_lower_matvec(m, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
+    """Length-n product of rows [lo, hi) of lower-triangle storage with x.
+
+    Row ids are rebuilt per call and the strict-lower entries picked by a
+    boolean mask; their transposes are scattered with ``np.add.at`` in
+    storage order.  The package's storage-1 product must match it bitwise.
+    """
+    out = np.zeros(m.n, dtype=np.complex128)
+    out[lo:hi] = _segment_matvec(m, lo, hi, x)
+    s, e = m.indptr[lo], m.indptr[hi]
+    cols = m.indices[s:e]
+    rows = np.repeat(np.arange(lo, hi), np.diff(m.indptr[lo:hi + 1]))
+    off = cols < rows
+    np.add.at(out, cols[off], m.data[s:e][off] * x[rows[off]])
+    return out
 
 
 # ---------------------------------------------------------------------------

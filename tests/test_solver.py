@@ -1,6 +1,9 @@
 """Preconditioners, triangular solves and the conjugate gradient loop."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -14,13 +17,15 @@ from hexwave.mesh import ScattererSpec
 from hexwave.runner import Scenario, run_scenario
 from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             Preconditioner, SingularPreconditionerError,
-                            _row_destinations, build_bicp, build_dp,
-                            build_icp, cg_solve, forward_back_substitute)
+                            _dot, _norm, _row_destinations, build_bicp,
+                            build_dp, build_icp, cg_solve,
+                            forward_back_substitute)
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                             partition_rows, to_redundant)
 
 from conftest import (csr_from_rows, dense_ic_oracle, entry_loop_ic,
-                      phase_traffic, random_symmetric_sparse, row_block)
+                      phase_traffic, random_symmetric_sparse, row_block,
+                      same_bits)
 
 
 def _one_rank(n):
@@ -648,3 +653,66 @@ def test_cg_report_serializes(rng):
     blob = json.loads(rep.to_json())
     assert blob["preconditioner"] == "dp"
     assert blob["iterations"] == rep.iterations
+
+
+# -- blocked inner products --------------------------------------------------
+
+@pytest.mark.parametrize("n", [0, 1, 7, 4096, 8191, 8192])
+def test_blocked_dot_and_norm_are_numpy_up_to_one_block(rng, n):
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = rng.standard_normal(n)
+    assert same_bits(_dot(u, v), np.dot(u, v))
+    assert same_bits(_dot(u.real, v.real), np.dot(u.real, v.real))
+    assert same_bits(_norm(u), np.linalg.norm(u))
+    assert same_bits(_norm(w), np.linalg.norm(w))
+
+
+def test_blocked_dot_sums_blocks_in_order(rng):
+    n = 20_000
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    blocks = [np.dot(u[k:k + 8192], v[k:k + 8192]) for k in (0, 8192, 16384)]
+    assert same_bits(_dot(u, v), blocks[0] + blocks[1] + blocks[2])
+    np.testing.assert_allclose(_dot(u, v), np.dot(u, v), rtol=1e-12)
+    np.testing.assert_allclose(_norm(u), np.linalg.norm(u), rtol=1e-14)
+
+
+_EMPTY_BOX_RUNS = """
+import hashlib, json
+from hexwave.runner import Scenario, run_scenario
+out = {}
+for ranks in (1, 2):
+    res = run_scenario(Scenario(nodes_per_wavelength=15, storage="1",
+                                preconditioner="dp", ranks=ranks))
+    out[ranks] = [hashlib.sha256(res.solution.tobytes()).hexdigest(),
+                  [h.hex() for h in res.report.residual_history]]
+print(json.dumps(out))
+"""
+
+
+def _empty_box_runs(blas_threads: str | None) -> dict:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "GOTO_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    package_root = os.path.dirname(os.path.dirname(solver.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _EMPTY_BOX_RUNS], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_solution_independent_of_blas_thread_count():
+    """The 10,125-unknown empty box (storage 1, dp, P = 1 and 2) gives the
+    same solution and residual history with one OpenBLAS thread as with
+    the library's default pool.  Its vectors are longer than the length
+    from which OpenBLAS splits one dot product over threads; on a
+    single-core host both runs use one thread and the test is vacuous."""
+    pinned = _empty_box_runs("1")
+    default = _empty_box_runs(None)
+    assert pinned == default
+    assert all(len(history) > 2 for _, history in pinned.values())

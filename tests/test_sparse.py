@@ -7,12 +7,15 @@ import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexwave.fabric import CommFabric, run_spmd
+from hexwave.runner import Scenario, assemble_system, build_scenario_mesh
 from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
                             RedundantRows, RowPartition, SparseFormatError,
                             SparseVector, full_matvec, partition_rows,
                             spmv_partial, to_redundant, write_matrix_market,
                             write_rhs)
-from conftest import random_symmetric_sparse, row_block
+from conftest import (masked_lower_matvec, random_symmetric_sparse, row_block,
+                      same_bits)
 
 
 # -- partitioning ------------------------------------------------------------
@@ -211,6 +214,76 @@ def test_spmv_property_random(nodes, seed):
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     np.testing.assert_allclose(full_matvec(m, x), dense @ x,
                                rtol=1e-12, atol=1e-12)
+
+
+def _assert_lower_spmv_matches_oracle(m, part, x) -> None:
+    """Every rank's partial product, and the full product, are bitwise
+    the mask-and-gather oracle's."""
+    for r in range(part.ranks):
+        lo, hi = part.dof_range(r)
+        ref = SparseVector.from_dense(masked_lower_matvec(m, lo, hi, x))
+        got = spmv_partial(m, part, r, x)
+        assert same_bits(got.indices, ref.indices), r
+        assert same_bits(got.values, ref.values), r
+    assert same_bits(full_matvec(m, x), masked_lower_matvec(m, 0, m.n, x))
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 3])
+def test_lower_spmv_bitwise_equals_masked_oracle(rng, ranks):
+    nodes = 7
+    n = 3 * nodes
+    rows, _ = random_symmetric_sparse(rng, n, density=0.4)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, n)], n)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    _assert_lower_spmv_matches_oracle(m, partition_rows(nodes, ranks), x)
+
+
+def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
+    """Row 1 stores no diagonal, row 2 stores nothing; a second matrix of
+    the same size but another pattern keeps its own transpose targets."""
+    n = 5
+    indptr = [0, 1, 2, 2, 5, 8]
+    indices = [0, 0, 0, 1, 3, 2, 3, 4]
+    data = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    other = LowerSymmetricRows(n, [0, 1, 3, 4, 6, 7], [0, 0, 1, 2, 1, 3, 4],
+                               rng.standard_normal(7) + 1j)
+    m = LowerSymmetricRows(n, indptr, indices, data)
+    np.testing.assert_array_equal(m.targets, [5, 0, 0, 1, 5, 2, 3, 5])
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ranks in (1, 2, 3):
+        part = RowPartition(node_starts=partition_rows(n, ranks).node_starts,
+                            dofs_per_node=1)
+        _assert_lower_spmv_matches_oracle(m, part, x)
+        _assert_lower_spmv_matches_oracle(other, part, x)
+
+
+def test_lower_storage_indices_are_read_only(rng):
+    """The transpose targets are built once from ``indices``, so the
+    indices cannot be changed behind them."""
+    rows, _ = random_symmetric_sparse(rng, 6)
+    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 6)], 6)
+    with pytest.raises(ValueError, match="read-only"):
+        m.indices[0] = 1
+    passed = np.array([0, 0, 1], dtype=np.int64)
+    LowerSymmetricRows(2, [0, 1, 3], passed, np.ones(3))
+    passed[0] = 0          # the caller's own array stays writable
+
+
+def test_lower_spmv_oracle_on_empty_box_system():
+    """The storage-1 system of the 8000-node empty box that the
+    ``empty-dp-p2`` benchmark workload solves on two ranks."""
+    sc = Scenario(extent=(1.0, 1.0, 1.0), nodes_per_wavelength=20,
+                  direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
+                  ranks=2, storage="1")
+    mesh = build_scenario_mesh(sc)
+    part = partition_rows(mesh.node_count, 2)
+    out = run_spmd(2, lambda f, r: assemble_system(sc, mesh, part, r, f),
+                   fabric=CommFabric(2))
+    m = out[0][0]
+    assert isinstance(m, LowerSymmetricRows) and m.n == 24_000
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
+    _assert_lower_spmv_matches_oracle(m, part, x)
 
 
 def test_sparse_vector_filters_zeros():
