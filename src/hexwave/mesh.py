@@ -88,22 +88,6 @@ class HexMesh:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.nodes.min(axis=0), self.nodes.max(axis=0)
 
-    def export_text(self, path) -> None:
-        """Plain-text node/element/facet listing, one record per line."""
-        with open(path, "w") as fh:
-            fh.write(f"nodes {self.node_count} spacing {float(self.spacing)!r}\n")
-            for i, p in enumerate(self.nodes):
-                fh.write(f"n {i} {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-            fh.write(f"elements {self.element_count}\n")
-            for e, conn in enumerate(self.elements):
-                fh.write("e " + str(e) + " " + " ".join(map(str, conn)) + "\n")
-            fh.write(f"facets {len(self.facet_kinds)}\n")
-            for quad, e, n, kind in zip(self.facet_nodes, self.facet_elements,
-                                        self.facet_normals, self.facet_kinds):
-                fh.write("f " + " ".join(map(str, quad))
-                         + f" {e} {kind.value}"
-                         + f" {n[0]:.1f} {n[1]:.1f} {n[2]:.1f}\n")
-
 
 def _mesh_with_boundary(nodes: np.ndarray, elements: np.ndarray,
                         spacing: float) -> HexMesh:

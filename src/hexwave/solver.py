@@ -13,12 +13,12 @@ preconditioners apply L L^T through one level-scheduled
 triangular-solve kernel: the rows of a segment are grouped once per
 factor into dependency levels, and each level is solved as one
 vectorized gather-and-reduce.  ICP pipelines its
-segments over the fabric; BICP blocks solve independently.
+segments over the fabric; a BICP block runs both sweeps on its own
+rows and the blocks merge with one concatenation per apply.
 """
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-import json
 import threading
 
 import numpy as np
@@ -45,25 +45,24 @@ class CholeskyFactor(_CsrBase):
     """Zero-fill lower factor on (a sub-pattern of) A's lower pattern.
 
     Rows [row_start, row_end) are stored CSR-style with the diagonal as
-    the last entry of each row.  ``col_ptr``/``col_rows``/``col_pos``
-    index the same values by column (contiguous per column, rows
-    ascending) for the back sweep.  ``block_local`` marks a BICP block
-    whose columns are restricted to the owned range.
+    the last entry of each row.
     """
 
-    def __init__(self, n, row_start, row_end, indptr, indices, data,
-                 block_local=False):
+    def __init__(self, n, row_start, indptr, indices, data):
         super().__init__(n, indptr, indices, data, row_start)
-        self.row_end = row_end
-        self.block_local = block_local
-        rows = self.entry_rows()
-        self.col_pos = np.lexsort((rows, self.indices))
-        self.col_rows = rows[self.col_pos]
-        self.col_ptr = np.searchsorted(self.indices[self.col_pos],
-                                       np.arange(row_start, row_end + 1))
         # Level schedules per row segment; rank threads may share a factor.
         self._schedules: dict = {}
         self._lock = threading.Lock()
+
+    @property
+    def row_end(self) -> int:
+        return self.row_start + len(self.indptr) - 1
+
+    @property
+    def block_local(self) -> bool:
+        """A BICP block of several ranks: fewer than n rows, and columns
+        only among its own rows."""
+        return self.row_end - self.row_start < self.n
 
     def schedule(self, lo: int, hi: int):
         """``(forward, back)`` level schedules of rows [lo, hi), built on
@@ -111,15 +110,12 @@ class SolveReport:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.as_dict(), **kwargs)
-
 
 # ---------------------------------------------------------------------------
 # Preconditioner construction
 # ---------------------------------------------------------------------------
 
-def build_dp(a, partition: RowPartition | None = None) -> Preconditioner:
+def build_dp(a) -> Preconditioner:
     """Inverse of the matrix diagonal; no message passing."""
     d = a.diagonal()
     zero = np.nonzero(d == 0)[0]
@@ -219,8 +215,7 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows,
         f.pivot(j)
         if f.touches(j):
             f.column(j, *f.row(j))
-    return CholeskyFactor(a.n, lo, hi, f.indptr, f.indices, f.l,
-                          block_local=partition.ranks > 1)
+    return CholeskyFactor(a.n, lo, f.indptr, f.indices, f.l)
 
 
 def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
@@ -271,7 +266,7 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
         fabric.barrier(rank)
 
     def join(parts):
-        return CholeskyFactor(n, 0, n, *_csr_join(
+        return CholeskyFactor(n, 0, *_csr_join(
             [np.diff(p.indptr) for p in parts], [p.indices for p in parts],
             [p.l for p in parts]))
 
@@ -340,8 +335,8 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
     """Forward and back level schedules of rows [lo, hi) of the factor.
 
     The forward sweep reads each row's off-diagonal CSR entries, the back
-    sweep the entries below the diagonal in the same column, both in
-    stored order, so a row's sum never depends on the segment split.
+    sweep the entries below the diagonal in the same column, rows
+    ascending, so a row's sum never depends on the segment split.
     """
     local = np.arange(lo - factor.row_start, hi - factor.row_start)
     diag = factor.indptr[local + 1] - 1
@@ -351,10 +346,14 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
     forward = _schedule_sweep(
         lo, hi, factor.indptr[local], diag, factor.indices,
         np.arange(factor.nnz), diag)
-    # The first entry of each column is its diagonal.
-    back = _schedule_sweep(
-        lo, hi, factor.col_ptr[local] + 1, factor.col_ptr[local + 1],
-        factor.col_rows, factor.col_pos, diag)
+    # Strict-lower entries of columns [lo, hi), grouped by column.
+    rows = factor.entry_rows()
+    below = np.flatnonzero((factor.indices < rows) & (factor.indices >= lo)
+                           & (factor.indices < hi))
+    below = below[np.argsort(factor.indices[below], kind="stable")]
+    ptr = np.searchsorted(factor.indices[below], np.arange(lo, hi + 1))
+    back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows[below], below,
+                           diag)
     return forward, back
 
 
@@ -377,22 +376,26 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
 
     Full factors are solved in pipelined fashion: each rank solves its
     contiguous segment and broadcasts it so the next segment can start
-    (P(P-1) messages per triangular solve).  Block-local factors solve
-    independently and merge with one concatenation per triangular solve.
-    Either way a rank's rows are solved level by level (see
-    ``CholeskyFactor.schedule``), each row summed in its stored order,
-    so a full factor gives a result bitwise independent of P.
+    (P(P-1) messages per triangular solve).  A block-local factor's back
+    sweep reads only its own rows, so each block runs both sweeps alone
+    and the blocks merge with one concatenation per apply.  Either way a
+    rank's rows are solved level by level (see
+    ``CholeskyFactor.schedule``), each row summed in a fixed order, so a
+    full factor gives a result bitwise independent of P.
     """
     n, P = factor.n, fabric.ranks
     lo, hi = partition.dof_range(rank)
     forward, back = factor.schedule(lo, hi)
+    if factor.block_local:
+        y = np.zeros(n, dtype=np.complex128)
+        x = np.zeros(n, dtype=np.complex128)
+        _solve_levels(forward, factor.data, b, y)
+        _solve_levels(back, factor.data, y, x)
+        return CONCAT_STRATEGIES[concat](
+            fabric, rank, SparseVector.from_segment(lo, x[lo:hi], n))
 
     def sweep(levels, rhs, segs):
         out = np.zeros(n, dtype=np.complex128)
-        if factor.block_local:
-            _solve_levels(levels, factor.data, rhs, out)
-            return CONCAT_STRATEGIES[concat](
-                fabric, rank, SparseVector.from_segment(lo, out[lo:hi], n))
         for seg in segs:
             if seg == rank:
                 _solve_levels(levels, factor.data, rhs, out)

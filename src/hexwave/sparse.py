@@ -195,11 +195,6 @@ class SparseVector:
     size: int
 
     @classmethod
-    def from_dense(cls, x: np.ndarray) -> "SparseVector":
-        idx = np.nonzero(x)[0]
-        return cls(indices=idx.astype(np.int64), values=x[idx], size=len(x))
-
-    @classmethod
     def from_segment(cls, lo: int, values: np.ndarray, size: int) -> "SparseVector":
         values = np.asarray(values, dtype=np.complex128)
         idx = np.nonzero(values)[0]
@@ -255,7 +250,7 @@ def spmv_partial(m, partition: RowPartition, rank: int,
         raise ValueError(f"vector length {len(x)} != {expected}")
     lo, hi = partition.dof_range(rank)
     if isinstance(m, LowerSymmetricRows):
-        return SparseVector.from_dense(_lower_matvec(m, lo, hi, x))
+        return SparseVector.from_segment(0, _lower_matvec(m, lo, hi, x), m.n)
     return SparseVector.from_segment(lo, _segment_matvec(m, lo, hi, x), m.n)
 
 

@@ -16,7 +16,7 @@ from conftest import phase_traffic
 
 
 def test_payload_accounting_sparse_vector():
-    sv = SparseVector.from_dense(np.array([1 + 1j, 0, 2.0]))
+    sv = SparseVector.from_segment(0, np.array([1 + 1j, 0, 2.0]), 3)
     assert payload_bytes(sv) == 2 * (INDEX_BYTES + COMPLEX_BYTES)
 
 
@@ -141,8 +141,8 @@ def test_strategies_produce_identical_sums():
     rng = np.random.default_rng(11)
     n = 20
     # overlapping partials this time: order of summation matters
-    parts = [SparseVector.from_dense(rng.standard_normal(n)
-                                     + 1j * rng.standard_normal(n))
+    parts = [SparseVector.from_segment(0, rng.standard_normal(n)
+                                       + 1j * rng.standard_normal(n), n)
              for _ in range(ranks)]
     out_a = run_spmd(ranks, lambda f, r: spmd_concat(f, r, parts[r]),
                      fabric=CommFabric(ranks))

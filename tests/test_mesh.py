@@ -131,16 +131,6 @@ def test_unknown_face_rejected():
         classify_boundary(mesh, [("w+", "symmetry")])
 
 
-def test_export_text_roundtrippable(tmp_path):
-    mesh = build_box_mesh((1.0, 1.0, 1.0), 3)
-    path = tmp_path / "mesh.txt"
-    mesh.export_text(path)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("nodes 27")
-    assert sum(1 for l in text if l.startswith("e ")) == 8
-    assert sum(1 for l in text if l.startswith("f ")) == 24
-
-
 def test_facet_order_deterministic():
     a = build_box_mesh((1.0, 1.0, 1.0), 4)
     b = build_box_mesh((1.0, 1.0, 1.0), 4)

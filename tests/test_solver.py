@@ -152,6 +152,7 @@ def test_bicp_single_rank_is_icp_bitwise(rng):
     assert np.array_equal(icp.indices, bicp.indices)
     assert np.array_equal(icp.data, bicp.data)
     assert np.array_equal(icp.indptr, bicp.indptr)
+    assert not bicp.block_local
 
 
 def test_bicp_blocks_match_per_block_oracle(rng):
@@ -212,7 +213,7 @@ def test_factor_builds_equal_on_either_storage(rng, ranks):
     (factors2, counters2), (factors1, counters1) = built
     assert counters1 == counters2
     for f1, f2 in zip(factors1, factors2):
-        for name in ("indptr", "indices", "data", "col_ptr", "col_pos"):
+        for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
@@ -292,6 +293,21 @@ def test_precond_build_traffic_pinned(ranks, storage):
     assert counters["bicp"] == ([0] * ranks, [0] * ranks, 2)
 
 
+@pytest.mark.parametrize("concat", ["spmd", "ms"])
+@pytest.mark.parametrize("ranks", [2, 3, 4])
+def test_bicp_solve_concatenates_once_per_apply(ranks, concat):
+    """Each product and each bicp apply is one concatenation: P^2 - P
+    messages under spmd, 2(P - 1) under ms.  A converged solve makes as
+    many applies as iterations, counting the initial one."""
+    report = run_scenario(_grid_scenario(preconditioner="bicp", ranks=ranks,
+                                         concat=concat)).report
+    assert report.converged and report.iterations > 0
+    messages = sum(c["messages"] for per_rank in report.counters["per_rank"]
+                   for c in per_rank if c["phase"] == "solve-iteration")
+    per_concat = ranks * (ranks - 1) if concat == "spmd" else 2 * (ranks - 1)
+    assert messages == 2 * per_concat * report.iterations
+
+
 # -- column-batched kernel against the per-entry loop ------------------------
 
 def _kernel_system(rng, kind, storage):
@@ -311,10 +327,9 @@ def _kernel_system(rng, kind, storage):
     return (a if storage == "2" else _lower(a)), lambda r: _dof_split(30, r)
 
 
-def _oracle_factor(a, lo, hi, block_local=False):
-    return CholeskyFactor(a.n, lo, hi,
-                          *csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo),
-                          block_local=block_local)
+def _oracle_factor(a, lo, hi):
+    return CholeskyFactor(a.n, lo,
+                          *csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo))
 
 
 def _assert_kernel_edge_cases(a, part):
@@ -333,9 +348,9 @@ def _assert_kernel_edge_cases(a, part):
 
 
 def _assert_same_factor(got, ref):
-    """Pattern and column twin bitwise; values to 1e-12 normwise, since
-    the kernel sums each prefix in another order than ``np.dot``."""
-    for name in ("indptr", "indices", "col_ptr", "col_rows", "col_pos"):
+    """Pattern bitwise; values to 1e-12 normwise, since the kernel sums
+    each prefix in another order than ``np.dot``."""
+    for name in ("indptr", "indices"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.block_local == ref.block_local
     gap = np.linalg.norm(got.data - ref.data) / np.linalg.norm(ref.data)
@@ -364,7 +379,7 @@ def test_bicp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     for r in range(ranks):
         lo, hi = part.dof_range(r)
         _assert_same_factor(build_bicp(a, part, r),
-                            _oracle_factor(a, lo, hi, block_local=ranks > 1))
+                            _oracle_factor(a, lo, hi))
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -538,8 +553,8 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
     indptr = np.array([0, 1, 3, 5, 7])
     indices = np.array([0, 0, 1, 1, 2, 2, 3])
     data = np.array([2, 1, 3, 1, 0, 1, 5], dtype=complex)   # L[2, 2] = 0
-    factor = CholeskyFactor(n=n, row_start=0, row_end=n, indptr=indptr,
-                            indices=indices, data=data)
+    factor = CholeskyFactor(n=n, row_start=0, indptr=indptr, indices=indices,
+                            data=data)
     with pytest.raises(FactorBreakdownError, match="row 2"):
         forward_back_substitute(factor, np.ones(n, dtype=complex),
                                 _one_rank(n), 0, CommFabric(1))
@@ -646,11 +661,10 @@ def test_cg_nonconvergence_reported(rng):
 
 
 def test_cg_report_serializes(rng):
-    import json
     ar, _, b = _cg_system(rng)
     part = _one_rank(18)
     _, rep = cg_solve(ar, b, build_dp(ar), part, 0, CommFabric(1), tol=1e-8)
-    blob = json.loads(rep.to_json())
+    blob = json.loads(json.dumps(rep.as_dict()))
     assert blob["preconditioner"] == "dp"
     assert blob["iterations"] == rep.iterations
 

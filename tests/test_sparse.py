@@ -142,7 +142,7 @@ def test_byte_accounting(rng):
     rows, _ = random_symmetric_sparse(rng, 6)
     m = RedundantRows.from_rows([row_block(rows, 6)], 6)
     assert m.value_bytes() == 16 * m.nnz
-    v = SparseVector.from_dense(np.array([0, 1 + 1j, 0, 2.0]))
+    v = SparseVector.from_segment(0, np.array([0, 1 + 1j, 0, 2.0]), 4)
     assert v.payload_bytes() == 2 * (INDEX_BYTES + COMPLEX_BYTES)
 
 
@@ -221,7 +221,8 @@ def _assert_lower_spmv_matches_oracle(m, part, x) -> None:
     the mask-and-gather oracle's."""
     for r in range(part.ranks):
         lo, hi = part.dof_range(r)
-        ref = SparseVector.from_dense(masked_lower_matvec(m, lo, hi, x))
+        ref = SparseVector.from_segment(0, masked_lower_matvec(m, lo, hi, x),
+                                        m.n)
         got = spmv_partial(m, part, r, x)
         assert same_bits(got.indices, ref.indices), r
         assert same_bits(got.values, ref.values), r
