@@ -15,10 +15,10 @@ from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                      write_matrix_market)
 from .fabric import (CommFabric, FabricError, FabricTimeout, MessageCounters,
                      master_slave_concat, run_spmd, spmd_concat)
-from .assembly import (AssemblyConfig, AssemblyError, MaterialParams,
-                       PlaneWave, apply_symmetry_bc, assemble_rhs,
-                       assemble_rows, constrained_dofs, element_matrices,
-                       incident_field, symmetrize)
+from .assembly import (AssemblyError, MaterialParams, PlaneWave,
+                       apply_symmetry_bc, assemble_rhs, assemble_rows,
+                       constrained_dofs, element_matrices, incident_field,
+                       symmetrize)
 from .solver import (CholeskyFactor, FactorBreakdownError, Preconditioner,
                      SingularPreconditionerError, SolveReport, SolverError,
                      build_bicp, build_dp, build_icp, cg_solve,

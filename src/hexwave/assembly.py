@@ -26,6 +26,10 @@ from .sparse import RowPartition, _CsrBase, _csr_join, _ranges
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
 _REF_QUAD = np.array([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+# Gauss-Legendre points and weights per direction: two points integrate
+# every block of an axis-aligned trilinear element or bilinear facet
+# exactly.
+_GAUSS = np.polynomial.legendre.leggauss(2)
 
 
 class AssemblyError(ValueError):
@@ -84,11 +88,6 @@ class AbcFacetMatrices:
     second_order: np.ndarray
 
 
-@dataclass(frozen=True)
-class AssemblyConfig:
-    quadrature: int = 2                  # Gauss points per direction
-
-
 def _hex_shapes(xi: np.ndarray):
     """Trilinear shape values (8,) and reference gradients (8, 3) at xi."""
     t = 1.0 + _REF_CORNERS * xi          # (8, 3)
@@ -111,14 +110,14 @@ def _quad_shapes(uv: np.ndarray):
 
 
 def element_matrices(coords: np.ndarray, eps_r: complex, mu_r: complex,
-                     k0: float, quadrature: int = 2) -> ElementMatrices:
+                     k0: float) -> ElementMatrices:
     """Volume blocks of one trilinear hexahedron.
 
     ``coords`` is (8, 3) in VTK corner order.  Raises on non-positive
     Jacobians (degenerate or inverted elements).
     """
     coords = np.asarray(coords, dtype=float)
-    pts, wts = np.polynomial.legendre.leggauss(quadrature)
+    pts, wts = _GAUSS
     curl = np.zeros((8, 3, 8, 3), dtype=np.complex128)
     mass = np.zeros((8, 8))
     pen = np.zeros((8, 3, 8, 3))
@@ -168,11 +167,10 @@ def _facet_planes(coords: np.ndarray, normals: np.ndarray, ids=None):
     return taxes, np.take_along_axis(coords, taxes[:, None, :], axis=2)
 
 
-def _abc_matrices(taxes: np.ndarray, p2: np.ndarray, k0: float,
-                  quadrature: int = 2):
+def _abc_matrices(taxes: np.ndarray, p2: np.ndarray, k0: float):
     """Stacked (F, 12, 12) first- and second-order blocks of F facets from
     the bilinear surface mass and stiffness on their planes."""
-    pts, wts = np.polynomial.legendre.leggauss(quadrature)
+    pts, wts = _GAUSS
     ms = np.zeros((len(p2), 4, 4))
     ks = np.zeros((len(p2), 4, 4))
     for u, wu in zip(pts, wts):
@@ -194,8 +192,8 @@ def _abc_matrices(taxes: np.ndarray, p2: np.ndarray, k0: float,
     return first, second
 
 
-def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray, k0: float,
-                       quadrature: int = 2) -> AbcFacetMatrices:
+def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray,
+                       k0: float) -> AbcFacetMatrices:
     """Absorbing-boundary blocks of one exterior facet.
 
     first_order = j k0 * (surface mass on the tangential components);
@@ -206,7 +204,7 @@ def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray, k0: float,
     """
     taxes, p2 = _facet_planes(np.asarray(coords, dtype=float)[None],
                               np.asarray(normal, dtype=float)[None])
-    first, second = _abc_matrices(taxes, p2, k0, quadrature)
+    first, second = _abc_matrices(taxes, p2, k0)
     return AbcFacetMatrices(first_order=first[0], second_order=second[0])
 
 
@@ -272,8 +270,7 @@ def _first_blocks(keys: np.ndarray, build):
 
 
 def assemble_rows(mesh: HexMesh, params: MaterialParams,
-                  node_range: tuple[int, int],
-                  config: AssemblyConfig = AssemblyConfig()) -> _CsrBase:
+                  node_range: tuple[int, int]) -> _CsrBase:
     """Matrix rows of the owned nodes, assembled by degree of freedom.
 
     Returns the 3*(hi-lo) owned rows as one CSR row block starting at
@@ -298,8 +295,7 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     def element_block(i):
         e = e_elem[i]
         em = element_matrices(_canonical(mesh.nodes[mesh.elements[e]], h),
-                              *params.element_values(e), params.k0,
-                              config.quadrature)
+                              *params.element_values(e), params.k0)
         return em.curl_curl - em.mass + em.penalty
 
     eps, mu = (np.broadcast_to(np.asarray(v, dtype=np.complex128),
@@ -320,7 +316,7 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     def facet_block(i):
         f = f_row[i]
         am = abc_facet_matrices(_canonical(mesh.nodes[fnodes[f]], h),
-                                normals[f], params.k0, config.quadrature)
+                                normals[f], params.k0)
         # The boundary term enters the weak form as +W.g_ABC(H),
         # matching the incident load on the right-hand side.
         return am.first_order + am.second_order
@@ -362,8 +358,8 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     return _CsrBase(n3, *_csr_join(counts, indices, data), row_start=3 * lo)
 
 
-def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
-                 config: AssemblyConfig = AssemblyConfig()) -> np.ndarray:
+def assemble_rhs(mesh: HexMesh, wave: PlaneWave,
+                 node_range: tuple[int, int]) -> np.ndarray:
     """Right-hand-side segment of the owned nodes from exterior facets.
 
     The first-order term and the incident curl are integrated pointwise;
@@ -380,7 +376,7 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
     touched, which = np.unique(f_row, return_inverse=True)
     coords, normals = mesh.nodes[fnodes[touched]], normals[touched]
     taxes, p2 = _facet_planes(coords, normals, ids[touched])
-    pts, wts = np.polynomial.legendre.leggauss(config.quadrature)
+    pts, wts = _GAUSS
     load = np.zeros((len(touched), 4, 3), dtype=np.complex128)
     for u, wu in zip(pts, wts):
         for v, wv in zip(pts, wts):
@@ -391,7 +387,7 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave, node_range: tuple[int, int],
             ht = h - normals * np.matmul(normals[:, None, :], h[:, :, None])[:, 0]
             vec = 1j * wave.k0 * ht - np.cross(normals, curl_h)
             load += (wu * wv * det)[:, None, None] * (m[:, None] * vec[:, None, :])
-    _, second = _abc_matrices(taxes, p2, wave.k0, config.quadrature)
+    _, second = _abc_matrices(taxes, p2, wave.k0)
     trace = incident_field(wave, coords)[0].reshape(-1, 12, 1)
     load += (second @ trace).reshape(-1, 4, 3)
     seg = np.zeros(3 * (hi - lo), dtype=np.complex128)
@@ -459,14 +455,13 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray, mesh: HexMesh,
     rows, cols = block.entry_rows(), block.indices
     diag = fixed[rows] & (cols == rows)
     keep = ~(fixed[rows] | fixed[cols]) | diag
-    data = block.data[keep]
-    data[diag[keep]] = 1.0
+    kept = block.select(keep)
+    kept.data[diag[keep]] = 1.0
     # Eliminated columns carry zero solution values, so the right-hand
     # side is unchanged outside the constrained rows.
     rhs_seg = rhs_seg.copy()
     rhs_seg[mine - lo] = 0.0
-    return _CsrBase(block.n, np.append(0, np.cumsum(keep))[block.indptr],
-                    cols[keep], data, row_start=block.row_start), rhs_seg
+    return kept, rhs_seg
 
 
 def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,

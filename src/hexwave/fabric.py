@@ -38,7 +38,8 @@ class MessageCounters:
 
 
 def payload_bytes(payload) -> int:
-    """Accounting size of a message payload."""
+    """Accounting size of a message payload: a sparse vector, an array,
+    or a tuple or list of them."""
     if isinstance(payload, SparseVector):
         return payload.payload_bytes()
     if isinstance(payload, np.ndarray):
@@ -49,12 +50,6 @@ def payload_bytes(payload) -> int:
         return INDEX_BYTES * payload.size
     if isinstance(payload, (tuple, list)):
         return sum(payload_bytes(p) for p in payload)
-    if isinstance(payload, (int, float)):
-        return INDEX_BYTES
-    if isinstance(payload, complex):
-        return COMPLEX_BYTES
-    if payload is None:
-        return 0
     raise TypeError(f"cannot account for payload of type {type(payload)}")
 
 
@@ -108,12 +103,10 @@ class CommFabric:
 
     # -- point-to-point ------------------------------------------------------
 
-    def send(self, src: int, dst: int, payload, nbytes: int | None = None) -> None:
+    def send(self, src: int, dst: int, payload) -> None:
         if src == dst:
             raise FabricError("a rank does not message itself")
-        if nbytes is None:
-            nbytes = payload_bytes(payload)
-        self._count(src, nbytes)
+        self._count(src, payload_bytes(payload))
         self._queues[dst][src].put(payload)
 
     def recv(self, dst: int, src: int):
@@ -124,11 +117,11 @@ class CommFabric:
                 f"rank {dst} waited {self.timeout}s for a message from rank "
                 f"{src}") from None
 
-    def broadcast(self, src: int, payload, nbytes: int | None = None) -> None:
+    def broadcast(self, src: int, payload) -> None:
         """P-1 point-to-point sends, ascending destination rank."""
         for dst in range(self.ranks):
             if dst != src:
-                self.send(src, dst, payload, nbytes)
+                self.send(src, dst, payload)
 
     # -- collectives ---------------------------------------------------------
 
@@ -172,18 +165,23 @@ class CommFabric:
             return self._combined[seq]
 
 
+def _rank_order_sum(fabric: CommFabric, rank: int,
+                    partial: SparseVector) -> np.ndarray:
+    """Dense sum of every rank's sparse partial, this rank's own and the
+    others' received, added in ascending rank order."""
+    total = np.zeros(partial.size, dtype=np.complex128)
+    for src in range(fabric.ranks):
+        p = partial if src == rank else fabric.recv(rank, src)
+        np.add.at(total, p.indices, p.values)
+    return total
+
+
 def spmd_concat(fabric: CommFabric, rank: int,
                 partial: SparseVector) -> np.ndarray:
     """All-to-all concatenation: every rank broadcasts its sparse partial
     and sums all P of them in ascending rank order; P^2 - P messages."""
     fabric.broadcast(rank, partial)
-    parts: list[SparseVector] = []
-    for src in range(fabric.ranks):
-        parts.append(partial if src == rank else fabric.recv(rank, src))
-    total = np.zeros(partial.size, dtype=np.complex128)
-    for p in parts:
-        np.add.at(total, p.indices, p.values)
-    return total
+    return _rank_order_sum(fabric, rank, partial)
 
 
 def master_slave_concat(fabric: CommFabric, rank: int,
@@ -192,12 +190,8 @@ def master_slave_concat(fabric: CommFabric, rank: int,
     rank 0, which sums in ascending rank order and broadcasts the dense
     result; 2(P - 1) messages, master payloads full-vector sized."""
     if rank == 0:
-        total = np.zeros(partial.size, dtype=np.complex128)
-        parts = [partial] + [fabric.recv(0, src)
-                             for src in range(1, fabric.ranks)]
-        for p in parts:
-            np.add.at(total, p.indices, p.values)
-        fabric.broadcast(0, total, nbytes=COMPLEX_BYTES * partial.size)
+        total = _rank_order_sum(fabric, 0, partial)
+        fabric.broadcast(0, total)
         return total
     fabric.send(rank, 0, partial)
     # Copy: the master broadcasts one array object to every thread.
@@ -207,8 +201,8 @@ def master_slave_concat(fabric: CommFabric, rank: int,
 CONCAT_STRATEGIES = {"spmd": spmd_concat, "ms": master_slave_concat}
 
 
-def run_spmd(ranks: int, fn, *args, fabric: CommFabric | None = None):
-    """Run ``fn(fabric, rank, *args)`` on every rank; returns per-rank results.
+def run_spmd(ranks: int, fn, *, fabric: CommFabric | None = None):
+    """Run ``fn(fabric, rank)`` on every rank; returns per-rank results.
 
     Rank 0 runs P=1 inline (no threads).  The first rank exception is
     re-raised after all workers stop.
@@ -218,13 +212,13 @@ def run_spmd(ranks: int, fn, *args, fabric: CommFabric | None = None):
     if fabric.ranks != ranks:
         raise ValueError("fabric rank count mismatch")
     if ranks == 1:
-        return [fn(fabric, 0, *args)]
+        return [fn(fabric, 0)]
     results: list = [None] * ranks
     errors: list = [None] * ranks
 
     def worker(r):
         try:
-            results[r] = fn(fabric, r, *args)
+            results[r] = fn(fabric, r)
         except BaseException as exc:   # noqa: BLE001 - reported to caller
             errors[r] = (exc, traceback.format_exc())
             if fabric._barrier is not None:

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import (AssemblyConfig, MaterialParams, PlaneWave,
-                       apply_symmetry_bc, assemble_rhs, assemble_rows,
-                       constrained_dofs, symmetrize)
+from .assembly import (MaterialParams, PlaneWave, apply_symmetry_bc,
+                       assemble_rhs, assemble_rows, constrained_dofs,
+                       symmetrize)
 from .fabric import CommFabric, run_spmd
 from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
                    embed_pec_scatterer)
@@ -182,11 +182,10 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
                             k0=scenario.k0)
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
-    config = AssemblyConfig()
     node_range = partition.node_range(rank)
     fabric.set_phase(rank, "assemble")
-    block = assemble_rows(mesh, params, node_range, config)
-    rhs_seg = assemble_rhs(mesh, wave, node_range, config)
+    block = assemble_rows(mesh, params, node_range)
+    rhs_seg = assemble_rhs(mesh, wave, node_range)
     block, rhs_seg = apply_symmetry_bc(block, rhs_seg, mesh, partition, rank,
                                        fabric=fabric)
     block, rhs_seg = symmetrize(block, rhs_seg, partition, rank, fabric=fabric)

@@ -6,9 +6,10 @@ preconditioners are available: inverse diagonal (DP), zero-fill
 incomplete Cholesky built column by column across ranks (ICP), and a
 block variant that factors only rank-local entries and therefore needs
 no build communication (BICP).  Both builds run one column kernel: a
-rank holds its rows of the lower pattern as flat CSR arrays, and all of
-its entries in column j come at once from one gather, multiply and
-segmented sum over the row prefixes left of j.  Both factored
+rank holds its rows of the lower pattern as one CSR row block
+(``sparse._CsrBase``, indexed by column with ``below_by_column``), and
+all of its entries in column j come at once from one gather, multiply
+and segmented sum over the row prefixes left of j.  Both factored
 preconditioners apply L L^T through one level-scheduled
 triangular-solve kernel: the rows of a segment are grouped once per
 factor into dependency levels, and each level is solved as one
@@ -25,7 +26,7 @@ import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
-                     RowPartition, SparseVector, _CsrBase, _csr_join, _ranges,
+                     RowPartition, SparseVector, _CsrBase, _ranges, _stacked,
                      full_matvec, spmv_partial)
 
 
@@ -53,10 +54,6 @@ class CholeskyFactor(_CsrBase):
         # Level schedules per row segment; rank threads may share a factor.
         self._schedules: dict = {}
         self._lock = threading.Lock()
-
-    @property
-    def row_end(self) -> int:
-        return self.row_start + len(self.indptr) - 1
 
     @property
     def block_local(self) -> bool:
@@ -133,51 +130,39 @@ def _ic_diag(l_row_below: np.ndarray, a_jj: complex, j: int) -> complex:
     return piv
 
 
-class _RankFactor:
-    """One rank's rows [lo, hi) of the zero-fill factor, built column by
-    column (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed.,
-    section 10.3).
+class _RankFactor(_CsrBase):
+    """One rank's rows [row_start, row_end) of the zero-fill factor, built
+    column by column (Saad, *Iterative Methods for Sparse Linear Systems*,
+    2nd ed., section 10.3).
 
     The pattern is A's lower triangle from column ``col_min`` on, read
-    from either storage, held as flat CSR arrays with the diagonal last
-    in each row: ``indptr`` (local), ``indices``, the A values ``a`` and
-    the factor values ``l``.  ``by_col[col_ptr[j]:col_ptr[j + 1]]`` are
-    the strict-lower entries of column j, rows ascending.
+    from either storage, with the diagonal last in each row; ``data``
+    holds the factor values as they are computed and ``a`` the A values.
+    ``by_col[col_ptr[j]:col_ptr[j + 1]]`` are the strict-lower entries of
+    column j, rows ascending (``below_by_column``).
     """
 
     def __init__(self, a: LowerSymmetricRows | RedundantRows, lo: int,
                  hi: int, col_min: int):
-        s, e = a.indptr[lo], a.indptr[hi]
-        rows = np.repeat(np.arange(lo, hi), np.diff(a.indptr[lo:hi + 1]))
-        cols = a.indices[s:e]
-        keep = (cols <= rows) & (cols >= col_min)
-        rows, self.indices = rows[keep], cols[keep]
-        self.a = a.data[s:e][keep]
-        self.l = np.zeros(len(self.a), dtype=np.complex128)
-        self.indptr = np.searchsorted(rows, np.arange(lo, hi + 1))
-        missing = np.ones(hi - lo, dtype=bool)
-        missing[rows[self.indices == rows] - lo] = False
-        if missing.any():
-            raise FactorBreakdownError(
-                f"missing diagonal in row {lo + int(np.argmax(missing))}")
-        strict = np.flatnonzero(self.indices < rows)
-        self.by_col = strict[np.lexsort((rows[strict], self.indices[strict]))]
-        self.col_ptr = np.searchsorted(self.indices[self.by_col],
-                                       np.arange(a.n + 1))
+        block = a.rows(lo, hi)
+        pattern = block.select((block.indices <= block.entry_rows())
+                               & (block.indices >= col_min))
+        super().__init__(a.n, pattern.indptr, pattern.indices,
+                         np.zeros(pattern.nnz, dtype=np.complex128), lo)
+        self.a = pattern.data
+        missing = np.setdiff1d(np.arange(lo, hi),
+                               self.indices[self.indices == self.entry_rows()])
+        if len(missing):
+            raise FactorBreakdownError(f"missing diagonal in row {missing[0]}")
+        self.by_col, by_row, self.col_ptr = self.below_by_column(0, a.n)
         # Entries left of each by_col entry in its row.
-        self.prefix = self.by_col - self.indptr[rows[self.by_col] - lo]
-        self.lo = lo
+        self.prefix = self.by_col - self.indptr[by_row - lo]
         self.scratch = np.zeros(a.n, dtype=np.complex128)
-
-    def row(self, j: int):
-        """Columns and factor values of row j, diagonal last (views)."""
-        s, e = self.indptr[j - self.lo:j - self.lo + 2]
-        return self.indices[s:e], self.l[s:e]
 
     def pivot(self, j: int) -> None:
         """Diagonal of row j, once every entry left of it is known."""
-        s, e = self.indptr[j - self.lo:j - self.lo + 2]
-        self.l[e - 1] = _ic_diag(self.l[s:e - 1], self.a[e - 1], j)
+        s, e = self.indptr[j - self.row_start:j - self.row_start + 2]
+        self.data[e - 1] = _ic_diag(self.data[s:e - 1], self.a[e - 1], j)
 
     def touches(self, j: int) -> bool:
         """Whether a row of this rank has an entry below row j in column j."""
@@ -198,10 +183,10 @@ class _RankFactor:
             # reduceat mishandles empty segments, so they are left out.
             self.scratch[cols_j] = vals_j
             pre = _ranges(ent - count, ent)
-            prod = self.l[pre] * self.scratch[self.indices[pre]]
+            prod = self.data[pre] * self.scratch[self.indices[pre]]
             new[full] -= np.add.reduceat(prod, (count.cumsum() - count)[full])
             self.scratch[cols_j] = 0.0
-        self.l[ent] = new / vals_j[-1]
+        self.data[ent] = new / vals_j[-1]
 
 
 def build_bicp(a: LowerSymmetricRows | RedundantRows,
@@ -215,16 +200,15 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows,
         f.pivot(j)
         if f.touches(j):
             f.column(j, *f.row(j))
-    return CholeskyFactor(a.n, lo, f.indptr, f.indices, f.l)
+    return CholeskyFactor(a.n, lo, f.indptr, f.indices, f.data)
 
 
 def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
                       ranks: int, lo: int, hi: int):
     """For each column j in [lo, hi), the ranks owning a stored row below
     its diagonal, ascending: ``dest[ptr[j - lo]:ptr[j - lo + 1]]``."""
-    rows = a.entry_rows()
-    below = (a.indices < rows) & (a.indices >= lo) & (a.indices < hi)
-    key = np.unique(a.indices[below] * ranks + owner[rows[below]])
+    below, rows, _ = a.below_by_column(lo, hi)
+    key = np.unique(a.indices[below] * ranks + owner[rows])
     return np.searchsorted(key, np.arange(lo, hi + 1) * ranks), key % ranks
 
 
@@ -236,8 +220,9 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
     rows below once the pivot of column j is known; the owner of row j
     ships that row over the fabric when other ranks need it.  One
     barrier closes every pipeline step (n columns + final insertion).
-    The final insertion joins the full factor once, and every rank gets
-    that same read-only object.  On a dense pattern the result is the
+    The final insertion stacks the ranks' row blocks into the full
+    factor once (they must tile [0, n)), and every rank gets that same
+    read-only object.  On a dense pattern the result is the
     complete Cholesky factor.
     """
     n = a.n
@@ -265,12 +250,8 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
                 pending = row_j
         fabric.barrier(rank)
 
-    def join(parts):
-        return CholeskyFactor(n, 0, *_csr_join(
-            [np.diff(p.indptr) for p in parts], [p.indices for p in parts],
-            [p.l for p in parts]))
-
-    return fabric.allgather_object(rank, f, join)
+    return fabric.allgather_object(
+        rank, f, lambda parts: CholeskyFactor(n, 0, *_stacked(parts, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +327,8 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
     forward = _schedule_sweep(
         lo, hi, factor.indptr[local], diag, factor.indices,
         np.arange(factor.nnz), diag)
-    # Strict-lower entries of columns [lo, hi), grouped by column.
-    rows = factor.entry_rows()
-    below = np.flatnonzero((factor.indices < rows) & (factor.indices >= lo)
-                           & (factor.indices < hi))
-    below = below[np.argsort(factor.indices[below], kind="stable")]
-    ptr = np.searchsorted(factor.indices[below], np.arange(lo, hi + 1))
-    back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows[below], below,
-                           diag)
+    below, rows, ptr = factor.below_by_column(lo, hi)
+    back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows, below, diag)
     return forward, back
 
 

@@ -64,9 +64,9 @@ def partition_rows(node_count: int, ranks: int) -> RowPartition:
 
 
 class _CsrBase:
-    """Shared CSR plumbing: rows [row_start, row_start + len(indptr) - 1)
-    of an n x n complex matrix.  The storage layouts hold all n rows; a
-    rank's assembled rows travel as one such row block."""
+    """Shared CSR plumbing: rows [row_start, row_end) of an n x n complex
+    matrix, ``indptr`` starting at 0.  The storage layouts hold all n
+    rows; a rank's assembled rows travel as one such row block."""
 
     def __init__(self, n, indptr, indices, data, row_start=0):
         self.n = int(n)
@@ -79,9 +79,40 @@ class _CsrBase:
     def nnz(self) -> int:
         return len(self.data)
 
+    @property
+    def row_end(self) -> int:
+        return self.row_start + len(self.indptr) - 1
+
     def row(self, i: int):
         lo, hi = self.indptr[i - self.row_start:i - self.row_start + 2]
         return self.indices[lo:hi], self.data[lo:hi]
+
+    def rows(self, lo: int, hi: int) -> "_CsrBase":
+        """Rows [lo, hi) as a block on views of this block's ``indices``
+        and ``data``."""
+        ptr = self.indptr[lo - self.row_start:hi - self.row_start + 1]
+        s, e = ptr[0], ptr[-1]
+        return _CsrBase(self.n, ptr - s, self.indices[s:e], self.data[s:e],
+                        row_start=lo)
+
+    def select(self, keep: np.ndarray) -> "_CsrBase":
+        """The same rows with only the entries where ``keep`` is set."""
+        kept = np.flatnonzero(keep)
+        return _CsrBase(self.n, np.searchsorted(kept, self.indptr),
+                        self.indices[kept], self.data[kept],
+                        row_start=self.row_start)
+
+    def below_by_column(self, lo: int, hi: int):
+        """``(entries, rows, ptr)``: the strict-lower entries of columns
+        [lo, hi) and their rows, stable-sorted by column, so rows ascend
+        within a column; column j's are ``entries[ptr[j - lo]:ptr[j - lo
+        + 1]]``."""
+        rows = self.entry_rows()
+        below = np.flatnonzero((self.indices < rows) & (self.indices >= lo)
+                               & (self.indices < hi))
+        below = below[np.argsort(self.indices[below], kind="stable")]
+        return below, rows[below], np.searchsorted(self.indices[below],
+                                                   np.arange(lo, hi + 1))
 
     def entry_rows(self) -> np.ndarray:
         """Row of every stored entry."""
@@ -98,11 +129,6 @@ class _CsrBase:
         d = np.zeros(self.n, dtype=np.complex128)
         d[rows[on]] = self.data[on]
         return d
-
-    def to_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.complex128)
-        a[self.entry_rows(), self.indices] = self.data
-        return a
 
 
 def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -125,7 +151,7 @@ def _stacked(blocks, n: int):
         if b.row_start != row:
             raise SparseFormatError(
                 f"row block {k} starts at row {b.row_start}, expected {row}")
-        row += len(b.indptr) - 1
+        row = b.row_end
     if row != n:
         raise SparseFormatError(f"row blocks end at row {row}, expected {n}")
     return _csr_join([np.diff(b.indptr) for b in blocks],
@@ -153,16 +179,9 @@ class LowerSymmetricRows(_CsrBase):
     @classmethod
     def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
         """Keep the lower triangle of structurally symmetric row blocks."""
-        indptr, indices, data = _stacked(blocks, n)
-        entry_rows = np.repeat(np.arange(n), np.diff(indptr))
-        keep = indices <= entry_rows
-        return cls(n, np.searchsorted(entry_rows[keep], np.arange(n + 1)),
-                   indices[keep], data[keep])
-
-    def to_dense(self) -> np.ndarray:
-        a = super().to_dense()
-        a[self.indices, self.entry_rows()] = self.data
-        return a
+        full = _CsrBase(n, *_stacked(blocks, n))
+        lower = full.select(full.indices <= full.entry_rows())
+        return cls(n, lower.indptr, lower.indices, lower.data)
 
 
 class RedundantRows(_CsrBase):
@@ -205,20 +224,15 @@ class SparseVector:
         return INDEX_BYTES * len(self.indices) + COMPLEX_BYTES * len(self.values)
 
 
-def _segment_matvec(m: _CsrBase, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
-    """Product of rows [lo, hi) with x."""
-    s, e = int(m.indptr[lo]), int(m.indptr[hi])
-    if s == e:
-        return np.zeros(hi - lo, dtype=np.complex128)
-    prod = m.data[s:e] * x[m.indices[s:e]]
-    starts = (m.indptr[lo:hi] - s).astype(np.int64)
-    out = np.add.reduceat(prod, np.minimum(starts, e - s - 1))
+def _block_matvec(m: _CsrBase, x: np.ndarray) -> np.ndarray:
+    """Product of the block's rows with x."""
+    if not m.nnz:
+        return np.zeros(len(m.indptr) - 1, dtype=np.complex128)
+    prod = m.data * x[m.indices]
+    out = np.add.reduceat(prod, np.minimum(m.indptr[:-1], m.nnz - 1))
     # reduceat mishandles empty rows: it emits the next segment's first
     # element instead of zero.
-    empty = np.diff(m.indptr[lo:hi + 1]) == 0
-    if np.any(empty):
-        out = out.copy()
-        out[empty] = 0.0
+    out[np.diff(m.indptr) == 0] = 0.0
     return out
 
 
@@ -226,13 +240,13 @@ def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
                   x: np.ndarray) -> np.ndarray:
     """Length-n product of rows [lo, hi) of lower-triangle storage with x,
     each stored off-diagonal entry also acting as its transpose."""
+    block = m.rows(lo, hi)
     out = np.zeros(m.n + 1, dtype=np.complex128)
-    out[lo:hi] = _segment_matvec(m, lo, hi, x)
-    s, e = m.indptr[lo], m.indptr[hi]
+    out[lo:hi] = _block_matvec(block, x)
     # np.multiply, not `*`: `*` may reuse the repeat's temporary by swapping
     # the operands, and the complex product then rounds differently.
-    np.add.at(out, m.targets[s:e], np.multiply(
-        m.data[s:e], np.repeat(x[lo:hi], np.diff(m.indptr[lo:hi + 1]))))
+    np.add.at(out, m.targets[m.indptr[lo]:m.indptr[hi]], np.multiply(
+        block.data, np.repeat(x[lo:hi], np.diff(block.indptr))))
     return out[:m.n]
 
 
@@ -251,14 +265,14 @@ def spmv_partial(m, partition: RowPartition, rank: int,
     lo, hi = partition.dof_range(rank)
     if isinstance(m, LowerSymmetricRows):
         return SparseVector.from_segment(0, _lower_matvec(m, lo, hi, x), m.n)
-    return SparseVector.from_segment(lo, _segment_matvec(m, lo, hi, x), m.n)
+    return SparseVector.from_segment(lo, _block_matvec(m.rows(lo, hi), x), m.n)
 
 
 def full_matvec(m, x: np.ndarray) -> np.ndarray:
     """Serial A @ x over all rows (reporting/verification helper)."""
     if isinstance(m, LowerSymmetricRows):
         return _lower_matvec(m, 0, m.n, x)
-    return _segment_matvec(m, 0, m.n, x)
+    return _block_matvec(m, x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ The oracles here are deliberately independent of the package
 implementation: element integrals come from closed-form tensor products
 of 1D linear-element matrices, global assembly from a dense
 element-by-element scatter, the storage-1 product from a mask over the
-strict lower entries, and the incomplete factorization from a dense
-zero-fill loop or a sparse loop over single stored entries.
+strict lower entries, the incomplete factorization from a dense
+zero-fill loop or a sparse loop over single stored entries, and dense
+matrices and the CSR row-block operations from loops over rows and
+stored entries.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
-from hexwave.sparse import _CsrBase, _segment_matvec
+from hexwave.sparse import LowerSymmetricRows, _CsrBase, _block_matvec
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,7 @@ def facet_loop_kinds(mesh, planes) -> list:
 # Dense element-loop assembly oracle
 # ---------------------------------------------------------------------------
 
-def element_loop_assemble(mesh, params, config) -> np.ndarray:
+def element_loop_assemble(mesh, params) -> np.ndarray:
     """Dense global matrix built element by element, then facet by facet.
 
     Independent traversal order from the per-node assembly under test;
@@ -210,7 +212,7 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
     for e, conn in enumerate(mesh.elements):
         eps, mu = params.element_values(e)
         em = element_matrices(mesh.nodes[conn] - mesh.nodes[conn].min(axis=0),
-                              eps, mu, params.k0, config.quadrature)
+                              eps, mu, params.k0)
         blk = em.curl_curl - em.mass + em.penalty
         dofs = (3 * conn[:, None] + np.arange(3)).ravel()
         a[np.ix_(dofs, dofs)] += blk
@@ -220,13 +222,13 @@ def element_loop_assemble(mesh, params, config) -> np.ndarray:
             continue
         coords = mesh.nodes[quad]
         am = abc_facet_matrices(coords - coords.min(axis=0), normal,
-                                params.k0, config.quadrature)
+                                params.k0)
         fdofs = (3 * quad[:, None] + np.arange(3)).ravel()
         a[np.ix_(fdofs, fdofs)] += am.first_order + am.second_order
     return a
 
 
-def node_loop_rows(mesh, params, config):
+def node_loop_rows(mesh, params):
     """Rows of every node, one node at a time.
 
     A node gathers the rows of its elements' blocks (ascending element),
@@ -248,14 +250,13 @@ def node_loop_rows(mesh, params, config):
     blocks = []
     for e, conn in enumerate(mesh.elements):
         em = element_matrices(snapped(conn), *params.element_values(e),
-                              params.k0, config.quadrature)
+                              params.k0)
         blocks.append((conn, em.curl_curl - em.mass + em.penalty))
     elem_blocks, blocks = blocks, []
     for quad, normal, kind in zip(mesh.facet_nodes, mesh.facet_normals,
                                   mesh.facet_kinds):
         if kind is FacetKind.EXTERIOR:
-            am = abc_facet_matrices(snapped(quad), normal, params.k0,
-                                    config.quadrature)
+            am = abc_facet_matrices(snapped(quad), normal, params.k0)
             blocks.append((quad, am.first_order + am.second_order))
     rows = []
     for n in range(mesh.node_count):
@@ -275,18 +276,18 @@ def node_loop_rows(mesh, params, config):
     return rows
 
 
-def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
+def facet_loop_rhs(mesh, wave) -> np.ndarray:
     """Global right-hand side built facet by facet, then scattered.
 
     Each exterior facet integrates jk0 H_t - n x curl(H) against its
-    bilinear shape functions at the Gauss points (shape functions written
+    bilinear shape functions at the 2 x 2 Gauss points (shape functions written
     out here), adds its second-order block applied to the nodal incident
     trace, and adds its four corner loads to the global vector.  Only
     ``incident_field`` and ``abc_facet_matrices`` come from the package.
     """
     from hexwave.assembly import abc_facet_matrices, incident_field
     b = np.zeros(3 * mesh.node_count, dtype=np.complex128)
-    pts, wts = np.polynomial.legendre.leggauss(quadrature)
+    pts, wts = np.polynomial.legendre.leggauss(2)
     su = np.array([-1.0, 1.0, 1.0, -1.0])
     sv = np.array([-1.0, -1.0, 1.0, 1.0])
     for quad, n, kind in zip(mesh.facet_nodes, mesh.facet_normals,
@@ -305,7 +306,7 @@ def facet_loop_rhs(mesh, wave, quadrature: int = 2) -> np.ndarray:
                 h, curl_h = incident_field(wave, m @ coords)
                 vec = 1j * wave.k0 * (h - n * (n @ h)) - np.cross(n, curl_h)
                 load += wu * wv * det * np.outer(m, vec)
-        am = abc_facet_matrices(coords, n, wave.k0, quadrature)
+        am = abc_facet_matrices(coords, n, wave.k0)
         trace = np.concatenate([incident_field(wave, p)[0] for p in coords])
         load += (am.second_order @ trace).reshape(4, 3)
         for a, node in enumerate(quad):
@@ -343,6 +344,48 @@ def row_block(rows, n: int, row_start: int = 0) -> _CsrBase:
     return _CsrBase(n, *csr_from_rows(rows, len(rows)), row_start=row_start)
 
 
+def dense(m) -> np.ndarray:
+    """The n x n matrix of a CSR row block, zero outside its rows, filled
+    row by row; lower-triangle storage also fills each entry's mirror."""
+    a = np.zeros((m.n, m.n), dtype=np.complex128)
+    for i in range(m.row_start, m.row_end):
+        cols, vals = m.row(i)
+        a[i, cols] = vals
+        if isinstance(m, LowerSymmetricRows):
+            a[cols, i] = vals
+    return a
+
+
+def select_loop(m, keep) -> list:
+    """Rows of a CSR row block as (columns, values), keeping the entries
+    where ``keep`` is set, one stored entry at a time."""
+    rows, e = [], 0
+    for i in range(m.row_start, m.row_end):
+        cols, vals = [], []
+        for j, v in zip(*m.row(i)):
+            if keep[e]:
+                cols.append(j)
+                vals.append(v)
+            e += 1
+        rows.append((np.array(cols, dtype=np.int64),
+                     np.array(vals, dtype=np.complex128)))
+    return rows
+
+
+def below_by_column_loop(m, lo: int, hi: int) -> list:
+    """Per column j in [lo, hi), the (entry, row) pairs of its stored
+    entries below the diagonal, visiting rows in order, one entry at a
+    time; entry numbers count the block's stored entries from 0."""
+    below = [[] for _ in range(lo, hi)]
+    e = 0
+    for i in range(m.row_start, m.row_end):
+        for j in m.row(i)[0].tolist():
+            if lo <= j < hi and j < i:
+                below[j - lo].append((e, i))
+            e += 1
+    return below
+
+
 def assert_same_csr(a, b) -> None:
     """Bitwise-equal CSR arrays and row range."""
     assert a.n == b.n and a.row_start == b.row_start
@@ -375,7 +418,7 @@ def masked_lower_matvec(m, lo: int, hi: int, x: np.ndarray) -> np.ndarray:
     storage order.  The package's storage-1 product must match it bitwise.
     """
     out = np.zeros(m.n, dtype=np.complex128)
-    out[lo:hi] = _segment_matvec(m, lo, hi, x)
+    out[lo:hi] = _block_matvec(m.rows(lo, hi), x)
     s, e = m.indptr[lo], m.indptr[hi]
     cols = m.indices[s:e]
     rows = np.repeat(np.arange(lo, hi), np.diff(m.indptr[lo:hi + 1]))

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hexwave.assembly import (AssemblyConfig, MaterialParams, PlaneWave,
-                              assemble_rows, incident_field)
+from hexwave.assembly import (MaterialParams, PlaneWave, assemble_rows,
+                              incident_field)
 from hexwave.fabric import CommFabric
 from hexwave.mesh import (ScattererSpec, build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
@@ -36,7 +36,7 @@ from hexwave.runner import (Scenario, assemble_system, build_scenario_mesh,
 from hexwave.solver import Preconditioner, build_bicp, build_icp, cg_solve
 from hexwave.sparse import RedundantRows, RowPartition, partition_rows, to_redundant
 
-from conftest import dense_ic_oracle, element_loop_assemble, row_block
+from conftest import dense, dense_ic_oracle, element_loop_assemble, row_block
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -78,10 +78,8 @@ def test_criterion_1_assembly_matches_element_loop_oracle():
                                 corner_max=(2 * h, 2 * h, 2 * h)))
         mesh = classify_boundary(mesh, [])
         params = MaterialParams(eps_r=1.0, mu_r=1.0, k0=2 * np.pi)
-        config = AssemblyConfig()
-        got = assemble_rows(mesh, params, (0, mesh.node_count),
-                            config).to_dense()
-        ref = element_loop_assemble(mesh, params, config)
+        got = dense(assemble_rows(mesh, params, (0, mesh.node_count)))
+        ref = element_loop_assemble(mesh, params)
         gaps.append(np.abs(got - ref).max() / np.abs(ref).max())
     ok = all(g <= 1e-12 for g in gaps)
     _verdict(1, ok,
@@ -176,7 +174,7 @@ def test_criterion_5_dense_pattern_factorization_is_exact(rng):
     ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
     part = RowPartition(node_starts=np.array([0, 20]), dofs_per_node=1)
     factor = build_icp(ar, part, 0, CommFabric(1))
-    gap = np.abs(factor.to_dense() - np.linalg.cholesky(a.real)).max()
+    gap = np.abs(dense(factor) - np.linalg.cholesky(a.real)).max()
     b = rng.standard_normal(20).astype(complex)
     _, rep = cg_solve(ar, b, Preconditioner(kind="icp", factor=factor),
                       part, 0, CommFabric(1), tol=1e-10)
@@ -214,8 +212,8 @@ def test_criterion_7_assembled_system_exactly_symmetric():
         direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
         scatterer=ScattererSpec(corner_min=(2 / 6, 2 / 6, 2 / 6),
                                 corner_max=(3 / 6, 3 / 6, 3 / 6))))
-    dense = matrix.to_dense()
-    gap = np.abs(dense - dense.T).max()
+    a = dense(matrix)
+    gap = np.abs(a - a.T).max()
     _verdict(7, gap == 0.0,
              f"symmetrized system gap max|A - A^T| = {gap} (exactly 0.0)")
 
@@ -243,15 +241,15 @@ def test_criterion_9_storage_layouts_hold_identical_entries():
     sc2 = _small_scenario(storage="2")
     m1, b1, _ = _assembled(sc1)
     m2, b2, part = _assembled(sc2)
-    d1 = to_redundant(m1).to_dense()
-    d2 = m2.to_dense()
+    d1 = dense(to_redundant(m1))
+    d2 = dense(m2)
     same_entries = np.array_equal(d1, d2) and np.array_equal(b1, b2)
     factor = build_icp(m2, part, 0, CommFabric(1))
     stored = np.zeros((m2.n, m2.n), dtype=bool)
     for i in range(m2.n):
         cols, _ = m2.row(i)
         stored[i, cols[cols <= i]] = True
-    fgap = np.abs(factor.to_dense() - dense_ic_oracle(d2, stored)).max()
+    fgap = np.abs(dense(factor) - dense_ic_oracle(d2, stored)).max()
     it1 = run_scenario(sc1).report.iterations
     it2 = run_scenario(sc2).report.iterations
     ok = same_entries and it1 == it2 and fgap <= 1e-13

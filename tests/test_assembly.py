@@ -6,11 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hexwave.assembly import (AssemblyConfig, AssemblyError, MaterialParams,
-                              PlaneWave, abc_facet_matrices,
-                              apply_symmetry_bc, assemble_rhs, assemble_rows,
-                              constrained_dofs, element_matrices,
-                              incident_field, symmetrize)
+from hexwave.assembly import (AssemblyError, MaterialParams, PlaneWave,
+                              abc_facet_matrices, apply_symmetry_bc,
+                              assemble_rhs, assemble_rows, constrained_dofs,
+                              element_matrices, incident_field, symmetrize)
 from hexwave.fabric import CommFabric, run_spmd
 from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
@@ -18,7 +17,7 @@ from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
 from hexwave.sparse import RedundantRows, _CsrBase, partition_rows
 
 from conftest import (abc_incident_load, assert_same_csr, curl_block_oracle,
-                      element_loop_assemble, facet_loop_rhs,
+                      dense, element_loop_assemble, facet_loop_rhs,
                       mass_block_oracle, node_loop_rows, penalty_block_oracle,
                       phase_traffic, row_block, surface_mass_oracle,
                       surface_stiffness_oracle)
@@ -202,20 +201,19 @@ def _scatter_mesh(npw=5):
 def test_dof_assembly_equals_element_loop(npw):
     mesh = _scatter_mesh(npw) if npw == 5 else build_box_mesh((1.,) * 3, npw)
     params = MaterialParams(k0=2 * np.pi)
-    config = AssemblyConfig()
-    block = assemble_rows(mesh, params, (0, mesh.node_count), config)
+    block = assemble_rows(mesh, params, (0, mesh.node_count))
     assert block.row_start == 0 and block.n == 3 * mesh.node_count
-    got = block.to_dense()
-    ref = element_loop_assemble(mesh, params, config)
+    got = dense(block)
+    ref = element_loop_assemble(mesh, params)
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() / scale < 1e-12
 
 
-def _stacked_rows(mesh, params, config, ranks):
+def _stacked_rows(mesh, params, ranks):
     """Every rank's row block, each starting at its first owned dof,
     stacked into one matrix."""
     part = partition_rows(mesh.node_count, ranks)
-    blocks = [assemble_rows(mesh, params, part.node_range(r), config)
+    blocks = [assemble_rows(mesh, params, part.node_range(r))
               for r in range(ranks)]
     assert [b.row_start for b in blocks] == [part.dof_range(r)[0]
                                              for r in range(ranks)]
@@ -227,10 +225,9 @@ def test_assembly_partition_invariant_bitwise():
     the per-node loop's rows."""
     mesh = _scatter_mesh()
     params = MaterialParams(k0=2 * np.pi)
-    config = AssemblyConfig()
-    full = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    assert_same_csr(_stacked_rows(mesh, params, config, 3), full)
-    assert_same_csr(full, row_block(node_loop_rows(mesh, params, config),
+    full = assemble_rows(mesh, params, (0, mesh.node_count))
+    assert_same_csr(_stacked_rows(mesh, params, 3), full)
+    assert_same_csr(full, row_block(node_loop_rows(mesh, params),
                                     3 * mesh.node_count))
 
 
@@ -243,16 +240,15 @@ def test_two_material_regions_match_element_loop_and_partition():
     params = MaterialParams(eps_r=np.where(inner, 4.0 - 0.3j, 1.0 + 0.0j),
                             mu_r=np.where(inner, 2.0 + 0.1j, 1.0 + 0.0j),
                             k0=2 * np.pi)
-    config = AssemblyConfig()
-    full = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    got = full.to_dense()
-    ref = element_loop_assemble(mesh, params, config)
+    full = assemble_rows(mesh, params, (0, mesh.node_count))
+    got = dense(full)
+    ref = element_loop_assemble(mesh, params)
     assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-12
-    uniform = element_loop_assemble(mesh, MaterialParams(k0=2 * np.pi), config)
+    uniform = element_loop_assemble(mesh, MaterialParams(k0=2 * np.pi))
     assert np.abs(ref - uniform).max() > 0.1 * np.abs(ref).max()
-    assert_same_csr(full, row_block(node_loop_rows(mesh, params, config),
+    assert_same_csr(full, row_block(node_loop_rows(mesh, params),
                                     3 * mesh.node_count))
-    assert_same_csr(_stacked_rows(mesh, params, config, 3), full)
+    assert_same_csr(_stacked_rows(mesh, params, 3), full)
 
 
 @pytest.mark.parametrize("direction,polarization", [
@@ -431,22 +427,22 @@ def test_apply_symmetry_bc_identity_rows_and_columns():
     ((block_in, _),), part, fab = _assembled(mesh)
     # A load on every dof, so zeroing the constrained ones shows.
     rhs_in = (1.0 + 0.5j) * np.arange(1, 82)
-    ref = (block_in.to_dense(), rhs_in.copy())
+    ref = (dense(block_in), rhs_in.copy())
     block, rhs = apply_symmetry_bc(block_in, rhs_in, mesh, part, 0)
     # The input block and rhs are left as they were.
-    np.testing.assert_array_equal(block_in.to_dense(), ref[0])
+    np.testing.assert_array_equal(dense(block_in), ref[0])
     np.testing.assert_array_equal(rhs_in, ref[1])
-    dense = block.to_dense()
+    a = dense(block)
     kept = np.ones(81, dtype=bool)
     kept[constrained_dofs(mesh)] = False
-    np.testing.assert_array_equal(dense[np.ix_(kept, kept)],
+    np.testing.assert_array_equal(a[np.ix_(kept, kept)],
                                   ref[0][np.ix_(kept, kept)])
     np.testing.assert_array_equal(rhs[kept], rhs_in[kept])
     for dof in constrained_dofs(mesh):
         expect = np.zeros(81)
         expect[dof] = 1.0
-        np.testing.assert_array_equal(dense[dof], expect)
-        col = dense[:, dof].copy()
+        np.testing.assert_array_equal(a[dof], expect)
+        col = a[:, dof].copy()
         col[dof] = 0.0
         np.testing.assert_array_equal(col, 0.0)
         assert rhs[dof] == 0.0
@@ -503,12 +499,12 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
 def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
     mesh = _scatter_mesh(4)
     ((block, rhs_before),), part, fab = _assembled(mesh)
-    before = block.to_dense()
+    before = dense(block)
     sym, rhs = symmetrize(block, rhs_before, part, 0)
-    after = sym.to_dense()
+    after = dense(sym)
     np.testing.assert_allclose(after, before + before.T, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(rhs, 2.0 * rhs_before)
-    np.testing.assert_array_equal(block.to_dense(), before)
+    np.testing.assert_array_equal(dense(block), before)
 
 
 def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
@@ -549,8 +545,8 @@ def test_symmetrize_multi_rank_partition_needs_the_fabric():
 def test_symmetrize_exactly_symmetric():
     mesh = _scatter_mesh(4)
     ((block, rhs),), part, fab = _assembled(mesh)
-    dense = symmetrize(block, rhs, part, 0)[0].to_dense()
-    assert np.abs(dense - dense.T).max() == 0.0
+    a = dense(symmetrize(block, rhs, part, 0)[0])
+    assert np.abs(a - a.T).max() == 0.0
 
 
 def test_symmetrize_parallel_matches_serial_bitwise():
@@ -580,13 +576,13 @@ def test_rows_and_symmetrize_across_node_blocks():
     mesh = build_box_mesh((1.,) * 3, 6)
     n = 3 * mesh.node_count
     assert mesh.node_count > assembly._BLOCK_NODES
-    params, config = MaterialParams(k0=2 * np.pi), AssemblyConfig()
-    block = assemble_rows(mesh, params, (0, mesh.node_count), config)
-    assert_same_csr(block, row_block(node_loop_rows(mesh, params, config), n))
-    before = block.to_dense()
+    params = MaterialParams(k0=2 * np.pi)
+    block = assemble_rows(mesh, params, (0, mesh.node_count))
+    assert_same_csr(block, row_block(node_loop_rows(mesh, params), n))
+    before = dense(block)
     sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128),
                         partition_rows(mesh.node_count, 1), 0)
-    assert np.array_equal(sym.to_dense(), before + before.T)
+    assert np.array_equal(dense(sym), before + before.T)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -634,7 +630,7 @@ def test_symmetry_plane_reproduces_full_domain_solution():
         mesh = build_scenario_mesh(sc)
         part = partition_rows(mesh.node_count, 1)
         a, b = assemble_system(sc, mesh, part, 0, CommFabric(1))
-        return mesh, np.linalg.solve(a.to_dense(), b)
+        return mesh, np.linalg.solve(dense(a), b)
 
     npw = 4
     # Full mesh: 3x3x9 nodes (z = 0 .. 8h), mirror plane at z = 4h.

@@ -28,6 +28,14 @@ def test_payload_accounting_arrays():
                           np.zeros(2, np.complex128))) == 16 + 32
 
 
+@pytest.mark.parametrize("payload", [3, 2.5, 1j, None, "text"])
+def test_payload_accounting_rejects_non_array_payloads(payload):
+    with pytest.raises(TypeError, match="cannot account for payload"):
+        payload_bytes(payload)
+    with pytest.raises(TypeError):
+        payload_bytes((np.zeros(2, np.int64), payload))
+
+
 def test_send_recv_counts_messages_and_bytes():
     fab = CommFabric(2)
     fab.set_phase(0, "demo")

@@ -1,6 +1,7 @@
 """Preconditioners, triangular solves and the conjugate gradient loop."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,7 +24,7 @@ from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                             partition_rows, to_redundant)
 
-from conftest import (csr_from_rows, dense_ic_oracle, entry_loop_ic,
+from conftest import (csr_from_rows, dense, dense_ic_oracle, entry_loop_ic,
                       phase_traffic, random_symmetric_sparse, row_block,
                       same_bits)
 
@@ -78,16 +79,16 @@ def test_icp_dense_spd_equals_cholesky(rng):
     a = m @ m.T + 20 * np.eye(20)
     ar = _redundant(a.astype(complex))
     factor = build_icp(ar, _one_rank(20), 0, CommFabric(1))
-    assert np.abs(factor.to_dense() - np.linalg.cholesky(a)).max() < 1e-14
+    assert np.abs(dense(factor) - np.linalg.cholesky(a)).max() < 1e-14
 
 
 def test_icp_sparse_matches_dense_zero_fill_oracle(rng):
-    rows, dense = random_symmetric_sparse(rng, 15, density=0.25,
-                                          diag_boost=10.0)
+    rows, a = random_symmetric_sparse(rng, 15, density=0.25,
+                                      diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 15)], 15)
     factor = build_icp(ar, _one_rank(15), 0, CommFabric(1))
-    ref = dense_ic_oracle(dense)
-    assert np.abs(factor.to_dense() - ref).max() < 1e-13
+    ref = dense_ic_oracle(a)
+    assert np.abs(dense(factor) - ref).max() < 1e-13
 
 
 def test_icp_zero_pivot_aborts_with_column():
@@ -140,7 +141,7 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
     out = run_spmd(3, lambda f, r: build_icp(ar, part, r, f), fabric=fab)
     assert fab.barrier_collectives == 5
     assert out[0] is out[1] is out[2]      # one shared factor
-    assert np.abs(out[0].to_dense() - np.linalg.cholesky(a.real)).max() < 1e-14
+    assert np.abs(dense(out[0]) - np.linalg.cholesky(a.real)).max() < 1e-14
 
 
 def test_bicp_single_rank_is_icp_bitwise(rng):
@@ -156,15 +157,15 @@ def test_bicp_single_rank_is_icp_bitwise(rng):
 
 
 def test_bicp_blocks_match_per_block_oracle(rng):
-    rows, dense = random_symmetric_sparse(rng, 12, density=0.4)
+    rows, a = random_symmetric_sparse(rng, 12, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     part = _split([0, 4, 8, 12])
     for r in range(3):
         lo, hi = part.dof_range(r)
         factor = build_bicp(ar, part, r)
         assert factor.block_local
-        ref = dense_ic_oracle(dense[lo:hi, lo:hi])
-        got = factor.to_dense()[lo:hi, lo:hi]
+        ref = dense_ic_oracle(a[lo:hi, lo:hi])
+        got = dense(factor)[lo:hi, lo:hi]
         assert np.abs(got - ref).max() < 1e-13
         # Row lookups and the diagonal use global row numbers.
         cols, vals = factor.row(hi - 1)
@@ -291,6 +292,48 @@ def test_precond_build_traffic_pinned(ranks, storage):
             report.counters["totals"]["barriers"])
     assert counters["icp"] == ICP_BUILD_TRAFFIC[ranks]
     assert counters["bicp"] == ([0] * ranks, [0] * ranks, 2)
+
+
+# End-to-end traffic of ``_grid_scenario`` with a z+ symmetry plane on two
+# ranks, per (preconditioner, storage, concat): messages and bytes per
+# phase, total barriers, iterations and the solution's sha256[:12].
+_BC, _SYM = (2, 128), (2, 59904)
+GRID_SYMMETRY_TRAFFIC = {
+    ("icp", "1", "spmd"): ((_BC, _SYM, (60, 42408), (78, 228360)),
+                           243, 13, "71080276b0f4"),
+    ("icp", "1", "ms"): ((_BC, _SYM, (60, 42408), (78, 240840)),
+                         243, 13, "71080276b0f4"),
+    ("icp", "2", "spmd"): ((_BC, _SYM, (60, 42408), (78, 209640)),
+                           243, 13, "4e17fc816f26"),
+    ("icp", "2", "ms"): ((_BC, _SYM, (60, 42408), (78, 222120)),
+                         243, 13, "4e17fc816f26"),
+    ("bicp", "1", "spmd"): ((_BC, _SYM, (0, 0), (96, 292608)),
+                            2, 24, "9a749c838d4b"),
+    ("bicp", "1", "ms"): ((_BC, _SYM, (0, 0), (96, 338688)),
+                          2, 24, "9a749c838d4b"),
+    ("bicp", "2", "spmd"): ((_BC, _SYM, (0, 0), (96, 258048)),
+                            2, 24, "91a149623077"),
+    ("bicp", "2", "ms"): ((_BC, _SYM, (0, 0), (96, 304128)),
+                          2, 24, "91a149623077"),
+}
+
+
+@pytest.mark.parametrize("precond, storage, concat",
+                         sorted(GRID_SYMMETRY_TRAFFIC))
+def test_grid_run_traffic_pinned(precond, storage, concat):
+    res = run_scenario(_grid_scenario(
+        preconditioner=precond, ranks=2, storage=storage, concat=concat,
+        symmetry_planes=[("z+", "symmetry")]))
+    counters = res.report.counters
+    phases = tuple(
+        tuple(sum(c[key] for per_rank in counters["per_rank"]
+                  for c in per_rank if c["phase"] == phase)
+              for key in ("messages", "bytes"))
+        for phase in ("bc", "symmetrize", "precond-build", "solve-iteration"))
+    assert res.report.converged
+    assert (phases, counters["totals"]["barriers"], res.report.iterations,
+            hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
+            ) == GRID_SYMMETRY_TRAFFIC[precond, storage, concat]
 
 
 @pytest.mark.parametrize("concat", ["spmd", "ms"])
@@ -489,7 +532,7 @@ def test_level_solve_matches_scipy_full_factor(rng):
     assert 3 <= len(forward) < 30 and 3 <= len(back) < 30
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     x = forward_back_substitute(factor, b, part, 0, CommFabric(1))
-    np.testing.assert_allclose(x, _scipy_substitute(factor.to_dense(), b),
+    np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
                                rtol=1e-12)
 
 
@@ -507,7 +550,7 @@ def test_level_solve_matches_scipy_block_local_factor(rng):
         fabric=CommFabric(2))
     for f in factors:
         lo, hi = f.row_start, f.row_end
-        ref = _scipy_substitute(f.to_dense()[lo:hi, lo:hi], b[lo:hi])
+        ref = _scipy_substitute(dense(f)[lo:hi, lo:hi], b[lo:hi])
         np.testing.assert_allclose(out[0][lo:hi], ref, rtol=1e-12)
     assert np.array_equal(out[0], out[1])
 

@@ -14,8 +14,9 @@ from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
                             SparseVector, full_matvec, partition_rows,
                             spmv_partial, to_redundant, write_matrix_market,
                             write_rhs)
-from conftest import (masked_lower_matvec, random_symmetric_sparse, row_block,
-                      same_bits)
+from conftest import (assert_same_csr, below_by_column_loop, dense,
+                      masked_lower_matvec, random_symmetric_sparse, row_block,
+                      same_bits, select_loop)
 
 
 # -- partitioning ------------------------------------------------------------
@@ -59,9 +60,9 @@ def test_partition_more_ranks_than_nodes_rejected():
 # -- storage layouts ---------------------------------------------------------
 
 def test_lower_storage_keeps_lower_triangle(rng):
-    rows, dense = random_symmetric_sparse(rng, 8)
+    rows, a = random_symmetric_sparse(rng, 8)
     m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 8)], 8)
-    np.testing.assert_array_equal(m.to_dense(), dense)
+    np.testing.assert_array_equal(dense(m), a)
     for i in range(8):
         cols, _ = m.row(i)
         assert np.all(cols <= i)
@@ -116,26 +117,60 @@ def test_lower_storage_rejects_upper_entries():
 
 
 def test_to_redundant_matches_dense(rng):
-    rows, dense = random_symmetric_sparse(rng, 9)
+    rows, a = random_symmetric_sparse(rng, 9)
     lower = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 9)], 9)
     full = to_redundant(lower)
-    np.testing.assert_array_equal(full.to_dense(), dense)
+    np.testing.assert_array_equal(dense(full), a)
     ref = RedundantRows.from_rows([row_block(rows, 9)], 9)
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
 
 
 def test_diagonal_matches_dense_on_every_layout(rng):
-    rows, dense = random_symmetric_sparse(rng, 10)
+    rows, a = random_symmetric_sparse(rng, 10)
     # Row 4 keeps its off-diagonal entries but stores no diagonal.
     cols, vals = rows[4]
     rows[4] = (cols[cols != 4], vals[cols != 4])
-    dense[4, 4] = 0.0
+    a[4, 4] = 0.0
     assert len(rows[4][0]) > 0
     for m in (LowerSymmetricRows.from_symmetric_rows([row_block(rows, 10)], 10),
               RedundantRows.from_rows([row_block(rows, 10)], 10)):
-        np.testing.assert_array_equal(m.diagonal(), np.diag(m.to_dense()))
-        np.testing.assert_array_equal(m.diagonal(), np.diag(dense))
+        np.testing.assert_array_equal(m.diagonal(), np.diag(dense(m)))
+        np.testing.assert_array_equal(m.diagonal(), np.diag(a))
+
+
+def _irregular_block(rng):
+    """Rows [4, 12) of a random 15 x 15 pattern as one row block: row 6
+    stores nothing and column 9 no entry below its diagonal."""
+    rows, _ = random_symmetric_sparse(rng, 15, density=0.4)
+    rows = rows[4:12]
+    rows[2] = (rows[2][0][:0], rows[2][1][:0])
+    for i in (10, 11):
+        cols, vals = rows[i - 4]
+        rows[i - 4] = (cols[cols != 9], vals[cols != 9])
+    return row_block(rows, 15, row_start=4), rows
+
+
+def test_rows_select_and_below_by_column_match_entry_loops(rng):
+    m, rows = _irregular_block(rng)
+    assert np.diff(m.indptr)[6 - 4] == 0
+    sub = m.rows(6, 10)
+    assert_same_csr(sub, row_block(rows[2:6], 15, row_start=6))
+    assert np.shares_memory(sub.data, m.data)
+    for keep in (rng.random(m.nnz) < 0.5, np.zeros(m.nnz, dtype=bool),
+                 np.ones(m.nnz, dtype=bool)):
+        assert_same_csr(m.select(keep),
+                        row_block(select_loop(m, keep), 15, row_start=4))
+    for lo, hi in ((0, 15), (3, 10), (9, 10), (7, 7)):
+        entries, entry_rows, ptr = m.below_by_column(lo, hi)
+        assert len(ptr) == hi - lo + 1 and ptr[0] == 0
+        assert ptr[-1] == len(entries) == len(entry_rows)
+        got = [list(zip(entries[ptr[k]:ptr[k + 1]].tolist(),
+                        entry_rows[ptr[k]:ptr[k + 1]].tolist()))
+               for k in range(hi - lo)]
+        assert got == below_by_column_loop(m, lo, hi)
+    assert len(m.below_by_column(9, 10)[0]) == 0
+    assert len(m.below_by_column(0, 15)[0]) > 0
 
 
 def test_byte_accounting(rng):
