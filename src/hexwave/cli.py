@@ -116,8 +116,7 @@ def _cmd_compare(args) -> int:
     try:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     finally:
         if args.report:
             out.close()

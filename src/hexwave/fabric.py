@@ -38,15 +38,13 @@ class MessageCounters:
 
 
 def payload_bytes(payload) -> int:
-    """Accounting size of a message payload: a sparse vector, an array,
-    or a tuple or list of them."""
+    """Accounting size of a message payload: a sparse vector, an array
+    (16 B per complex entry, else 8 B), or a tuple or list of them."""
     if isinstance(payload, SparseVector):
         return payload.payload_bytes()
     if isinstance(payload, np.ndarray):
         if np.issubdtype(payload.dtype, np.complexfloating):
             return COMPLEX_BYTES * payload.size
-        if np.issubdtype(payload.dtype, np.floating):
-            return COMPLEX_BYTES // 2 * payload.size
         return INDEX_BYTES * payload.size
     if isinstance(payload, (tuple, list)):
         return sum(payload_bytes(p) for p in payload)

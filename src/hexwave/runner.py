@@ -205,10 +205,9 @@ def build_preconditioner(scenario: Scenario, matrix, partition: RowPartition,
     if scenario.preconditioner == "dp":
         return build_dp(matrix)
     if scenario.preconditioner == "icp":
-        factor = build_icp(matrix, partition, rank, fabric)
-        return Preconditioner(kind="icp", factor=factor)
-    factor = build_bicp(matrix, partition, rank)
-    return Preconditioner(kind="bicp", factor=factor)
+        return Preconditioner("icp", factor=build_icp(matrix, partition, rank,
+                                                      fabric))
+    return Preconditioner("bicp", factor=build_bicp(matrix, partition, rank))
 
 
 def _probe_samples(mesh: HexMesh, x: np.ndarray, stride: int) -> list:
@@ -244,11 +243,9 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
                              concat=scenario.concat, tol=scenario.tol,
                              max_iter=scenario.max_iter)
         pbytes = fab.allgather_object(rank, precond.memory_bytes())
-        if precond.kind == "bicp":
-            precond_total = sum(pbytes)
-        else:
-            precond_total = pbytes[0]   # replicated: count once
-        return matrix, b, x, report, precond_total
+        # A full factor is replicated on every rank: count it once.
+        return matrix, b, x, report, (
+            sum(pbytes) if precond.kind == "bicp" else pbytes[0])
 
     results = run_spmd(scenario.ranks, per_rank, fabric=fabric)
     matrix, b, x, report, precond_total = results[0]

@@ -12,10 +12,11 @@ all of its entries in column j come at once from one gather, multiply
 and segmented sum over the row prefixes left of j.  Both factored
 preconditioners apply L L^T through one level-scheduled
 triangular-solve kernel: the rows of a segment are grouped once per
-factor into dependency levels, and each level is solved as one
-vectorized gather-and-reduce.  ICP pipelines its
-segments over the fabric; a BICP block runs both sweeps on its own
-rows and the blocks merge with one concatenation per apply.
+factor into dependency levels and solved in level order on the
+segment's slice of the output, one contiguous slice per level, over
+values stored in sweep order.  ICP pipelines its segments over the
+fabric; a BICP block runs both sweeps on its own rows and the blocks
+merge with one concatenation per apply.
 """
 from __future__ import annotations
 
@@ -89,7 +90,8 @@ class SolveReport:
     """Outcome of one CG solve.
 
     ``matrix_bytes`` and ``precond_bytes`` count stored complex values
-    only (16 B each), not index arrays or level schedules.
+    only (16 B each), not index arrays or level schedules, whose sweeps
+    hold their own copies of the factor values (2 x 2.8 MB on scatter-icp).
     """
     iterations: int
     residual_history: list
@@ -122,14 +124,6 @@ def build_dp(a) -> Preconditioner:
     return Preconditioner(kind="dp", inv_diag=1.0 / d)
 
 
-def _ic_diag(l_row_below: np.ndarray, a_jj: complex, j: int) -> complex:
-    val = a_jj - np.dot(l_row_below, l_row_below)
-    piv = np.sqrt(np.complex128(val))        # principal branch
-    if piv == 0:
-        raise FactorBreakdownError(f"zero pivot in column {j}")
-    return piv
-
-
 class _RankFactor(_CsrBase):
     """One rank's rows [row_start, row_end) of the zero-fill factor, built
     column by column (Saad, *Iterative Methods for Sparse Linear Systems*,
@@ -160,9 +154,13 @@ class _RankFactor(_CsrBase):
         self.scratch = np.zeros(a.n, dtype=np.complex128)
 
     def pivot(self, j: int) -> None:
-        """Diagonal of row j, once every entry left of it is known."""
+        """Row j's diagonal (principal square root) once its left is known."""
         s, e = self.indptr[j - self.row_start:j - self.row_start + 2]
-        self.data[e - 1] = _ic_diag(self.data[s:e - 1], self.a[e - 1], j)
+        left = self.data[s:e - 1]
+        piv = np.sqrt(np.complex128(self.a[e - 1] - np.dot(left, left)))
+        if piv == 0:
+            raise FactorBreakdownError(f"zero pivot in column {j}")
+        self.data[e - 1] = piv
 
     def touches(self, j: int) -> bool:
         """Whether a row of this rank has an entry below row j in column j."""
@@ -282,34 +280,38 @@ def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
     return level
 
 
-def _schedule_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:
+def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals):
     """Level schedule of one triangular sweep over rows [lo, hi).
 
-    Row ``lo + r`` subtracts ``data[pos[e]] * out[nbr[e]]`` over the
-    entries ``e`` in ``[begin[r], end[r])``, then divides by
-    ``data[diag[r]]``; neighbours inside [lo, hi) must be solved first,
-    neighbours outside are already known.  Each level is a tuple of
-    index arrays ``(rows, diag, cols, pos, starts)``: rows with entries
-    come first and ``starts`` holds their ``reduceat`` offsets.
+    Row ``lo + r`` subtracts ``vals[e] * out[nbr[e]]`` over the entries
+    ``e`` in ``[begin[r], end[r])``, then divides by ``dvals[r]``;
+    neighbours inside [lo, hi) must be solved first, neighbours outside
+    are already known.  Returns ``(lo, rows, levels)``: the sweep works
+    on ``out[lo:hi]`` holding ``rows`` (level by level, rows with entries
+    first), with columns in [lo, hi) remapped to those work positions.
+    Level ``(a, full, b, cols, vals, starts, dvals)`` solves out[a:b],
+    whose rows [a, full) have entries at ``reduceat`` offsets ``starts``.
     """
     count = end - begin
     level = _levels(lo, hi, begin, end, nbr)
-    # Levels are slices of one contiguous copy of the index arrays; many
-    # small per-level copies fragment the heap and raise peak RSS.
+    # Levels are slices of one contiguous copy per sweep; many small
+    # per-level copies fragment the heap and raise peak RSS.
     order = np.lexsort((count == 0, level))
-    rows, diag, count = lo + order, diag[order], count[order]
+    slot = lo + np.argsort(order)                   # work position of a row
     ent = _ranges(begin[order], end[order])
-    cols, pos = nbr[ent], pos[ent]
+    cols, vals, dvals, count = nbr[ent], vals[ent], dvals[order], count[order]
+    inside = (cols >= lo) & (cols < hi)
+    cols[inside] = slot[cols[inside] - lo]
     offset = np.concatenate(([0], np.cumsum(count)))
     cuts = np.searchsorted(level[order],
                            np.arange(level.max(initial=-1) + 2)).tolist()
-    sweep = []
+    levels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         e0, e1 = offset[a], offset[b]
         full = a + np.count_nonzero(count[a:b])
-        sweep.append((rows[a:b], diag[a:b], cols[e0:e1], pos[e0:e1],
-                      offset[a:full] - e0))
-    return sweep
+        levels.append((lo + a, lo + full, lo + b, cols[e0:e1], vals[e0:e1],
+                       offset[a:full] - e0, dvals[a:b]))
+    return lo, lo + order, levels
 
 
 def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
@@ -321,26 +323,30 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
     """
     local = np.arange(lo - factor.row_start, hi - factor.row_start)
     diag = factor.indptr[local + 1] - 1
-    zero = np.flatnonzero(factor.data[diag] == 0)
+    dvals = factor.data[diag]
+    zero = np.flatnonzero(dvals == 0)
     if len(zero):
         raise FactorBreakdownError(f"zero pivot in row {lo + int(zero[0])}")
-    forward = _schedule_sweep(
-        lo, hi, factor.indptr[local], diag, factor.indices,
-        np.arange(factor.nnz), diag)
+    forward = _schedule_sweep(lo, hi, factor.indptr[local], diag,
+                              factor.indices, factor.data, dvals)
     below, rows, ptr = factor.below_by_column(lo, hi)
-    back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows, below, diag)
+    back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows,
+                           factor.data[below], dvals)
     return forward, back
 
 
-def _solve_levels(sweep: list, data: np.ndarray, rhs: np.ndarray,
-                  out: np.ndarray) -> None:
-    """Triangular solve of one segment, level by level, into ``out``."""
-    for rows, diag, cols, pos, starts in sweep:
-        acc = rhs[rows]
+def _solve_levels(sweep, rhs: np.ndarray, out: np.ndarray) -> None:
+    """Solve one sweep in level order on out[lo:hi], then unpermute it."""
+    lo, rows, levels = sweep
+    work = out[lo:lo + len(rows)]
+    np.take(rhs, rows, out=work)
+    for a, full, b, cols, vals, starts, dvals in levels:
         if len(starts):
-            acc[:len(starts)] -= np.add.reduceat(data[pos] * out[cols],
-                                                 starts)
-        out[rows] = acc / data[diag]
+            # Not in place on the gather: the product keeps this order.
+            out[a:full] -= np.add.reduceat(np.multiply(vals, out[cols]),
+                                           starts)
+        out[a:b] /= dvals
+    out[rows] = work.copy()
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
@@ -361,11 +367,11 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
     n, P = factor.n, fabric.ranks
     lo, hi = partition.dof_range(rank)
     forward, back = factor.schedule(lo, hi)
+    b = np.asarray(b, dtype=np.complex128)
     if factor.block_local:
-        y = np.zeros(n, dtype=np.complex128)
-        x = np.zeros(n, dtype=np.complex128)
-        _solve_levels(forward, factor.data, b, y)
-        _solve_levels(back, factor.data, y, x)
+        y, x = np.zeros((2, n), dtype=np.complex128)
+        _solve_levels(forward, b, y)
+        _solve_levels(back, y, x)
         return CONCAT_STRATEGIES[concat](
             fabric, rank, SparseVector.from_segment(lo, x[lo:hi], n))
 
@@ -373,7 +379,7 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
         out = np.zeros(n, dtype=np.complex128)
         for seg in segs:
             if seg == rank:
-                _solve_levels(levels, factor.data, rhs, out)
+                _solve_levels(levels, rhs, out)
                 if P > 1:
                     fabric.broadcast(rank, SparseVector.from_segment(
                         lo, out[lo:hi], n))

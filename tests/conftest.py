@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
-from hexwave.sparse import LowerSymmetricRows, _CsrBase, _block_matvec
+from hexwave.solver import _levels
+from hexwave.sparse import (LowerSymmetricRows, _CsrBase, _block_matvec,
+                            _ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +482,56 @@ def entry_loop_ic(a, lo: int, hi: int):
             l_vals[li][pos] = (pat_avals[li][pos] - s) / row_j[-1]
         scratch[pat_cols[j - lo]] = 0.0
     return list(zip(pat_cols, l_vals))
+
+
+def gather_level_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:
+    """Level schedule of one sweep over rows [lo, hi) as index arrays
+    into the factor's values: one ``(rows, diag, cols, pos, starts)``
+    per level, rows with entries first (the gather-per-level layout)."""
+    count = end - begin
+    level = _levels(lo, hi, begin, end, nbr)
+    order = np.lexsort((count == 0, level))
+    rows, diag, count = lo + order, diag[order], count[order]
+    ent = _ranges(begin[order], end[order])
+    cols, pos = nbr[ent], pos[ent]
+    offset = np.concatenate(([0], np.cumsum(count)))
+    cuts = np.searchsorted(level[order],
+                           np.arange(level.max(initial=-1) + 2)).tolist()
+    sweep = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        e0, e1 = offset[a], offset[b]
+        full = a + np.count_nonzero(count[a:b])
+        sweep.append((rows[a:b], diag[a:b], cols[e0:e1], pos[e0:e1],
+                      offset[a:full] - e0))
+    return sweep
+
+
+def gather_level_solve(sweep: list, data, rhs, out) -> None:
+    """One sweep, each level gathering its values and right-hand side
+    and scattering its rows back into ``out`` in row order."""
+    for rows, diag, cols, pos, starts in sweep:
+        acc = rhs[rows]
+        if len(starts):
+            acc[:len(starts)] -= np.add.reduceat(data[pos] * out[cols],
+                                                 starts)
+        out[rows] = acc / data[diag]
+
+
+def gather_level_substitute(factor, b, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi] with L L^T x = b over rows [lo, hi) of the factor, by the
+    gather-per-level solve; the segment must need no other rows (a
+    block-local factor's block, or a full factor's whole range)."""
+    local = np.arange(lo - factor.row_start, hi - factor.row_start)
+    diag = factor.indptr[local + 1] - 1
+    forward = gather_level_sweep(lo, hi, factor.indptr[local], diag,
+                                 factor.indices, np.arange(factor.nnz), diag)
+    below, rows, ptr = factor.below_by_column(lo, hi)
+    back = gather_level_sweep(lo, hi, ptr[:-1], ptr[1:], rows, below, diag)
+    y = np.zeros(factor.n, dtype=np.complex128)
+    x = np.zeros(factor.n, dtype=np.complex128)
+    gather_level_solve(forward, factor.data, b, y)
+    gather_level_solve(back, factor.data, y, x)
+    return x[lo:hi]
 
 
 @pytest.fixture

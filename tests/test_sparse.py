@@ -232,6 +232,27 @@ def test_redundant_segment_bitwise_rank_invariant(rng):
         assert np.array_equal(got, ref)
 
 
+def test_redundant_product_bits_do_not_depend_on_block_size(rng):
+    """One rank's gather holds more than 16,384 entries (256 KiB, where
+    NumPy starts reusing temporaries), each of two ranks' fewer; the row
+    products are bitwise the same."""
+    n = 400
+    rows, _ = random_symmetric_sparse(rng, n, density=0.08)
+    m = RedundantRows.from_rows([row_block(rows, n)], n)
+    one = RowPartition(node_starts=np.array([0, n]), dofs_per_node=1)
+    two = RowPartition(node_starts=np.array([0, n // 2, n]), dofs_per_node=1)
+    assert m.nnz > 16384 and m.indptr[n // 2] < 16384
+    assert m.nnz - m.indptr[n // 2] < 16384
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref, got = (np.zeros(n, dtype=np.complex128) for _ in range(2))
+    sv = spmv_partial(m, one, 0, x)
+    ref[sv.indices] = sv.values
+    for r in range(2):
+        sv = spmv_partial(m, two, r, x)
+        got[sv.indices] = sv.values
+    assert same_bits(got, ref)
+
+
 def test_full_matvec_lower_equals_dense(rng):
     rows, dense = random_symmetric_sparse(rng, 12)
     m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 12)], 12)
@@ -342,9 +363,9 @@ def test_mm_symmetric_roundtrip_vs_scipy(rng, tmp_path):
     rows, _ = random_symmetric_sparse(rng, 7)
     m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 7)], 7)
     path = tmp_path / "sym.mtx"
-    write_matrix_market(path, m, comment="test system")
+    write_matrix_market(path, m)
     assert path.read_text().startswith(
-        "%%MatrixMarket matrix coordinate complex symmetric\n% test system\n")
+        f"%%MatrixMarket matrix coordinate complex symmetric\n7 7 {m.nnz}\n")
     _assert_csr_equal(scipy.io.mmread(str(path)).tocsr(), to_redundant(m))
 
 
