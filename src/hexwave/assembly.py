@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fabric import CommFabric
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
 from .sparse import RowPartition, _CsrBase, _csr_join, _ranges
 
@@ -48,11 +49,6 @@ class MaterialParams:
             raise AssemblyError("k0 must be positive")
         if np.any(np.asarray(self.eps_r) == 0):
             raise AssemblyError("eps_r must be non-zero on every element")
-
-    def element_values(self, e: int) -> tuple[complex, complex]:
-        eps = self.eps_r if np.isscalar(self.eps_r) else self.eps_r[e]
-        mu = self.mu_r if np.isscalar(self.mu_r) else self.mu_r[e]
-        return complex(eps), complex(mu)
 
 
 @dataclass(frozen=True)
@@ -292,15 +288,15 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     # Box meshes produce congruent elements, so a volume block depends
     # only on the material pair, a facet block only on its element-local
     # face; each is built once, from the first element or facet met.
-    def element_block(i):
-        e = e_elem[i]
-        em = element_matrices(_canonical(mesh.nodes[mesh.elements[e]], h),
-                              *params.element_values(e), params.k0)
-        return em.curl_curl - em.mass + em.penalty
-
     eps, mu = (np.broadcast_to(np.asarray(v, dtype=np.complex128),
                                (mesh.element_count,))[e_elem]
                for v in (params.eps_r, params.mu_r))
+
+    def element_block(i):
+        coords = _canonical(mesh.nodes[mesh.elements[e_elem[i]]], h)
+        em = element_matrices(coords, eps[i], mu[i], params.k0)
+        return em.curl_curl - em.mass + em.penalty
+
     e_blocks, e_which = _first_blocks(
         np.column_stack([eps.real, eps.imag, mu.real, mu.imag]), element_block)
     e_blocks = e_blocks.reshape(-1, 8, 3, 24)
@@ -426,28 +422,25 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
                                      3 * node + (ax + 2) % 3]))
 
 
-def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray, mesh: HexMesh,
-                      partition: RowPartition, rank: int, fabric=None):
+def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
+                      constrained: np.ndarray, partition: RowPartition,
+                      rank: int, fabric: CommFabric):
     """``(block, rhs)`` with constrained rows made identity/zero and
     their columns eliminated everywhere, leaving the inputs unchanged.
 
     An entry is kept when neither its row nor its column is constrained;
     a constrained row keeps only its diagonal (every assembled row stores
-    one), set to 1.  Column entries of a constrained dof live on other
-    ranks, so every rank broadcasts the constrained dofs it owns; the
-    traffic is counted under the "bc" phase.  Idempotent.
+    one), set to 1.  ``constrained`` is the mesh's ``constrained_dofs``.
+    Column entries of a constrained dof live on other ranks, so every
+    rank broadcasts the constrained dofs it owns; the traffic is counted
+    under the "bc" phase.  Idempotent.
     """
     lo, hi = partition.dof_range(rank)
-    all_constrained = constrained_dofs(mesh)
-    mine = all_constrained[(all_constrained >= lo) & (all_constrained < hi)]
-    if fabric is not None and fabric.ranks > 1:
-        fabric.set_phase(rank, "bc")
-        fabric.broadcast(rank, mine)
-        merged = np.sort(np.concatenate(
-            [mine if src == rank else fabric.recv(rank, src)
-             for src in range(fabric.ranks)]))
-    else:
-        merged = all_constrained
+    mine = constrained[(constrained >= lo) & (constrained < hi)]
+    fabric.set_phase(rank, "bc")
+    fabric.broadcast(rank, mine)
+    merged = np.concatenate([mine if src == rank else fabric.recv(rank, src)
+                             for src in range(fabric.ranks)])
     if not len(merged):
         return block, rhs_seg
     fixed = np.zeros(block.n, dtype=bool)
@@ -465,7 +458,7 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray, mesh: HexMesh,
 
 
 def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
-               rank: int, fabric=None):
+               rank: int, fabric: CommFabric):
     """A new ``(block, rhs)``: A + A^T (no 1/2 factor) and 2*rhs.
 
     A must be structurally symmetric, as assembly and ``apply_symmetry_bc``
@@ -478,7 +471,7 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
     n, cols, vals = block.n, block.indices, block.data
     rows = block.entry_rows()
     incoming = [(cols, rows, vals)]
-    if fabric is not None and fabric.ranks > 1:
+    if fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
         owner = partition.owner_of_dof(cols)
         incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])

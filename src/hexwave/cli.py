@@ -6,7 +6,8 @@ sweeps preconditioner kinds and rank counts over one base scenario and
 emits a CSV iteration/traffic table.
 
 Exit codes: 0 converged, 2 non-converged, 3 solver breakdown,
-4 config error (also an unwritable output path), 5 mesh budget exceeded.
+4 config error (also a bad flag value or an unwritable output path),
+5 mesh budget exceeded.
 """
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import csv
 import json
 import sys
 
+from .fabric import CONCAT_STRATEGIES
 from .mesh import MeshError
-from .runner import ConfigError, Scenario, compare_preconditioners, run_scenario
+from .runner import (PRECONDITIONERS, STORAGES, ConfigError, Scenario,
+                     compare_preconditioners, run_scenario)
 from .solver import SolverError
 
 EXIT_OK = 0
@@ -29,11 +32,11 @@ EXIT_BUDGET = 5
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI scenario file (flags override it)")
     p.add_argument("--ranks", type=int, help="simulated rank count P")
-    p.add_argument("--precond", choices=["dp", "icp", "bicp"],
+    p.add_argument("--precond", choices=PRECONDITIONERS,
                    help="preconditioner (default dp)")
-    p.add_argument("--concat", choices=["spmd", "ms"],
+    p.add_argument("--concat", choices=list(CONCAT_STRATEGIES),
                    help="residual concatenation strategy (default spmd)")
-    p.add_argument("--storage", choices=["1", "2"],
+    p.add_argument("--storage", choices=STORAGES,
                    help="matrix layout: 1 = lower-triangle rows, "
                         "2 = layout 1 plus the mirrored upper triangle "
                         "(default 2)")
@@ -57,8 +60,15 @@ def _scenario_from_args(args) -> Scenario:
     return scenario
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command-line value as a ``ConfigError`` (exit 4)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexwave",
         description="Parallel FE workbench for time-harmonic scattering on "
                     "hexahedral box meshes (simulated rank fabric).")
@@ -106,7 +116,7 @@ def _cmd_compare(args) -> int:
     preconds = [p.strip() for p in args.precond_list.split(",") if p.strip()]
     ranks = [int(r) for r in args.ranks_list.split(",") if r.strip()]
     for p in preconds:
-        if p not in ("dp", "icp", "bicp"):
+        if p not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {p!r}")
     rows = compare_preconditioners(scenario, preconds, ranks)
     fields = ["preconditioner", "ranks", "iterations", "converged",
@@ -124,9 +134,8 @@ def _cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)

@@ -199,31 +199,26 @@ def master_slave_concat(fabric: CommFabric, rank: int,
 CONCAT_STRATEGIES = {"spmd": spmd_concat, "ms": master_slave_concat}
 
 
-def run_spmd(ranks: int, fn, *, fabric: CommFabric | None = None):
+def run_spmd(fabric: CommFabric, fn):
     """Run ``fn(fabric, rank)`` on every rank; returns per-rank results.
 
     Rank 0 runs P=1 inline (no threads).  The first rank exception is
     re-raised after all workers stop.
     """
-    if fabric is None:
-        fabric = CommFabric(ranks)
-    if fabric.ranks != ranks:
-        raise ValueError("fabric rank count mismatch")
-    if ranks == 1:
+    if fabric.ranks == 1:
         return [fn(fabric, 0)]
-    results: list = [None] * ranks
-    errors: list = [None] * ranks
+    results: list = [None] * fabric.ranks
+    errors: list = [None] * fabric.ranks
 
     def worker(r):
         try:
             results[r] = fn(fabric, r)
         except BaseException as exc:   # noqa: BLE001 - reported to caller
             errors[r] = (exc, traceback.format_exc())
-            if fabric._barrier is not None:
-                fabric._barrier.abort()
+            fabric._barrier.abort()
 
     threads = [threading.Thread(target=worker, args=(r,), name=f"rank{r}")
-               for r in range(ranks)]
+               for r in range(fabric.ranks)]
     for t in threads:
         t.start()
     for t in threads:

@@ -16,7 +16,7 @@ import numpy as np
 from .assembly import (MaterialParams, PlaneWave, apply_symmetry_bc,
                        assemble_rhs, assemble_rows, constrained_dofs,
                        symmetrize)
-from .fabric import CommFabric, run_spmd
+from .fabric import CONCAT_STRATEGIES, CommFabric, run_spmd
 from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
                    embed_pec_scatterer)
 from .solver import (Preconditioner, SolveReport, build_bicp, build_dp,
@@ -27,6 +27,8 @@ from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                      write_rhs)
 
 SPEED_OF_LIGHT = 299_792_458.0    # m/s
+PRECONDITIONERS = ("dp", "icp", "bicp")
+STORAGES = ("1", "2")              # lower-triangle, redundant
 
 
 class ConfigError(ValueError):
@@ -56,11 +58,11 @@ class Scenario:
     def __post_init__(self):
         if self.frequency <= 0:
             raise ConfigError("frequency must be positive")
-        if self.preconditioner not in ("dp", "icp", "bicp"):
+        if self.preconditioner not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.preconditioner!r}")
-        if self.concat not in ("spmd", "ms"):
+        if self.concat not in CONCAT_STRATEGIES:
             raise ConfigError(f"unknown concat strategy {self.concat!r}")
-        if str(self.storage) not in ("1", "2"):
+        if str(self.storage) not in STORAGES:
             raise ConfigError(f"storage must be '1' or '2', got {self.storage!r}")
         self.storage = str(self.storage)
         if self.ranks < 1:
@@ -182,13 +184,14 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
                             k0=scenario.k0)
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
+    constrained = constrained_dofs(mesh)    # conflicting planes fail here
     node_range = partition.node_range(rank)
     fabric.set_phase(rank, "assemble")
     block = assemble_rows(mesh, params, node_range)
     rhs_seg = assemble_rhs(mesh, wave, node_range)
-    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, mesh, partition, rank,
-                                       fabric=fabric)
-    block, rhs_seg = symmetrize(block, rhs_seg, partition, rank, fabric=fabric)
+    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained, partition,
+                                       rank, fabric)
+    block, rhs_seg = symmetrize(block, rhs_seg, partition, rank, fabric)
 
     def join(parts):
         build = (LowerSymmetricRows.from_symmetric_rows
@@ -232,7 +235,6 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         raise ConfigError(f"probe stride must be >= 0, got {probe_stride}")
     start = time.monotonic()
     mesh = build_scenario_mesh(scenario)
-    constrained_dofs(mesh)         # surface conflicting symmetry planes early
     partition = partition_rows(mesh.node_count, scenario.ranks)
     fabric = CommFabric(scenario.ranks)
 
@@ -247,7 +249,7 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         return matrix, b, x, report, (
             sum(pbytes) if precond.kind == "bicp" else pbytes[0])
 
-    results = run_spmd(scenario.ranks, per_rank, fabric=fabric)
+    results = run_spmd(fabric, per_rank)
     matrix, b, x, report, precond_total = results[0]
     report.counters = fabric.counters_report()
     if export_matrix:

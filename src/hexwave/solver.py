@@ -380,9 +380,8 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
         for seg in segs:
             if seg == rank:
                 _solve_levels(levels, rhs, out)
-                if P > 1:
-                    fabric.broadcast(rank, SparseVector.from_segment(
-                        lo, out[lo:hi], n))
+                fabric.broadcast(rank, SparseVector.from_segment(
+                    lo, out[lo:hi], n))
             else:
                 sv = fabric.recv(rank, seg)
                 out[sv.indices] = sv.values

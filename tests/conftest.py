@@ -201,6 +201,14 @@ def facet_loop_kinds(mesh, planes) -> list:
 # Dense element-loop assembly oracle
 # ---------------------------------------------------------------------------
 
+def element_values(params, e: int) -> tuple[complex, complex]:
+    """(eps_r, mu_r) of element ``e``: a scalar parameter applies to every
+    element, an array gives one value per element."""
+    eps = params.eps_r if np.isscalar(params.eps_r) else params.eps_r[e]
+    mu = params.mu_r if np.isscalar(params.mu_r) else params.mu_r[e]
+    return complex(eps), complex(mu)
+
+
 def element_loop_assemble(mesh, params) -> np.ndarray:
     """Dense global matrix built element by element, then facet by facet.
 
@@ -212,7 +220,7 @@ def element_loop_assemble(mesh, params) -> np.ndarray:
     n = 3 * mesh.node_count
     a = np.zeros((n, n), dtype=np.complex128)
     for e, conn in enumerate(mesh.elements):
-        eps, mu = params.element_values(e)
+        eps, mu = element_values(params, e)
         em = element_matrices(mesh.nodes[conn] - mesh.nodes[conn].min(axis=0),
                               eps, mu, params.k0)
         blk = em.curl_curl - em.mass + em.penalty
@@ -251,7 +259,7 @@ def node_loop_rows(mesh, params):
 
     blocks = []
     for e, conn in enumerate(mesh.elements):
-        em = element_matrices(snapped(conn), *params.element_values(e),
+        em = element_matrices(snapped(conn), *element_values(params, e),
                               params.k0)
         blocks.append((conn, em.curl_curl - em.mass + em.penalty))
     elem_blocks, blocks = blocks, []

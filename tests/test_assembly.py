@@ -417,7 +417,7 @@ def _assembled(mesh, ranks=1):
         rhs = assemble_rhs(mesh, _wave(), part.node_range(r))
         return block, rhs
 
-    out = run_spmd(ranks, fn, fabric=fab)
+    out = run_spmd(fab, fn)
     return out, part, fab
 
 
@@ -428,7 +428,8 @@ def test_apply_symmetry_bc_identity_rows_and_columns():
     # A load on every dof, so zeroing the constrained ones shows.
     rhs_in = (1.0 + 0.5j) * np.arange(1, 82)
     ref = (dense(block_in), rhs_in.copy())
-    block, rhs = apply_symmetry_bc(block_in, rhs_in, mesh, part, 0)
+    block, rhs = apply_symmetry_bc(block_in, rhs_in, constrained_dofs(mesh),
+                                   part, 0, fab)
     # The input block and rhs are left as they were.
     np.testing.assert_array_equal(dense(block_in), ref[0])
     np.testing.assert_array_equal(rhs_in, ref[1])
@@ -452,8 +453,9 @@ def test_apply_symmetry_bc_idempotent():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("y", "antisymmetry")])
     ((block, rhs),), part, fab = _assembled(mesh)
-    once, rhs_once = apply_symmetry_bc(block, rhs, mesh, part, 0)
-    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, mesh, part, 0)
+    fixed = constrained_dofs(mesh)
+    once, rhs_once = apply_symmetry_bc(block, rhs, fixed, part, 0, fab)
+    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, fixed, part, 0, fab)
     assert_same_csr(twice, once)
     np.testing.assert_array_equal(rhs_twice, rhs_once)
 
@@ -461,15 +463,16 @@ def test_apply_symmetry_bc_idempotent():
 def test_apply_symmetry_bc_parallel_matches_serial():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry"), ("x", "antisymmetry")])
-    out1, part1, _ = _assembled(mesh, ranks=1)
-    block1, rhs1 = apply_symmetry_bc(*out1[0], mesh, part1, 0)
+    fixed = constrained_dofs(mesh)
+    out1, part1, fab1 = _assembled(mesh, ranks=1)
+    block1, rhs1 = apply_symmetry_bc(*out1[0], fixed, part1, 0, fab1)
 
     out3, part3, fab3 = _assembled(mesh, ranks=3)
 
     def fn(f, r):
-        return apply_symmetry_bc(*out3[r], mesh, part3, r, fabric=f)
+        return apply_symmetry_bc(*out3[r], fixed, part3, r, f)
 
-    res = run_spmd(3, fn, fabric=fab3)
+    res = run_spmd(fab3, fn)
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res], 81),
                     block1)
     rhs3 = np.concatenate([rhs for _, rhs in res])
@@ -485,9 +488,9 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
                rhs.copy()) for blk, rhs in out]
 
     def fn(f, r):
-        return apply_symmetry_bc(*out[r], mesh, part, r, fabric=f)
+        return apply_symmetry_bc(*out[r], constrained_dofs(mesh), part, r, f)
 
-    res = run_spmd(2, fn, fabric=fab)
+    res = run_spmd(fab, fn)
     for (blk, rhs), ref in zip(res, before):
         for got, want in zip((blk.indptr, blk.indices, blk.data, rhs), ref):
             assert np.array_equal(got, want)
@@ -500,7 +503,7 @@ def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
     mesh = _scatter_mesh(4)
     ((block, rhs_before),), part, fab = _assembled(mesh)
     before = dense(block)
-    sym, rhs = symmetrize(block, rhs_before, part, 0)
+    sym, rhs = symmetrize(block, rhs_before, part, 0, fab)
     after = dense(sym)
     np.testing.assert_allclose(after, before + before.T, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(rhs, 2.0 * rhs_before)
@@ -509,9 +512,9 @@ def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
 
 def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
     mesh = _scatter_mesh(4)
-    ((block, rhs),), part, _ = _assembled(mesh)
+    ((block, rhs),), part, fab = _assembled(mesh)
     before = [a.copy() for a in (block.indptr, block.indices, block.data)]
-    sym, _ = symmetrize(block, rhs, part, 0)
+    sym, _ = symmetrize(block, rhs, part, 0, fab)
     assert sym.indptr is block.indptr and sym.indices is block.indices
     assert not np.shares_memory(sym.data, block.data)
     for got, want in zip((block.indptr, block.indices, block.data), before):
@@ -521,7 +524,7 @@ def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
 def test_symmetrize_rejects_unmirrored_pattern():
     """Dropping one stored entry (r, c), c > r, leaves row r unmirrored."""
     mesh = build_box_mesh((1.,) * 3, 3)
-    ((block, rhs),), part, _ = _assembled(mesh)
+    ((block, rhs),), part, fab = _assembled(mesh)
     r = 30
     drop = block.indptr[r + 1] - 1               # last (largest) column
     assert block.indices[drop] > r
@@ -529,37 +532,38 @@ def test_symmetrize_rejects_unmirrored_pattern():
     broken = _CsrBase(block.n, block.indptr - (np.arange(block.n + 1) > r),
                          block.indices[keep], block.data[keep])
     with pytest.raises(AssemblyError, match=f"^row {r} is not mirrored"):
-        symmetrize(broken, rhs, part, 0)
+        symmetrize(broken, rhs, part, 0, fab)
 
 
 def test_symmetrize_multi_rank_partition_needs_the_fabric():
-    """Without the fabric a rank never receives the transposes owned by
-    other ranks, so its pattern cannot be mirrored."""
+    """On a one-rank fabric a rank of a two-rank partition never receives
+    the transposes owned by the other rank, so its pattern cannot be
+    mirrored."""
     mesh = build_box_mesh((1.,) * 3, 3)
     out, part, _ = _assembled(mesh, ranks=2)
     for r in range(2):
         with pytest.raises(AssemblyError, match="is not mirrored"):
-            symmetrize(*out[r], part, r)
+            symmetrize(*out[r], part, r, CommFabric(1))
 
 
 def test_symmetrize_exactly_symmetric():
     mesh = _scatter_mesh(4)
     ((block, rhs),), part, fab = _assembled(mesh)
-    a = dense(symmetrize(block, rhs, part, 0)[0])
+    a = dense(symmetrize(block, rhs, part, 0, fab)[0])
     assert np.abs(a - a.T).max() == 0.0
 
 
 def test_symmetrize_parallel_matches_serial_bitwise():
     mesh = build_box_mesh((1.,) * 3, 4)
-    out1, part1, _ = _assembled(mesh, ranks=1)
-    block1, rhs1 = symmetrize(*out1[0], part1, 0)
+    out1, part1, fab1 = _assembled(mesh, ranks=1)
+    block1, rhs1 = symmetrize(*out1[0], part1, 0, fab1)
 
     out4, part4, fab4 = _assembled(mesh, ranks=4)
 
     def fn(f, r):
-        return symmetrize(*out4[r], part4, r, fabric=f)
+        return symmetrize(*out4[r], part4, r, f)
 
-    res = run_spmd(4, fn, fabric=fab4)
+    res = run_spmd(fab4, fn)
     assert [blk.row_start for blk, _ in res] == [part4.dof_range(r)[0]
                                                  for r in range(4)]
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res],
@@ -581,7 +585,7 @@ def test_rows_and_symmetrize_across_node_blocks():
     assert_same_csr(block, row_block(node_loop_rows(mesh, params), n))
     before = dense(block)
     sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128),
-                        partition_rows(mesh.node_count, 1), 0)
+                        partition_rows(mesh.node_count, 1), 0, CommFabric(1))
     assert np.array_equal(dense(sym), before + before.T)
 
 
@@ -608,9 +612,8 @@ def test_assemble_system_shares_one_system_across_ranks(storage):
         for ranks in (2, 3):
             part = partition_rows(mesh.node_count, ranks)
             fab = CommFabric(ranks)
-            out = run_spmd(ranks,
-                           lambda f, r: assemble_system(sc, mesh, part, r, f),
-                           fabric=fab)
+            out = run_spmd(
+                fab, lambda f, r: assemble_system(sc, mesh, part, r, f))
             assert all(o is out[0] for o in out)
             matrix, b = out[0]
             assert type(matrix) is type(ref)

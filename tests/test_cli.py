@@ -98,9 +98,22 @@ def test_run_nonconverged_exit_two(config_path, tmp_path, capsys):
     assert code == 2
 
 
-def test_bad_precond_rejected_before_running(capsys):
-    with pytest.raises(SystemExit):       # argparse choices
-        main(["run", "--precond", "ssor"])
+@pytest.mark.parametrize("flag, value", [("--precond", "ssor"),
+                                         ("--ranks", "x")])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_bad_flag_value_exit_four(command, flag, value, capsys):
+    """A bad command-line value is a config error, like a bad INI value,
+    and is rejected before anything runs."""
+    assert main([command, flag, value]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"argument {flag}" in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--precond" in capsys.readouterr().out
 
 
 def test_bad_config_value_exit_four(tmp_path, capsys):

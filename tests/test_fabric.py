@@ -46,7 +46,7 @@ def test_send_recv_counts_messages_and_bytes():
         else:
             f.recv(1, 0)
 
-    run_spmd(2, fn, fabric=fab)
+    run_spmd(fab, fn)
     rep = fab.counters_report()
     assert rep["totals"]["messages"] == 1
     assert rep["totals"]["bytes"] == 48
@@ -76,7 +76,7 @@ def test_barrier_releases_all_ranks_any_arrival_order():
         f.barrier(r)
         order.append(r)
 
-    run_spmd(4, fn, fabric=fab)
+    run_spmd(fab, fn)
     assert sorted(order) == [0, 1, 2, 3]
     assert fab.barrier_collectives == 1
     assert fab.counters_report()["barrier_count_per_rank"] == [1, 1, 1, 1]
@@ -90,7 +90,7 @@ def test_broken_barrier_reported():
             f.barrier(r)         # rank 1 never arrives
 
     with pytest.raises(FabricTimeout):
-        run_spmd(2, fn, fabric=fab)
+        run_spmd(fab, fn)
 
 
 def _partials(ranks: int, n: int, seed: int = 3):
@@ -110,7 +110,7 @@ def test_spmd_concat_message_count(ranks):
     parts, full = _partials(ranks, 10 * ranks)
     for r in range(ranks):
         fab.set_phase(r, "concat")
-    out = run_spmd(ranks, lambda f, r: spmd_concat(f, r, parts[r]), fabric=fab)
+    out = run_spmd(fab, lambda f, r: spmd_concat(f, r, parts[r]))
     assert phase_traffic(fab, "concat")[0] == ranks * ranks - ranks
     for o in out:
         np.testing.assert_array_equal(o, full)
@@ -122,8 +122,7 @@ def test_master_slave_concat_message_count(ranks):
     parts, full = _partials(ranks, 10 * ranks)
     for r in range(ranks):
         fab.set_phase(r, "concat")
-    out = run_spmd(ranks, lambda f, r: master_slave_concat(f, r, parts[r]),
-                   fabric=fab)
+    out = run_spmd(fab, lambda f, r: master_slave_concat(f, r, parts[r]))
     assert phase_traffic(fab, "concat")[0] == 2 * (ranks - 1)
     for o in out:
         np.testing.assert_array_equal(o, full)
@@ -136,8 +135,7 @@ def test_master_broadcast_payload_is_dense():
     parts, _ = _partials(ranks, n)
     for r in range(ranks):
         fab.set_phase(r, "concat")
-    run_spmd(ranks, lambda f, r: master_slave_concat(f, r, parts[r]),
-             fabric=fab)
+    run_spmd(fab, lambda f, r: master_slave_concat(f, r, parts[r]))
     rep = fab.counters_report()
     master = rep["per_rank"][0][0]
     assert master.get("bytes") == 2 * COMPLEX_BYTES * n  # two sends of n
@@ -152,10 +150,10 @@ def test_strategies_produce_identical_sums():
     parts = [SparseVector.from_segment(0, rng.standard_normal(n)
                                        + 1j * rng.standard_normal(n), n)
              for _ in range(ranks)]
-    out_a = run_spmd(ranks, lambda f, r: spmd_concat(f, r, parts[r]),
-                     fabric=CommFabric(ranks))
-    out_b = run_spmd(ranks, lambda f, r: master_slave_concat(f, r, parts[r]),
-                     fabric=CommFabric(ranks))
+    out_a = run_spmd(CommFabric(ranks),
+                     lambda f, r: spmd_concat(f, r, parts[r]))
+    out_b = run_spmd(CommFabric(ranks),
+                     lambda f, r: master_slave_concat(f, r, parts[r]))
     for a, b in zip(out_a, out_b):
         assert np.array_equal(a, out_a[0])
         assert np.array_equal(a, b)
@@ -163,7 +161,7 @@ def test_strategies_produce_identical_sums():
 
 def test_allgather_object_uncounted():
     fab = CommFabric(3)
-    out = run_spmd(3, lambda f, r: f.allgather_object(r, r * 10), fabric=fab)
+    out = run_spmd(fab, lambda f, r: f.allgather_object(r, r * 10))
     assert all(o == [0, 10, 20] for o in out)
     assert fab.counters_report()["totals"]["messages"] == 0
     assert fab.barrier_collectives == 1
@@ -187,7 +185,7 @@ def test_allgather_object_combines_once_into_one_shared_object():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = run_spmd(4, fn, fabric=fab)
+        out = run_spmd(fab, fn)
     finally:
         sys.setswitchinterval(old_interval)
     assert calls == [[10 * k + r for r in range(4)] for k in range(rounds)]
@@ -205,4 +203,4 @@ def test_worker_exception_propagates():
         f.barrier(r)
 
     with pytest.raises(RuntimeError, match="worker boom"):
-        run_spmd(3, fn, fabric=CommFabric(3, timeout=5))
+        run_spmd(CommFabric(3, timeout=5), fn)

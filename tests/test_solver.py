@@ -111,8 +111,7 @@ def test_icp_parallel_bitwise_equals_serial(rng, ranks):
     serial = build_icp(ar, _one_rank(12), 0, CommFabric(1))
     part = partition_rows(12, ranks)
     part = RowPartition(node_starts=part.node_starts, dofs_per_node=1)
-    out = run_spmd(ranks, lambda f, r: build_icp(ar, part, r, f),
-                   fabric=CommFabric(ranks))
+    out = run_spmd(CommFabric(ranks), lambda f, r: build_icp(ar, part, r, f))
     for factor in out:
         assert np.array_equal(factor.data, serial.data)
         assert np.array_equal(factor.indices, serial.indices)
@@ -124,7 +123,7 @@ def test_icp_pipeline_barrier_count_matches_column_count(rng):
     ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
     part = _split([0, 3, 6, 9])
     fab = CommFabric(3)
-    run_spmd(3, lambda f, r: build_icp(ar, part, r, f), fabric=fab)
+    run_spmd(fab, lambda f, r: build_icp(ar, part, r, f))
     assert fab.barrier_collectives == 9 + 1
 
 
@@ -138,7 +137,7 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
     ar = _redundant(a)
     part = _split([0, 2, 3, 4])
     fab = CommFabric(3)
-    out = run_spmd(3, lambda f, r: build_icp(ar, part, r, f), fabric=fab)
+    out = run_spmd(fab, lambda f, r: build_icp(ar, part, r, f))
     assert fab.barrier_collectives == 5
     assert out[0] is out[1] is out[2]      # one shared factor
     assert np.abs(dense(out[0]) - np.linalg.cholesky(a.real)).max() < 1e-14
@@ -178,7 +177,7 @@ def test_bicp_needs_no_messages(rng):
     ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
     part = _split([0, 3, 6, 9])
     fab = CommFabric(3)
-    run_spmd(3, lambda f, r: build_bicp(ar, part, r), fabric=fab)
+    run_spmd(fab, lambda f, r: build_bicp(ar, part, r))
     assert fab.counters_report()["totals"]["messages"] == 0
 
 
@@ -207,8 +206,7 @@ def test_factor_builds_equal_on_either_storage(rng, ranks):
     built = []
     for a in (full, _lower(full)):
         fab = CommFabric(ranks)
-        icp = run_spmd(ranks, lambda f, r: build_icp(a, part, r, f),
-                       fabric=fab)[0]
+        icp = run_spmd(fab, lambda f, r: build_icp(a, part, r, f))[0]
         bicp = [build_bicp(a, part, r) for r in range(ranks)]
         built.append(([icp] + bicp, fab.counters_report()))
     (factors2, counters2), (factors1, counters1) = built
@@ -239,12 +237,14 @@ def test_row_destinations_match_column_loop(rng, ranks):
 
 def _grid_scenario(**kw) -> Scenario:
     # 4 x 4 x 5 nodes with a one-by-one-by-two-element PEC box: 80 nodes
-    # before the box, 240 unknowns.
+    # before the box, 240 unknowns.  Every dp, icp and bicp run at P = 1
+    # to 5, either storage, converges within 34 iterations (39 with a z+
+    # symmetry plane), so the cap makes a broken solve fail fast.
     return Scenario(extent=(1.0, 1.0, 1.25), nodes_per_wavelength=4,
                     scatterer=ScattererSpec(corner_min=(0.25, 0.25, 0.25),
                                             corner_max=(0.5, 0.5, 0.75)),
                     direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
-                    **kw)
+                    max_iter=100, **kw)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -336,6 +336,31 @@ def test_grid_run_traffic_pinned(precond, storage, concat):
             ) == GRID_SYMMETRY_TRAFFIC[precond, storage, concat]
 
 
+# The same z+ symmetry plane on one rank, per preconditioner: total
+# barriers, iterations and the solution's sha256[:12].  The constraint
+# broadcast and the pipelined segment broadcasts run at P = 1 too, and
+# send nothing.
+GRID_SYMMETRY_ONE_RANK = {
+    "dp": (2, 26, "393ae1c3447c"),
+    "icp": (243, 13, "64105047827e"),
+    "bicp": (2, 13, "64105047827e"),
+}
+
+
+@pytest.mark.parametrize("precond", sorted(GRID_SYMMETRY_ONE_RANK))
+def test_grid_run_one_rank_sends_nothing(precond):
+    res = run_scenario(_grid_scenario(
+        preconditioner=precond, ranks=1,
+        symmetry_planes=[("z+", "symmetry")]))
+    counters = res.report.counters
+    assert res.report.converged
+    assert counters["per_rank"] == [[]]          # no phase sends a message
+    assert counters["totals"]["messages"] == counters["totals"]["bytes"] == 0
+    assert (counters["totals"]["barriers"], res.report.iterations,
+            hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
+            ) == GRID_SYMMETRY_ONE_RANK[precond]
+
+
 @pytest.mark.parametrize("concat", ["spmd", "ms"])
 @pytest.mark.parametrize("ranks", [2, 3, 4])
 def test_bicp_solve_concatenates_once_per_apply(ranks, concat):
@@ -407,8 +432,7 @@ def test_icp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     a, split = _kernel_system(rng, kind, storage)
     part = split(ranks)
     _assert_kernel_edge_cases(a, part)
-    out = run_spmd(ranks, lambda f, r: build_icp(a, part, r, f),
-                   fabric=CommFabric(ranks))
+    out = run_spmd(CommFabric(ranks), lambda f, r: build_icp(a, part, r, f))
     _assert_same_factor(out[0], _oracle_factor(a, 0, a.n))
 
 
@@ -438,8 +462,8 @@ def test_factor_builds_name_first_row_without_diagonal(storage):
     for part in (halves, _split([0, 2, 6])):
         with pytest.raises(FactorBreakdownError,
                            match="missing diagonal in row 2"):
-            run_spmd(2, lambda f, r: build_icp(a, part, r, f),
-                     fabric=CommFabric(2, timeout=10.0))
+            run_spmd(CommFabric(2, timeout=10.0),
+                     lambda f, r: build_icp(a, part, r, f))
     with pytest.raises(FactorBreakdownError, match="missing diagonal in row 2"):
         build_bicp(a, whole, 0)
     with pytest.raises(FactorBreakdownError, match="missing diagonal in row 4"):
@@ -476,8 +500,7 @@ def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     for r in range(ranks):
         fab.set_phase(r, "solve")
     out = run_spmd(
-        ranks, lambda f, r: forward_back_substitute(factor, b, part, r, f),
-        fabric=fab)
+        fab, lambda f, r: forward_back_substitute(factor, b, part, r, f))
     for x in out:
         assert np.array_equal(x, serial)
     # one segment broadcast per rank per triangular solve
@@ -491,10 +514,8 @@ def test_block_substitution_is_block_exact(rng):
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     fab = CommFabric(2)
     out = run_spmd(
-        2,
-        lambda f, r: forward_back_substitute(build_bicp(ar, part, r), b,
-                                             part, r, f),
-        fabric=fab)
+        fab, lambda f, r: forward_back_substitute(build_bicp(ar, part, r), b,
+                                                  part, r, f))
     for r, lohi in enumerate([(0, 6), (6, 12)]):
         lo, hi = lohi
         lref = dense_ic_oracle(dense[lo:hi, lo:hi])
@@ -551,8 +572,8 @@ def test_level_mixing_rows_with_and_without_entries(rng):
         a[i, j] = a[j, i] = 1.0
     ar, part = _redundant(a), _split([0, 3, 6])
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    out = run_spmd(2, lambda f, r: forward_back_substitute(
-        build_icp(ar, part, r, f), b, part, r, f), fabric=CommFabric(2))
+    out = run_spmd(CommFabric(2), lambda f, r: forward_back_substitute(
+        build_icp(ar, part, r, f), b, part, r, f))
     factor = build_icp(ar, _one_rank(6), 0, CommFabric(1))
     assert _level_rows(factor.schedule(3, 6)[0])[0] == [3, 5, 4]
     for x in out:
@@ -571,8 +592,8 @@ def test_level_solve_matches_scipy_block_local_factor(rng):
                    for s in f.schedule(f.row_start, f.row_end)) >= 3
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     out = run_spmd(
-        2, lambda f, r: forward_back_substitute(factors[r], b, part, r, f),
-        fabric=CommFabric(2))
+        CommFabric(2),
+        lambda f, r: forward_back_substitute(factors[r], b, part, r, f))
     for f in factors:
         lo, hi = f.row_start, f.row_end
         ref = _scipy_substitute(dense(f)[lo:hi, lo:hi], b[lo:hi])
@@ -695,10 +716,8 @@ def test_cg_iteration_message_counts(rng):
         part = RowPartition(node_starts=part.node_starts, dofs_per_node=1)
         fab = CommFabric(ranks)
         out = run_spmd(
-            ranks,
-            lambda f, r: cg_solve(ar, b, build_dp(ar), part, r, f,
-                                  concat=concat, tol=1e-8),
-            fabric=fab)
+            fab, lambda f, r: cg_solve(ar, b, build_dp(ar), part, r, f,
+                                       concat=concat, tol=1e-8))
         rep = out[0][1]
         assert rep.converged
         msgs = phase_traffic(fab, "solve-iteration")[0]
@@ -712,9 +731,8 @@ def test_cg_rank_count_does_not_change_iterates(rng):
         part = partition_rows(18, ranks)
         part = RowPartition(node_starts=part.node_starts, dofs_per_node=1)
         out = run_spmd(
-            ranks,
-            lambda f, r: cg_solve(ar, b, build_dp(ar), part, r, f, tol=1e-8),
-            fabric=CommFabric(ranks))
+            CommFabric(ranks),
+            lambda f, r: cg_solve(ar, b, build_dp(ar), part, r, f, tol=1e-8))
         x, rep = out[0]
         if ref is None:
             ref = (x, rep.iterations)
@@ -729,10 +747,9 @@ def test_cg_strategy_equivalence_bitwise(rng):
     sols = {}
     for concat in ("spmd", "ms"):
         out = run_spmd(
-            3,
+            CommFabric(3),
             lambda f, r: cg_solve(ar, b, build_dp(ar), part, r, f,
-                                  concat=concat, tol=1e-8),
-            fabric=CommFabric(3))
+                                  concat=concat, tol=1e-8))
         sols[concat] = out[0][0]
     assert np.array_equal(sols["spmd"], sols["ms"])
 

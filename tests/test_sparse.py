@@ -334,8 +334,8 @@ def test_lower_spmv_oracle_on_empty_box_system():
                   ranks=2, storage="1")
     mesh = build_scenario_mesh(sc)
     part = partition_rows(mesh.node_count, 2)
-    out = run_spmd(2, lambda f, r: assemble_system(sc, mesh, part, r, f),
-                   fabric=CommFabric(2))
+    out = run_spmd(CommFabric(2),
+                   lambda f, r: assemble_system(sc, mesh, part, r, f))
     m = out[0][0]
     assert isinstance(m, LowerSymmetricRows) and m.n == 24_000
     rng = np.random.default_rng(5)
