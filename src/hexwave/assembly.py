@@ -22,7 +22,7 @@ import numpy as np
 
 from .fabric import CommFabric
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import RowPartition, _CsrBase, _csr_join, _ranges
+from .sparse import _CsrBase, _csr_join, _ranges
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -423,8 +423,8 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
 
 
 def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
-                      constrained: np.ndarray, partition: RowPartition,
-                      rank: int, fabric: CommFabric):
+                      constrained: np.ndarray, rank: int,
+                      fabric: CommFabric):
     """``(block, rhs)`` with constrained rows made identity/zero and
     their columns eliminated everywhere, leaving the inputs unchanged.
 
@@ -435,7 +435,7 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
     rank broadcasts the constrained dofs it owns; the traffic is counted
     under the "bc" phase.  Idempotent.
     """
-    lo, hi = partition.dof_range(rank)
+    lo, hi = fabric.partition.dof_range(rank)
     mine = constrained[(constrained >= lo) & (constrained < hi)]
     fabric.set_phase(rank, "bc")
     fabric.broadcast(rank, mine)
@@ -457,8 +457,8 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
     return kept, rhs_seg
 
 
-def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
-               rank: int, fabric: CommFabric):
+def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
+               fabric: CommFabric):
     """A new ``(block, rhs)``: A + A^T (no 1/2 factor) and 2*rhs.
 
     A must be structurally symmetric, as assembly and ``apply_symmetry_bc``
@@ -467,13 +467,13 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, partition: RowPartition,
     shares the input's ``indptr`` and ``indices``.  ``AssemblyError``
     names the first row whose pattern the transposes do not mirror.
     """
-    lo, hi = partition.dof_range(rank)
+    lo, hi = fabric.partition.dof_range(rank)
     n, cols, vals = block.n, block.indices, block.data
     rows = block.entry_rows()
     incoming = [(cols, rows, vals)]
     if fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
-        owner = partition.owner_of_dof(cols)
+        owner = fabric.partition.owner_of_dof(cols)
         incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])
                     for q in range(fabric.ranks)]
         for q in range(fabric.ranks):

@@ -4,7 +4,9 @@ Ranks run as threads inside one process; every cross-rank data transfer
 goes through point-to-point queues here and is counted (messages and
 payload bytes, per rank and per phase).  Byte accounting is 16 bytes per
 complex value and 8 per index; headers are ignored.  A watchdog turns a
-missing participant into an error instead of a hang.
+missing participant into an error instead of a hang.  A fabric is
+built on the run's ``RowPartition``: its ranks are that partition's, and
+every collective stage reads the row layout from ``fabric.partition``.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sparse import SparseVector, COMPLEX_BYTES, INDEX_BYTES
+from .sparse import COMPLEX_BYTES, INDEX_BYTES, RowPartition, SparseVector
 
 
 class FabricError(RuntimeError):
@@ -52,11 +54,14 @@ def payload_bytes(payload) -> int:
 
 
 class CommFabric:
-    """P simulated ranks with point-to-point sends, barriers and counters."""
+    """The P ranks of a row partition, with point-to-point sends,
+    barriers and counters."""
 
-    def __init__(self, ranks: int, timeout: float = 60.0):
+    def __init__(self, partition: RowPartition, timeout: float = 60.0):
+        ranks = partition.ranks
         if ranks < 1:
             raise ValueError("need at least one rank")
+        self.partition = partition
         self.ranks = ranks
         self.timeout = timeout
         self._queues = [[queue.SimpleQueue() for _ in range(ranks)]

@@ -22,9 +22,8 @@ from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
 from .solver import (Preconditioner, SolveReport, build_bicp, build_dp,
                      build_icp, cg_solve)
 # to_redundant is unused here; perfbench's tracer wraps runner.to_redundant.
-from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
-                     partition_rows, to_redundant, write_matrix_market,
-                     write_rhs)
+from .sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
+                     to_redundant, write_matrix_market, write_rhs)
 
 SPEED_OF_LIGHT = 299_792_458.0    # m/s
 PRECONDITIONERS = ("dp", "icp", "bicp")
@@ -167,8 +166,7 @@ def build_scenario_mesh(scenario: Scenario) -> HexMesh:
     return classify_boundary(mesh, scenario.symmetry_planes)
 
 
-def assemble_system(scenario: Scenario, mesh: HexMesh,
-                    partition: RowPartition, rank: int,
+def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
                     fabric: CommFabric):
     """Assemble, constrain and symmetrize this rank's CSR row block, then
     stack every rank's block into one global ``(matrix, b)``.
@@ -185,13 +183,13 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
     constrained = constrained_dofs(mesh)    # conflicting planes fail here
-    node_range = partition.node_range(rank)
+    node_range = tuple(d // 3 for d in fabric.partition.dof_range(rank))
     fabric.set_phase(rank, "assemble")
     block = assemble_rows(mesh, params, node_range)
     rhs_seg = assemble_rhs(mesh, wave, node_range)
-    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained, partition,
-                                       rank, fabric)
-    block, rhs_seg = symmetrize(block, rhs_seg, partition, rank, fabric)
+    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained, rank,
+                                       fabric)
+    block, rhs_seg = symmetrize(block, rhs_seg, rank, fabric)
 
     def join(parts):
         build = (LowerSymmetricRows.from_symmetric_rows
@@ -202,15 +200,15 @@ def assemble_system(scenario: Scenario, mesh: HexMesh,
     return fabric.allgather_object(rank, (block, rhs_seg), join)
 
 
-def build_preconditioner(scenario: Scenario, matrix, partition: RowPartition,
-                         rank: int, fabric: CommFabric) -> Preconditioner:
+def build_preconditioner(scenario: Scenario, matrix, rank: int,
+                         fabric: CommFabric) -> Preconditioner:
     fabric.set_phase(rank, "precond-build")
     if scenario.preconditioner == "dp":
         return build_dp(matrix)
     if scenario.preconditioner == "icp":
-        return Preconditioner("icp", factor=build_icp(matrix, partition, rank,
-                                                      fabric))
-    return Preconditioner("bicp", factor=build_bicp(matrix, partition, rank))
+        return Preconditioner("icp", factor=build_icp(matrix, rank, fabric))
+    return Preconditioner("bicp", factor=build_bicp(matrix, fabric.partition,
+                                                    rank))
 
 
 def _probe_samples(mesh: HexMesh, x: np.ndarray, stride: int) -> list:
@@ -235,13 +233,12 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         raise ConfigError(f"probe stride must be >= 0, got {probe_stride}")
     start = time.monotonic()
     mesh = build_scenario_mesh(scenario)
-    partition = partition_rows(mesh.node_count, scenario.ranks)
-    fabric = CommFabric(scenario.ranks)
+    fabric = CommFabric(partition_rows(mesh.node_count, scenario.ranks))
 
     def per_rank(fab: CommFabric, rank: int):
-        matrix, b = assemble_system(scenario, mesh, partition, rank, fab)
-        precond = build_preconditioner(scenario, matrix, partition, rank, fab)
-        x, report = cg_solve(matrix, b, precond, partition, rank, fab,
+        matrix, b = assemble_system(scenario, mesh, rank, fab)
+        precond = build_preconditioner(scenario, matrix, rank, fab)
+        x, report = cg_solve(matrix, b, precond, rank, fab,
                              concat=scenario.concat, tol=scenario.tol,
                              max_iter=scenario.max_iter)
         pbytes = fab.allgather_object(rank, precond.memory_bytes())

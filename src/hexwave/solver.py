@@ -210,8 +210,8 @@ def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
     return np.searchsorted(key, np.arange(lo, hi + 1) * ranks), key % ranks
 
 
-def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
-              rank: int, fabric: CommFabric) -> CholeskyFactor:
+def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
+              fabric: CommFabric) -> CholeskyFactor:
     """Column-parallel zero-fill incomplete Cholesky.
 
     Column j's off-diagonal entries are computed by the owners of the
@@ -223,7 +223,7 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, partition: RowPartition,
     read-only object.  On a dense pattern the result is the
     complete Cholesky factor.
     """
-    n = a.n
+    n, partition = a.n, fabric.partition
     lo, hi = partition.dof_range(rank)
     f = _RankFactor(a, lo, hi, col_min=0)
     owner = partition.owner_of_dof(np.arange(n))
@@ -362,8 +362,13 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
     and the blocks merge with one concatenation per apply.  Either way a
     rank's rows are solved level by level (see
     ``CholeskyFactor.schedule``), each row summed in a fixed order, so a
-    full factor gives a result bitwise independent of P.
+    full factor gives a result bitwise independent of P.  ``partition``
+    must have the fabric's row bounds.
     """
+    if not np.array_equal(partition.row_starts, fabric.partition.row_starts):
+        raise ValueError(
+            f"row bounds {partition.row_starts.tolist()} differ from the "
+            f"fabric's {fabric.partition.row_starts.tolist()}")
     n, P = factor.n, fabric.ranks
     lo, hi = partition.dof_range(rank)
     forward, back = factor.schedule(lo, hi)
@@ -412,18 +417,16 @@ def _norm(u: np.ndarray) -> float:
     return float(np.sqrt(_dot(u.real, u.real) + _dot(u.imag, u.imag)))
 
 
-def _apply_preconditioner(precond: Preconditioner, r: np.ndarray,
-                          partition: RowPartition, rank: int,
+def _apply_preconditioner(precond: Preconditioner, r: np.ndarray, rank: int,
                           fabric: CommFabric, concat: str) -> np.ndarray:
     if precond.kind == "dp":
         return precond.inv_diag * r
-    return forward_back_substitute(precond.factor, r, partition, rank,
+    return forward_back_substitute(precond.factor, r, fabric.partition, rank,
                                    fabric, concat=concat)
 
 
-def cg_solve(a, b: np.ndarray, precond: Preconditioner,
-             partition: RowPartition, rank: int, fabric: CommFabric,
-             concat: str = "spmd", tol: float = 1e-6,
+def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
+             fabric: CommFabric, concat: str = "spmd", tol: float = 1e-6,
              max_iter: int | None = None):
     """Preconditioned conjugate gradient with the unconjugated bilinear
     form, suitable for the complex symmetric systems assembled here.
@@ -444,46 +447,39 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner,
     x = np.zeros(n, dtype=np.complex128)
     r = b.astype(np.complex128).copy()
     bnorm = _norm(r)
-    if bnorm == 0.0:
-        report = SolveReport(
-            iterations=0, residual_history=[0.0], converged=True,
-            breakdown=False, preconditioner=precond.kind, strategy=concat,
-            ranks=fabric.ranks, tol=tol, matrix_bytes=a.value_bytes(),
-            precond_bytes=precond.memory_bytes(), true_residual=0.0)
-        return x, report
+    # A zero right-hand side is solved by x = 0, before any message.
+    history, converged, breakdown, iterations = [0.0], True, False, 0
+    true_res = 0.0
+    if bnorm != 0.0:
+        z = _apply_preconditioner(precond, r, rank, fabric, concat)
+        p = z.copy()
+        rho = _dot(r, z)
+        history, converged = [_norm(r) / bnorm], False
+        for _ in range(max_iter):
+            partial = spmv_partial(a, fabric.partition, rank, p)
+            q = concat_fn(fabric, rank, partial)
+            denom = _dot(p, q)
+            if denom == 0:
+                breakdown = True
+                break
+            alpha = rho / denom
+            x = x + alpha * p
+            r = r - alpha * q
+            iterations += 1
+            rel = _norm(r) / bnorm
+            history.append(rel)
+            if rel <= tol:
+                converged = True
+                break
+            z = _apply_preconditioner(precond, r, rank, fabric, concat)
+            rho_new = _dot(r, z)
+            if rho_new == 0:
+                breakdown = True
+                break
+            p = z + (rho_new / rho) * p
+            rho = rho_new
+        true_res = _norm(b - full_matvec(a, x)) / bnorm
 
-    z = _apply_preconditioner(precond, r, partition, rank, fabric, concat)
-    p = z.copy()
-    rho = _dot(r, z)
-    history = [_norm(r) / bnorm]
-    converged = False
-    breakdown = False
-    iterations = 0
-    for _ in range(max_iter):
-        partial = spmv_partial(a, partition, rank, p)
-        q = concat_fn(fabric, rank, partial)
-        denom = _dot(p, q)
-        if denom == 0:
-            breakdown = True
-            break
-        alpha = rho / denom
-        x = x + alpha * p
-        r = r - alpha * q
-        iterations += 1
-        rel = _norm(r) / bnorm
-        history.append(rel)
-        if rel <= tol:
-            converged = True
-            break
-        z = _apply_preconditioner(precond, r, partition, rank, fabric, concat)
-        rho_new = _dot(r, z)
-        if rho_new == 0:
-            breakdown = True
-            break
-        p = z + (rho_new / rho) * p
-        rho = rho_new
-
-    true_res = _norm(b - full_matvec(a, x)) / bnorm
     report = SolveReport(
         iterations=iterations, residual_history=history,
         converged=converged, breakdown=breakdown,

@@ -3,8 +3,10 @@
 Two row-wise representations are provided for the symmetric system
 matrix: the lower triangle (storage #1), and storage #1 plus the
 mirrored strict upper triangle, so each row holds its full pattern
-(storage #2).  Neither carries a column index.  Rows are
-block-partitioned across ranks, three matrix rows per mesh node.
+(storage #2).  Neither carries a column index.  A ``RowPartition`` is
+only the row bounds of each rank's contiguous block; ``partition_rows``
+splits whole mesh nodes, three matrix rows each.  The run's fabric is
+built on that one partition.
 """
 from __future__ import annotations
 
@@ -22,37 +24,26 @@ class SparseFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RowPartition:
-    """Contiguous node ranges per rank; each node owns ``dofs_per_node``
-    complex rows (3 for the field problem, 1 for raw test matrices)."""
-    node_starts: np.ndarray      # length P+1, ascending
-    dofs_per_node: int = 3
+    """Contiguous row ranges: rank r owns rows [row_starts[r],
+    row_starts[r + 1])."""
+    row_starts: np.ndarray       # length P+1, ascending
 
     @property
     def ranks(self) -> int:
-        return len(self.node_starts) - 1
-
-    @property
-    def node_count(self) -> int:
-        return int(self.node_starts[-1])
-
-    def node_range(self, rank: int) -> tuple[int, int]:
-        return int(self.node_starts[rank]), int(self.node_starts[rank + 1])
+        return len(self.row_starts) - 1
 
     def dof_range(self, rank: int) -> tuple[int, int]:
-        lo, hi = self.node_range(rank)
-        return self.dofs_per_node * lo, self.dofs_per_node * hi
-
-    def owner_of_node(self, node):
-        """Rank owning a node, or the owners of an array of nodes."""
-        owner = np.searchsorted(self.node_starts, node, side="right") - 1
-        return owner if np.ndim(owner) else int(owner)
+        return int(self.row_starts[rank]), int(self.row_starts[rank + 1])
 
     def owner_of_dof(self, dof):
-        return self.owner_of_node(dof // self.dofs_per_node)
+        """Rank owning a row, or the owners of an array of rows."""
+        owner = np.searchsorted(self.row_starts, dof, side="right") - 1
+        return owner if np.ndim(owner) else int(owner)
 
 
 def partition_rows(node_count: int, ranks: int) -> RowPartition:
-    """Split N nodes over P ranks; the first N mod P ranks get one extra."""
+    """Split N nodes' 3N rows over P ranks, whole nodes per rank; the
+    first N mod P ranks get one extra node."""
     if ranks < 1:
         raise ValueError("ranks must be >= 1")
     if ranks > node_count:
@@ -60,7 +51,7 @@ def partition_rows(node_count: int, ranks: int) -> RowPartition:
     base, extra = divmod(node_count, ranks)
     sizes = [base + (1 if r < extra else 0) for r in range(ranks)]
     starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    return RowPartition(node_starts=starts)
+    return RowPartition(row_starts=3 * starts)
 
 
 class _CsrBase:
@@ -261,7 +252,7 @@ def spmv_partial(m, partition: RowPartition, rank: int,
     the contribution also scatters below the owned range; the sum over
     ranks equals the full product either way.
     """
-    expected = partition.dofs_per_node * partition.node_count
+    expected = int(partition.row_starts[-1])
     if len(x) != expected:
         raise ValueError(f"vector length {len(x)} != {expected}")
     lo, hi = partition.dof_range(rank)

@@ -63,7 +63,7 @@ def _small_scenario(**kw) -> Scenario:
 def _assembled(scenario: Scenario):
     mesh = build_scenario_mesh(scenario)
     part = partition_rows(mesh.node_count, 1)
-    return assemble_system(scenario, mesh, part, 0, CommFabric(1)) + (part,)
+    return assemble_system(scenario, mesh, 0, CommFabric(part)) + (part,)
 
 
 def test_criterion_1_assembly_matches_element_loop_oracle():
@@ -126,7 +126,7 @@ def test_criterion_3_block_factor_on_one_rank_is_global_factor():
     """Tolerance: bitwise equality of factor arrays and equal solve
     iteration counts on a 3^3-element scattering system."""
     matrix, _, part = _assembled(_cube_scattering_scenario())
-    icp = build_icp(matrix, part, 0, CommFabric(1))
+    icp = build_icp(matrix, 0, CommFabric(part))
     bicp = build_bicp(matrix, part, 0)
     same_factor = (np.array_equal(icp.data, bicp.data)
                    and np.array_equal(icp.indices, bicp.indices)
@@ -172,12 +172,12 @@ def test_criterion_5_dense_pattern_factorization_is_exact(rng):
     a = (m @ m.T + 20 * np.eye(20)).astype(complex)
     rows = [(np.arange(20), a[i].copy()) for i in range(20)]
     ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
-    part = RowPartition(node_starts=np.array([0, 20]), dofs_per_node=1)
-    factor = build_icp(ar, part, 0, CommFabric(1))
+    fab = CommFabric(RowPartition(np.array([0, 20])))
+    factor = build_icp(ar, 0, fab)
     gap = np.abs(dense(factor) - np.linalg.cholesky(a.real)).max()
     b = rng.standard_normal(20).astype(complex)
     _, rep = cg_solve(ar, b, Preconditioner(kind="icp", factor=factor),
-                      part, 0, CommFabric(1), tol=1e-10)
+                      0, fab, tol=1e-10)
     ok = gap <= 1e-14 and rep.iterations == 1 and rep.converged
     _verdict(5, ok, f"dense-pattern factorization exact (gap {gap:.2e} <= "
                     f"1e-14), CG converged in {rep.iterations} iteration")
@@ -244,7 +244,7 @@ def test_criterion_9_storage_layouts_hold_identical_entries():
     d1 = dense(to_redundant(m1))
     d2 = dense(m2)
     same_entries = np.array_equal(d1, d2) and np.array_equal(b1, b2)
-    factor = build_icp(m2, part, 0, CommFabric(1))
+    factor = build_icp(m2, 0, CommFabric(part))
     stored = np.zeros((m2.n, m2.n), dtype=bool)
     for i in range(m2.n):
         cols, _ = m2.row(i)

@@ -209,11 +209,17 @@ def test_dof_assembly_equals_element_loop(npw):
     assert np.abs(got - ref).max() / scale < 1e-12
 
 
+def _node_range(part, rank):
+    """The nodes of a rank's rows, three rows per node."""
+    lo, hi = part.dof_range(rank)
+    return lo // 3, hi // 3
+
+
 def _stacked_rows(mesh, params, ranks):
     """Every rank's row block, each starting at its first owned dof,
     stacked into one matrix."""
     part = partition_rows(mesh.node_count, ranks)
-    blocks = [assemble_rows(mesh, params, part.node_range(r))
+    blocks = [assemble_rows(mesh, params, _node_range(part, r))
               for r in range(ranks)]
     assert [b.row_start for b in blocks] == [part.dof_range(r)[0]
                                              for r in range(ranks)]
@@ -261,7 +267,7 @@ def test_rhs_matches_facet_loop_reference(direction, polarization):
     ref = facet_loop_rhs(mesh, wave)
     part = partition_rows(mesh.node_count, 3)
     for got in (assemble_rhs(mesh, wave, (0, mesh.node_count)),
-                np.concatenate([assemble_rhs(mesh, wave, part.node_range(r))
+                np.concatenate([assemble_rhs(mesh, wave, _node_range(part, r))
                                 for r in range(3)])):
         assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
 
@@ -329,7 +335,7 @@ def test_rhs_segments_concatenate(npw=4):
     wave = _wave()
     full = assemble_rhs(mesh, wave, (0, mesh.node_count))
     part = partition_rows(mesh.node_count, 3)
-    split = np.concatenate([assemble_rhs(mesh, wave, part.node_range(r))
+    split = np.concatenate([assemble_rhs(mesh, wave, _node_range(part, r))
                             for r in range(3)])
     np.testing.assert_array_equal(full, split)
 
@@ -410,26 +416,26 @@ def test_conflicting_plane_kinds_on_shared_node_named():
 def _assembled(mesh, ranks=1):
     params = MaterialParams(k0=2 * np.pi)
     part = partition_rows(mesh.node_count, ranks)
-    fab = CommFabric(ranks)
+    fab = CommFabric(part)
 
     def fn(f, r):
-        block = assemble_rows(mesh, params, part.node_range(r))
-        rhs = assemble_rhs(mesh, _wave(), part.node_range(r))
+        block = assemble_rows(mesh, params, _node_range(part, r))
+        rhs = assemble_rhs(mesh, _wave(), _node_range(part, r))
         return block, rhs
 
     out = run_spmd(fab, fn)
-    return out, part, fab
+    return out, fab
 
 
 def test_apply_symmetry_bc_identity_rows_and_columns():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry")])
-    ((block_in, _),), part, fab = _assembled(mesh)
+    ((block_in, _),), fab = _assembled(mesh)
     # A load on every dof, so zeroing the constrained ones shows.
     rhs_in = (1.0 + 0.5j) * np.arange(1, 82)
     ref = (dense(block_in), rhs_in.copy())
     block, rhs = apply_symmetry_bc(block_in, rhs_in, constrained_dofs(mesh),
-                                   part, 0, fab)
+                                   0, fab)
     # The input block and rhs are left as they were.
     np.testing.assert_array_equal(dense(block_in), ref[0])
     np.testing.assert_array_equal(rhs_in, ref[1])
@@ -452,10 +458,10 @@ def test_apply_symmetry_bc_identity_rows_and_columns():
 def test_apply_symmetry_bc_idempotent():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("y", "antisymmetry")])
-    ((block, rhs),), part, fab = _assembled(mesh)
+    ((block, rhs),), fab = _assembled(mesh)
     fixed = constrained_dofs(mesh)
-    once, rhs_once = apply_symmetry_bc(block, rhs, fixed, part, 0, fab)
-    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, fixed, part, 0, fab)
+    once, rhs_once = apply_symmetry_bc(block, rhs, fixed, 0, fab)
+    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, fixed, 0, fab)
     assert_same_csr(twice, once)
     np.testing.assert_array_equal(rhs_twice, rhs_once)
 
@@ -464,13 +470,13 @@ def test_apply_symmetry_bc_parallel_matches_serial():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry"), ("x", "antisymmetry")])
     fixed = constrained_dofs(mesh)
-    out1, part1, fab1 = _assembled(mesh, ranks=1)
-    block1, rhs1 = apply_symmetry_bc(*out1[0], fixed, part1, 0, fab1)
+    out1, fab1 = _assembled(mesh, ranks=1)
+    block1, rhs1 = apply_symmetry_bc(*out1[0], fixed, 0, fab1)
 
-    out3, part3, fab3 = _assembled(mesh, ranks=3)
+    out3, fab3 = _assembled(mesh, ranks=3)
 
     def fn(f, r):
-        return apply_symmetry_bc(*out3[r], fixed, part3, r, f)
+        return apply_symmetry_bc(*out3[r], fixed, r, f)
 
     res = run_spmd(fab3, fn)
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res], 81),
@@ -483,12 +489,12 @@ def test_apply_symmetry_bc_parallel_matches_serial():
 def test_apply_symmetry_bc_without_constraints_leaves_rows():
     mesh = build_box_mesh((1.,) * 3, 3)
     assert constrained_dofs(mesh).size == 0
-    out, part, fab = _assembled(mesh, ranks=2)
+    out, fab = _assembled(mesh, ranks=2)
     before = [(blk.indptr.copy(), blk.indices.copy(), blk.data.copy(),
                rhs.copy()) for blk, rhs in out]
 
     def fn(f, r):
-        return apply_symmetry_bc(*out[r], constrained_dofs(mesh), part, r, f)
+        return apply_symmetry_bc(*out[r], constrained_dofs(mesh), r, f)
 
     res = run_spmd(fab, fn)
     for (blk, rhs), ref in zip(res, before):
@@ -501,9 +507,9 @@ def test_apply_symmetry_bc_without_constraints_leaves_rows():
 
 def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
     mesh = _scatter_mesh(4)
-    ((block, rhs_before),), part, fab = _assembled(mesh)
+    ((block, rhs_before),), fab = _assembled(mesh)
     before = dense(block)
-    sym, rhs = symmetrize(block, rhs_before, part, 0, fab)
+    sym, rhs = symmetrize(block, rhs_before, 0, fab)
     after = dense(sym)
     np.testing.assert_allclose(after, before + before.T, rtol=1e-15, atol=0)
     np.testing.assert_array_equal(rhs, 2.0 * rhs_before)
@@ -512,9 +518,9 @@ def test_symmetrize_equals_a_plus_at_and_doubles_rhs():
 
 def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
     mesh = _scatter_mesh(4)
-    ((block, rhs),), part, fab = _assembled(mesh)
+    ((block, rhs),), fab = _assembled(mesh)
     before = [a.copy() for a in (block.indptr, block.indices, block.data)]
-    sym, _ = symmetrize(block, rhs, part, 0, fab)
+    sym, _ = symmetrize(block, rhs, 0, fab)
     assert sym.indptr is block.indptr and sym.indices is block.indices
     assert not np.shares_memory(sym.data, block.data)
     for got, want in zip((block.indptr, block.indices, block.data), before):
@@ -524,7 +530,7 @@ def test_symmetrize_shares_pattern_and_leaves_input_unchanged():
 def test_symmetrize_rejects_unmirrored_pattern():
     """Dropping one stored entry (r, c), c > r, leaves row r unmirrored."""
     mesh = build_box_mesh((1.,) * 3, 3)
-    ((block, rhs),), part, fab = _assembled(mesh)
+    ((block, rhs),), fab = _assembled(mesh)
     r = 30
     drop = block.indptr[r + 1] - 1               # last (largest) column
     assert block.indices[drop] > r
@@ -532,40 +538,29 @@ def test_symmetrize_rejects_unmirrored_pattern():
     broken = _CsrBase(block.n, block.indptr - (np.arange(block.n + 1) > r),
                          block.indices[keep], block.data[keep])
     with pytest.raises(AssemblyError, match=f"^row {r} is not mirrored"):
-        symmetrize(broken, rhs, part, 0, fab)
-
-
-def test_symmetrize_multi_rank_partition_needs_the_fabric():
-    """On a one-rank fabric a rank of a two-rank partition never receives
-    the transposes owned by the other rank, so its pattern cannot be
-    mirrored."""
-    mesh = build_box_mesh((1.,) * 3, 3)
-    out, part, _ = _assembled(mesh, ranks=2)
-    for r in range(2):
-        with pytest.raises(AssemblyError, match="is not mirrored"):
-            symmetrize(*out[r], part, r, CommFabric(1))
+        symmetrize(broken, rhs, 0, fab)
 
 
 def test_symmetrize_exactly_symmetric():
     mesh = _scatter_mesh(4)
-    ((block, rhs),), part, fab = _assembled(mesh)
-    a = dense(symmetrize(block, rhs, part, 0, fab)[0])
+    ((block, rhs),), fab = _assembled(mesh)
+    a = dense(symmetrize(block, rhs, 0, fab)[0])
     assert np.abs(a - a.T).max() == 0.0
 
 
 def test_symmetrize_parallel_matches_serial_bitwise():
     mesh = build_box_mesh((1.,) * 3, 4)
-    out1, part1, fab1 = _assembled(mesh, ranks=1)
-    block1, rhs1 = symmetrize(*out1[0], part1, 0, fab1)
+    out1, fab1 = _assembled(mesh, ranks=1)
+    block1, rhs1 = symmetrize(*out1[0], 0, fab1)
 
-    out4, part4, fab4 = _assembled(mesh, ranks=4)
+    out4, fab4 = _assembled(mesh, ranks=4)
 
     def fn(f, r):
-        return symmetrize(*out4[r], part4, r, f)
+        return symmetrize(*out4[r], r, f)
 
     res = run_spmd(fab4, fn)
-    assert [blk.row_start for blk, _ in res] == [part4.dof_range(r)[0]
-                                                 for r in range(4)]
+    starts = fab4.partition.row_starts[:-1].tolist()
+    assert [blk.row_start for blk, _ in res] == starts
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res],
                                             block1.n), block1)
     np.testing.assert_array_equal(np.concatenate([rhs for _, rhs in res]),
@@ -584,8 +579,8 @@ def test_rows_and_symmetrize_across_node_blocks():
     block = assemble_rows(mesh, params, (0, mesh.node_count))
     assert_same_csr(block, row_block(node_loop_rows(mesh, params), n))
     before = dense(block)
-    sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128),
-                        partition_rows(mesh.node_count, 1), 0, CommFabric(1))
+    sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128), 0,
+                        CommFabric(partition_rows(mesh.node_count, 1)))
     assert np.array_equal(dense(sym), before + before.T)
 
 
@@ -606,14 +601,11 @@ def test_assemble_system_shares_one_system_across_ranks(storage):
                         polarization=(0.0, 0.0, 1.0), storage=storage)):
         mesh = build_scenario_mesh(sc)
         assert (constrained_dofs(mesh).size > 0) == bool(sc.symmetry_planes)
-        ref, ref_b = assemble_system(sc, mesh,
-                                     partition_rows(mesh.node_count, 1), 0,
-                                     CommFabric(1))
+        ref, ref_b = assemble_system(
+            sc, mesh, 0, CommFabric(partition_rows(mesh.node_count, 1)))
         for ranks in (2, 3):
-            part = partition_rows(mesh.node_count, ranks)
-            fab = CommFabric(ranks)
-            out = run_spmd(
-                fab, lambda f, r: assemble_system(sc, mesh, part, r, f))
+            fab = CommFabric(partition_rows(mesh.node_count, ranks))
+            out = run_spmd(fab, lambda f, r: assemble_system(sc, mesh, r, f))
             assert all(o is out[0] for o in out)
             matrix, b = out[0]
             assert type(matrix) is type(ref)
@@ -631,8 +623,8 @@ def test_symmetry_plane_reproduces_full_domain_solution():
 
     def dense_solve(sc):
         mesh = build_scenario_mesh(sc)
-        part = partition_rows(mesh.node_count, 1)
-        a, b = assemble_system(sc, mesh, part, 0, CommFabric(1))
+        fab = CommFabric(partition_rows(mesh.node_count, 1))
+        a, b = assemble_system(sc, mesh, 0, fab)
         return mesh, np.linalg.solve(dense(a), b)
 
     npw = 4

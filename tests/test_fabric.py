@@ -10,9 +10,10 @@ import pytest
 from hexwave.fabric import (CommFabric, FabricError, FabricTimeout,
                             master_slave_concat, payload_bytes, run_spmd,
                             spmd_concat)
-from hexwave.sparse import COMPLEX_BYTES, INDEX_BYTES, SparseVector
+from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, SparseVector,
+                            partition_rows)
 
-from conftest import phase_traffic
+from conftest import fabric_of, phase_traffic
 
 
 def test_payload_accounting_sparse_vector():
@@ -36,8 +37,18 @@ def test_payload_accounting_rejects_non_array_payloads(payload):
         payload_bytes((np.zeros(2, np.int64), payload))
 
 
+@pytest.mark.parametrize("nodes, ranks", [(1, 1), (10, 3), (12, 4)])
+def test_fabric_ranks_are_its_partitions(nodes, ranks):
+    """A fabric is built on one row partition and has its rank count."""
+    part = partition_rows(nodes, ranks)
+    fab = CommFabric(part)
+    assert fab.partition is part
+    assert fab.ranks == part.ranks == ranks
+    assert fab.counters_report()["ranks"] == ranks
+
+
 def test_send_recv_counts_messages_and_bytes():
-    fab = CommFabric(2)
+    fab = fabric_of(2)
     fab.set_phase(0, "demo")
 
     def fn(f, r):
@@ -54,13 +65,13 @@ def test_send_recv_counts_messages_and_bytes():
 
 
 def test_self_send_rejected():
-    fab = CommFabric(2)
+    fab = fabric_of(2)
     with pytest.raises(FabricError):
         fab.send(0, 0, None)
 
 
 def test_recv_timeout_is_error_not_hang():
-    fab = CommFabric(2, timeout=0.05)
+    fab = fabric_of(2, timeout=0.05)
     t0 = time.monotonic()
     with pytest.raises(FabricTimeout):
         fab.recv(0, 1)
@@ -68,7 +79,7 @@ def test_recv_timeout_is_error_not_hang():
 
 
 def test_barrier_releases_all_ranks_any_arrival_order():
-    fab = CommFabric(4)
+    fab = fabric_of(4)
     order = []
 
     def fn(f, r):
@@ -83,7 +94,7 @@ def test_barrier_releases_all_ranks_any_arrival_order():
 
 
 def test_broken_barrier_reported():
-    fab = CommFabric(2, timeout=0.1)
+    fab = fabric_of(2, timeout=0.1)
 
     def fn(f, r):
         if r == 0:
@@ -106,7 +117,7 @@ def _partials(ranks: int, n: int, seed: int = 3):
 
 @pytest.mark.parametrize("ranks", [1, 2, 4, 8, 10])
 def test_spmd_concat_message_count(ranks):
-    fab = CommFabric(ranks)
+    fab = fabric_of(ranks)
     parts, full = _partials(ranks, 10 * ranks)
     for r in range(ranks):
         fab.set_phase(r, "concat")
@@ -118,7 +129,7 @@ def test_spmd_concat_message_count(ranks):
 
 @pytest.mark.parametrize("ranks", [1, 2, 4, 8, 10])
 def test_master_slave_concat_message_count(ranks):
-    fab = CommFabric(ranks)
+    fab = fabric_of(ranks)
     parts, full = _partials(ranks, 10 * ranks)
     for r in range(ranks):
         fab.set_phase(r, "concat")
@@ -131,7 +142,7 @@ def test_master_slave_concat_message_count(ranks):
 def test_master_broadcast_payload_is_dense():
     """The master's result broadcast is full-vector sized."""
     ranks, n = 3, 12
-    fab = CommFabric(ranks)
+    fab = fabric_of(ranks)
     parts, _ = _partials(ranks, n)
     for r in range(ranks):
         fab.set_phase(r, "concat")
@@ -150,9 +161,9 @@ def test_strategies_produce_identical_sums():
     parts = [SparseVector.from_segment(0, rng.standard_normal(n)
                                        + 1j * rng.standard_normal(n), n)
              for _ in range(ranks)]
-    out_a = run_spmd(CommFabric(ranks),
+    out_a = run_spmd(fabric_of(ranks),
                      lambda f, r: spmd_concat(f, r, parts[r]))
-    out_b = run_spmd(CommFabric(ranks),
+    out_b = run_spmd(fabric_of(ranks),
                      lambda f, r: master_slave_concat(f, r, parts[r]))
     for a, b in zip(out_a, out_b):
         assert np.array_equal(a, out_a[0])
@@ -160,7 +171,7 @@ def test_strategies_produce_identical_sums():
 
 
 def test_allgather_object_uncounted():
-    fab = CommFabric(3)
+    fab = fabric_of(3)
     out = run_spmd(fab, lambda f, r: f.allgather_object(r, r * 10))
     assert all(o == [0, 10, 20] for o in out)
     assert fab.counters_report()["totals"]["messages"] == 0
@@ -181,7 +192,7 @@ def test_allgather_object_combines_once_into_one_shared_object():
         return [f.allgather_object(r, 10 * k + r, combine)
                 for k in range(rounds)]
 
-    fab = CommFabric(4, timeout=30)
+    fab = fabric_of(4, timeout=30)
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -203,4 +214,4 @@ def test_worker_exception_propagates():
         f.barrier(r)
 
     with pytest.raises(RuntimeError, match="worker boom"):
-        run_spmd(CommFabric(3, timeout=5), fn)
+        run_spmd(fabric_of(3, timeout=5), fn)

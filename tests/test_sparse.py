@@ -16,38 +16,40 @@ from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
                             write_rhs)
 from conftest import (assert_same_csr, below_by_column_loop, dense,
                       masked_lower_matvec, random_symmetric_sparse, row_block,
-                      same_bits, select_loop)
+                      same_bits, select_loop, split_rows)
 
 
 # -- partitioning ------------------------------------------------------------
 
 def test_partition_even():
     p = partition_rows(12, 4)
-    assert [p.node_range(r) for r in range(4)] == [(0, 3), (3, 6), (6, 9),
-                                                   (9, 12)]
+    assert [p.dof_range(r) for r in range(4)] == [(0, 9), (9, 18), (18, 27),
+                                                  (27, 36)]
 
 
 def test_partition_remainder_to_first_ranks():
     p = partition_rows(10, 4)
-    sizes = [p.node_range(r)[1] - p.node_range(r)[0] for r in range(4)]
-    assert sizes == [3, 3, 2, 2]
+    sizes = [p.dof_range(r)[1] - p.dof_range(r)[0] for r in range(4)]
+    assert sizes == [9, 9, 6, 6]
 
 
 def test_partition_dof_ranges_are_triples():
     p = partition_rows(10, 3)
+    assert p.ranks == 3
+    assert p.row_starts.tolist() == [0, 12, 21, 30]
     for r in range(3):
-        lo, hi = p.node_range(r)
-        assert p.dof_range(r) == (3 * lo, 3 * hi)
+        lo, hi = p.dof_range(r)
+        assert lo % 3 == 0 and hi % 3 == 0
 
 
 def test_owner_lookup():
     p = partition_rows(10, 4)
-    for node in range(10):
-        r = p.owner_of_node(node)
-        lo, hi = p.node_range(r)
-        assert lo <= node < hi
     for dof in range(30):
-        assert p.owner_of_dof(dof) == p.owner_of_node(dof // 3)
+        r = p.owner_of_dof(dof)
+        lo, hi = p.dof_range(r)
+        assert lo <= dof < hi
+        # The three rows of a node have one owner.
+        assert p.owner_of_dof(3 * (dof // 3)) == r
     assert p.owner_of_dof(np.arange(30)).tolist() == [
         p.owner_of_dof(dof) for dof in range(30)]
 
@@ -239,8 +241,8 @@ def test_redundant_product_bits_do_not_depend_on_block_size(rng):
     n = 400
     rows, _ = random_symmetric_sparse(rng, n, density=0.08)
     m = RedundantRows.from_rows([row_block(rows, n)], n)
-    one = RowPartition(node_starts=np.array([0, n]), dofs_per_node=1)
-    two = RowPartition(node_starts=np.array([0, n // 2, n]), dofs_per_node=1)
+    one = RowPartition(np.array([0, n]))
+    two = RowPartition(np.array([0, n // 2, n]))
     assert m.nnz > 16384 and m.indptr[n // 2] < 16384
     assert m.nnz - m.indptr[n // 2] < 16384
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -308,8 +310,7 @@ def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
     np.testing.assert_array_equal(m.targets, [5, 0, 0, 1, 5, 2, 3, 5])
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for ranks in (1, 2, 3):
-        part = RowPartition(node_starts=partition_rows(n, ranks).node_starts,
-                            dofs_per_node=1)
+        part = split_rows(n, ranks)
         _assert_lower_spmv_matches_oracle(m, part, x)
         _assert_lower_spmv_matches_oracle(other, part, x)
 
@@ -334,8 +335,8 @@ def test_lower_spmv_oracle_on_empty_box_system():
                   ranks=2, storage="1")
     mesh = build_scenario_mesh(sc)
     part = partition_rows(mesh.node_count, 2)
-    out = run_spmd(CommFabric(2),
-                   lambda f, r: assemble_system(sc, mesh, part, r, f))
+    out = run_spmd(CommFabric(part),
+                   lambda f, r: assemble_system(sc, mesh, r, f))
     m = out[0][0]
     assert isinstance(m, LowerSymmetricRows) and m.n == 24_000
     rng = np.random.default_rng(5)
