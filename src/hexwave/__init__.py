@@ -14,7 +14,7 @@ from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
                      partition_rows, spmv_partial, to_redundant,
                      write_matrix_market)
 from .fabric import (CommFabric, FabricError, FabricTimeout, MessageCounters,
-                     master_slave_concat, run_spmd, spmd_concat)
+                     RankFailed, master_slave_concat, run_spmd, spmd_concat)
 from .assembly import (AssemblyError, MaterialParams, PlaneWave,
                        apply_symmetry_bc, assemble_rhs, assemble_rows,
                        constrained_dofs, element_matrices, incident_field,

@@ -4,15 +4,15 @@ Ranks run as threads inside one process; every cross-rank data transfer
 goes through point-to-point queues here and is counted (messages and
 payload bytes, per rank and per phase).  Byte accounting is 16 bytes per
 complex value and 8 per index; headers are ignored.  A watchdog turns a
-missing participant into an error instead of a hang.  A fabric is
-built on the run's ``RowPartition``: its ranks are that partition's, and
-every collective stage reads the row layout from ``fabric.partition``.
+missing participant into an error instead of a hang, and a failed rank
+wakes every rank waiting on it.  A fabric is built on the run's
+``RowPartition``: its ranks are that partition's, and every collective
+stage reads the row layout from ``fabric.partition``.
 """
 from __future__ import annotations
 
 import queue
 import threading
-import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,6 +26,10 @@ class FabricError(RuntimeError):
 
 class FabricTimeout(FabricError):
     """A collective participant failed to show up within the bounded wait."""
+
+
+class RankFailed(FabricError):
+    """The rank a receive waited on stopped on an error of its own."""
 
 
 @dataclass
@@ -114,11 +118,15 @@ class CommFabric:
 
     def recv(self, dst: int, src: int):
         try:
-            return self._queues[dst][src].get(timeout=self.timeout)
+            payload = self._queues[dst][src].get(timeout=self.timeout)
         except queue.Empty:
             raise FabricTimeout(
                 f"rank {dst} waited {self.timeout}s for a message from rank "
                 f"{src}") from None
+        if payload is RankFailed:          # run_spmd's uncounted sentinel
+            raise RankFailed(f"rank {dst} waited for a message from rank "
+                             f"{src}, which failed")
+        return payload
 
     def broadcast(self, src: int, payload) -> None:
         """P-1 point-to-point sends, ascending destination rank."""
@@ -207,8 +215,9 @@ CONCAT_STRATEGIES = {"spmd": spmd_concat, "ms": master_slave_concat}
 def run_spmd(fabric: CommFabric, fn):
     """Run ``fn(fabric, rank)`` on every rank; returns per-rank results.
 
-    Rank 0 runs P=1 inline (no threads).  The first rank exception is
-    re-raised after all workers stop.
+    Rank 0 runs P=1 inline (no threads).  A failing rank aborts the
+    fabric, and after all workers stop the first causal exception is
+    re-raised in preference to the timeouts and ``RankFailed`` it caused.
     """
     if fabric.ranks == 1:
         return [fn(fabric, 0)]
@@ -219,8 +228,10 @@ def run_spmd(fabric: CommFabric, fn):
         try:
             results[r] = fn(fabric, r)
         except BaseException as exc:   # noqa: BLE001 - reported to caller
-            errors[r] = (exc, traceback.format_exc())
+            errors[r] = exc
             fabric._barrier.abort()
+            for q in set(range(fabric.ranks)) - {r}:
+                fabric._queues[q][r].put(RankFailed)    # wakes q's recv
 
     threads = [threading.Thread(target=worker, args=(r,), name=f"rank{r}")
                for r in range(fabric.ranks)]
@@ -230,7 +241,6 @@ def run_spmd(fabric: CommFabric, fn):
         t.join()
     raised = [e for e in errors if e is not None]
     if raised:
-        # Prefer the causal error over secondary broken-barrier fallout.
-        primary = [e for e in raised if not isinstance(e[0], FabricTimeout)]
-        raise (primary or raised)[0][0]
+        raise min(raised, key=lambda e: isinstance(e, FabricTimeout)
+                  + 2 * isinstance(e, RankFailed))
     return results

@@ -17,6 +17,12 @@ segment's slice of the output, one contiguous slice per level, over
 values stored in sweep order.  ICP pipelines its segments over the
 fabric; a BICP block runs both sweeps on its own rows and the blocks
 merge with one concatenation per apply.
+
+Rank threads share the interpreter lock, so level sweeps and the BICP
+column loop, hundreds of small NumPy calls each, run one rank at a time
+under ``_SERIAL`` rather than trade that lock at every call; the SpMV
+and vector operations, whose large calls release it, still overlap.
+Wall time at P > 1 is therefore simulation overhead, not speedup.
 """
 from __future__ import annotations
 
@@ -29,6 +35,8 @@ from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
                      RowPartition, SparseVector, _CsrBase, _ranges, _stacked,
                      full_matvec, spmv_partial)
+
+_SERIAL = threading.Lock()      # never held across a fabric call
 
 
 class SolverError(RuntimeError):
@@ -194,10 +202,11 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows,
     this is exactly the classical ICP factor."""
     lo, hi = partition.dof_range(rank)
     f = _RankFactor(a, lo, hi, col_min=lo)
-    for j in range(lo, hi):
-        f.pivot(j)
-        if f.touches(j):
-            f.column(j, *f.row(j))
+    with _SERIAL:
+        for j in range(lo, hi):
+            f.pivot(j)
+            if f.touches(j):
+                f.column(j, *f.row(j))
     return CholeskyFactor(a.n, lo, f.indptr, f.indices, f.data)
 
 
@@ -338,15 +347,16 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
 def _solve_levels(sweep, rhs: np.ndarray, out: np.ndarray) -> None:
     """Solve one sweep in level order on out[lo:hi], then unpermute it."""
     lo, rows, levels = sweep
-    work = out[lo:lo + len(rows)]
-    np.take(rhs, rows, out=work)
-    for a, full, b, cols, vals, starts, dvals in levels:
-        if len(starts):
-            # Not in place on the gather: the product keeps this order.
-            out[a:full] -= np.add.reduceat(np.multiply(vals, out[cols]),
-                                           starts)
-        out[a:b] /= dvals
-    out[rows] = work.copy()
+    with _SERIAL:
+        work = out[lo:lo + len(rows)]
+        np.take(rhs, rows, out=work)
+        for a, full, b, cols, vals, starts, dvals in levels:
+            if len(starts):
+                # Not in place on the gather: the product keeps this order.
+                out[a:full] -= np.add.reduceat(np.multiply(vals, out[cols]),
+                                               starts)
+            out[a:b] /= dvals
+        out[rows] = work.copy()
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,

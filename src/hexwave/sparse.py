@@ -22,10 +22,10 @@ class SparseFormatError(ValueError):
     """Malformed sparse matrix data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowPartition:
     """Contiguous row ranges: rank r owns rows [row_starts[r],
-    row_starts[r + 1])."""
+    row_starts[r + 1]).  Compared and hashed by identity."""
     row_starts: np.ndarray       # length P+1, ascending
 
     @property

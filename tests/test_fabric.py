@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from hexwave.fabric import (CommFabric, FabricError, FabricTimeout,
-                            master_slave_concat, payload_bytes, run_spmd,
-                            spmd_concat)
+                            RankFailed, master_slave_concat, payload_bytes,
+                            run_spmd, spmd_concat)
 from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, SparseVector,
                             partition_rows)
 
@@ -215,3 +215,50 @@ def test_worker_exception_propagates():
 
     with pytest.raises(RuntimeError, match="worker boom"):
         run_spmd(fabric_of(3, timeout=5), fn)
+
+
+@pytest.mark.parametrize("failed, first", [(0, 2), (2, 0)])
+def test_failed_rank_unwinds_a_chain_of_waiting_ranks(failed, first):
+    """One rank raises while ``first`` waits on it and rank 1 waits on
+    ``first``: on a 60-s fabric both wake at once, no sentinel is counted,
+    and the causal error, not the ``RankFailed`` it caused, is re-raised."""
+    def fn(f, r):
+        if r == failed:
+            raise AssertionError(f"rank {r} boom")
+        f.recv(r, failed if r == first else first)
+
+    fab = fabric_of(3, timeout=60)
+    t0 = time.monotonic()
+    with pytest.raises(AssertionError, match=f"rank {failed} boom"):
+        run_spmd(fab, fn)
+    assert time.monotonic() - t0 < 1.0
+    assert fab.counters_report()["totals"]["messages"] == 0
+
+
+def test_receive_from_a_failed_rank_names_it():
+    caught = []
+
+    def fn(f, r):
+        if r == 1:
+            raise RuntimeError("worker boom")
+        try:
+            f.recv(r, 1)
+        except RankFailed as exc:
+            caught.append(str(exc))
+            raise
+
+    with pytest.raises(RuntimeError, match="worker boom"):
+        run_spmd(fabric_of(2), fn)
+    assert caught == ["rank 0 waited for a message from rank 1, which failed"]
+
+
+def test_timeout_preferred_over_the_rank_failures_it_causes():
+    """Rank 1 times out waiting on rank 0, which then receives from rank
+    1 and fails with ``RankFailed``: the timeout is the error raised."""
+    def fn(f, r):
+        if r == 0:
+            time.sleep(1.0)
+        f.recv(r, 1 - r)
+
+    with pytest.raises(FabricTimeout, match="rank 1 waited"):
+        run_spmd(fabric_of(2, timeout=0.2), fn)

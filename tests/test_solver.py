@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -662,15 +663,16 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
 def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
                                                         ranks):
     """Each preconditioner apply of a full CG solve of the 1701-node
-    scattering system equals the gather-per-level solve bitwise."""
+    scattering system equals the gather-per-level solve bitwise.  The
+    check runs inside the apply, so a broken solve fails at its first."""
     applies = []
     solve = solver.forward_back_substitute
 
     def checked(factor, b, partition, rank, fabric, concat="spmd"):
         x = solve(factor, b, partition, rank, fabric, concat=concat)
         lo, hi = partition.dof_range(rank)
-        applies.append(same_bits(
-            x[lo:hi], gather_level_substitute(factor, b, lo, hi)))
+        assert same_bits(x[lo:hi], gather_level_substitute(factor, b, lo, hi))
+        applies.append(rank)
         return x
 
     monkeypatch.setattr(solver, "forward_back_substitute", checked)
@@ -682,7 +684,79 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
         preconditioner=precond, ranks=ranks, max_iter=300))
     assert res.node_count == 1701 and res.report.converged
     assert len(applies) == ranks * res.report.iterations
-    assert all(applies)
+
+
+# Whole-run iterations, messages, bytes, barriers and solution sha256[:12]
+# of ``_grid_scenario`` on three ranks.
+GRID_THREE_RANKS = {
+    "bicp": (28, 348, 768960, 2, "ce7197a7a166"),
+    "icp": (12, 354, 611088, 243, "1cdb6132f0db"),
+}
+
+
+@pytest.mark.parametrize("precond", sorted(GRID_THREE_RANKS))
+def test_sweeps_and_bicp_columns_run_one_rank_at_a_time(monkeypatch,
+                                                        precond):
+    """No two rank threads are ever inside a sweep's level loop, or in a
+    column of the bicp build, at the same moment, and the run keeps its
+    pinned counts and bits.  Each entry sleeps, releasing the interpreter
+    lock, so another rank could come in if nothing kept it out."""
+    inside, peak, count_lock = [0], [0], threading.Lock()
+
+    def enter():
+        with count_lock:
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+        time.sleep(1e-4)
+
+    def leave():
+        with count_lock:
+            inside[0] -= 1
+
+    def counted_levels(levels):
+        enter()
+        try:
+            yield from levels
+        finally:
+            leave()
+
+    def counted_column(self, *args):
+        enter()
+        try:
+            return column(self, *args)
+        finally:
+            leave()
+
+    solve, column = solver._solve_levels, solver._RankFactor.column
+    monkeypatch.setattr(solver, "_solve_levels", lambda sweep, rhs, out:
+                        solve((*sweep[:2], counted_levels(sweep[2])), rhs,
+                              out))
+    if precond == "bicp":
+        monkeypatch.setattr(solver._RankFactor, "column", counted_column)
+    res = run_scenario(_grid_scenario(preconditioner=precond, ranks=3))
+    totals = res.report.counters["totals"]
+    assert peak == [1] and inside == [0]
+    assert (res.report.iterations, totals["messages"], totals["bytes"],
+            totals["barriers"],
+            hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
+            ) == GRID_THREE_RANKS[precond]
+
+
+def test_sweep_that_raises_fails_the_run_and_frees_the_lock(rng):
+    """A right-hand side too short for rank 1's rows fails its first
+    sweep: the run re-raises that error at once, although rank 0 waits
+    on rank 1 in the concatenation, and the sweep lock is free."""
+    rows, _ = random_symmetric_sparse(rng, 40, density=0.08, diag_boost=10.0)
+    ar = RedundantRows.from_rows([row_block(rows, 40)], 40)
+    part = _split([0, 20, 40])
+    factors = [build_bicp(ar, part, r) for r in range(2)]
+    b = np.ones(25, dtype=complex)
+    t0 = time.monotonic()
+    with pytest.raises(IndexError):
+        run_spmd(CommFabric(part), lambda f, r: forward_back_substitute(
+            factors[r], b, part, r, f))
+    assert time.monotonic() - t0 < 5.0
+    assert not solver._SERIAL.locked()
 
 
 # -- conjugate gradient ------------------------------------------------------

@@ -386,3 +386,10 @@ def test_rhs_roundtrip_exact(rng, tmp_path):
     write_rhs(path, b)
     back = np.loadtxt(path, skiprows=1).view(np.complex128).ravel()
     np.testing.assert_array_equal(back, b)
+
+
+def test_row_partition_compares_and_hashes_by_identity():
+    p = partition_rows(10, 3)
+    assert p == p and {p: "layout"}[p] == "layout"
+    assert hash(p) == hash(p)
+    assert p != partition_rows(10, 3)
