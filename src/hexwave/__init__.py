@@ -9,10 +9,9 @@ accounting.
 """
 from .mesh import (FacetKind, HexMesh, MeshError, ScattererSpec,
                    build_box_mesh, classify_boundary, embed_pec_scatterer)
-from .sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
-                     SparseFormatError, SparseVector, full_matvec,
-                     partition_rows, spmv_partial, to_redundant,
-                     write_matrix_market)
+from .sparse import (LowerSymmetricRows, RedundantRows, SparseFormatError,
+                     SparseVector, full_matvec, partition_rows, spmv_partial,
+                     to_redundant, write_matrix_market)
 from .fabric import (CommFabric, FabricError, FabricTimeout, MessageCounters,
                      RankFailed, master_slave_concat, run_spmd, spmd_concat)
 from .assembly import (AssemblyError, MaterialParams, PlaneWave,

@@ -435,7 +435,7 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
     rank broadcasts the constrained dofs it owns; the traffic is counted
     under the "bc" phase.  Idempotent.
     """
-    lo, hi = fabric.partition.dof_range(rank)
+    lo, hi = fabric.dof_range(rank)
     mine = constrained[(constrained >= lo) & (constrained < hi)]
     fabric.set_phase(rank, "bc")
     fabric.broadcast(rank, mine)
@@ -467,13 +467,13 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
     shares the input's ``indptr`` and ``indices``.  ``AssemblyError``
     names the first row whose pattern the transposes do not mirror.
     """
-    lo, hi = fabric.partition.dof_range(rank)
+    lo, hi = fabric.dof_range(rank)
     n, cols, vals = block.n, block.indices, block.data
     rows = block.entry_rows()
     incoming = [(cols, rows, vals)]
     if fabric.ranks > 1:
         fabric.set_phase(rank, "symmetrize")
-        owner = fabric.partition.owner_of_dof(cols)
+        owner = fabric.owner_of_dof(cols)
         incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])
                     for q in range(fabric.ranks)]
         for q in range(fabric.ranks):

@@ -5,9 +5,9 @@ goes through point-to-point queues here and is counted (messages and
 payload bytes, per rank and per phase).  Byte accounting is 16 bytes per
 complex value and 8 per index; headers are ignored.  A watchdog turns a
 missing participant into an error instead of a hang, and a failed rank
-wakes every rank waiting on it.  A fabric is built on the run's
-``RowPartition``: its ranks are that partition's, and every collective
-stage reads the row layout from ``fabric.partition``.
+wakes every rank waiting on it.  A fabric is built on the run's row
+bounds (``sparse.partition_rows``) and is the one holder of that
+layout: every stage reads its rows from ``fabric.dof_range``.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .sparse import COMPLEX_BYTES, INDEX_BYTES, RowPartition, SparseVector
+from .sparse import COMPLEX_BYTES, INDEX_BYTES, SparseVector
 
 
 class FabricError(RuntimeError):
@@ -58,14 +58,14 @@ def payload_bytes(payload) -> int:
 
 
 class CommFabric:
-    """The P ranks of a row partition, with point-to-point sends,
-    barriers and counters."""
+    """P ranks, with point-to-point sends, barriers and counters; rank r
+    owns rows [row_starts[r], row_starts[r + 1])."""
 
-    def __init__(self, partition: RowPartition, timeout: float = 60.0):
-        ranks = partition.ranks
+    def __init__(self, row_starts: np.ndarray, timeout: float = 60.0):
+        ranks = len(row_starts) - 1
         if ranks < 1:
             raise ValueError("need at least one rank")
-        self.partition = partition
+        self.row_starts = row_starts
         self.ranks = ranks
         self.timeout = timeout
         self._queues = [[queue.SimpleQueue() for _ in range(ranks)]
@@ -79,6 +79,15 @@ class CommFabric:
         self._shared: dict = {}
         self._combined: dict = {}
         self._allgather_seq = [0] * ranks
+
+    # -- row layout ----------------------------------------------------------
+
+    def dof_range(self, rank: int) -> tuple[int, int]:
+        return int(self.row_starts[rank]), int(self.row_starts[rank + 1])
+
+    def owner_of_dof(self, dofs: np.ndarray) -> np.ndarray:
+        """The rank owning each row of an array of rows."""
+        return np.searchsorted(self.row_starts, dofs, side="right") - 1
 
     # -- phases and counters -------------------------------------------------
 

@@ -183,7 +183,7 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
     constrained = constrained_dofs(mesh)    # conflicting planes fail here
-    node_range = tuple(d // 3 for d in fabric.partition.dof_range(rank))
+    node_range = tuple(d // 3 for d in fabric.dof_range(rank))
     fabric.set_phase(rank, "assemble")
     block = assemble_rows(mesh, params, node_range)
     rhs_seg = assemble_rhs(mesh, wave, node_range)
@@ -207,8 +207,7 @@ def build_preconditioner(scenario: Scenario, matrix, rank: int,
         return build_dp(matrix)
     if scenario.preconditioner == "icp":
         return Preconditioner("icp", factor=build_icp(matrix, rank, fabric))
-    return Preconditioner("bicp", factor=build_bicp(matrix, fabric.partition,
-                                                    rank))
+    return Preconditioner("bicp", factor=build_bicp(matrix, rank, fabric))
 
 
 def _probe_samples(mesh: HexMesh, x: np.ndarray, stride: int) -> list:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .fabric import CommFabric, CONCAT_STRATEGIES
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
-                     RowPartition, SparseVector, _CsrBase, _ranges, _stacked,
-                     full_matvec, spmv_partial)
+                     SparseVector, _CsrBase, _ranges, _stacked, full_matvec,
+                     spmv_partial)
 
 _SERIAL = threading.Lock()      # never held across a fabric call
 
@@ -195,12 +195,12 @@ class _RankFactor(_CsrBase):
         self.data[ent] = new / vals_j[-1]
 
 
-def build_bicp(a: LowerSymmetricRows | RedundantRows,
-               partition: RowPartition, rank: int) -> CholeskyFactor:
+def build_bicp(a: LowerSymmetricRows | RedundantRows, rank: int,
+               fabric: CommFabric) -> CholeskyFactor:
     """Block incomplete Cholesky: only entries with both row and column
     owned by this rank are factored; no communication.  With one rank
     this is exactly the classical ICP factor."""
-    lo, hi = partition.dof_range(rank)
+    lo, hi = fabric.dof_range(rank)
     f = _RankFactor(a, lo, hi, col_min=lo)
     with _SERIAL:
         for j in range(lo, hi):
@@ -223,38 +223,33 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
               fabric: CommFabric) -> CholeskyFactor:
     """Column-parallel zero-fill incomplete Cholesky.
 
-    Column j's off-diagonal entries are computed by the owners of the
-    rows below once the pivot of column j is known; the owner of row j
-    ships that row over the fabric when other ranks need it.  One
-    barrier closes every pipeline step (n columns + final insertion).
+    Pipeline step j: the owner of row j computes its pivot and ships the
+    row over the fabric to the other ranks with a row below it in column
+    j; then every such rank computes its entries of column j, from its
+    own row j or the one it receives.  One barrier closes every step
+    (n columns + final insertion).
     The final insertion stacks the ranks' row blocks into the full
     factor once (they must tile [0, n)), and every rank gets that same
     read-only object.  On a dense pattern the result is the
     complete Cholesky factor.
     """
-    n, partition = a.n, fabric.partition
-    lo, hi = partition.dof_range(rank)
+    n = a.n
+    lo, hi = fabric.dof_range(rank)
     f = _RankFactor(a, lo, hi, col_min=0)
-    owner = partition.owner_of_dof(np.arange(n))
-    dest_ptr, dest = _row_destinations(a, owner, partition.ranks, lo, hi)
+    owner = fabric.owner_of_dof(np.arange(n))
+    dest_ptr, dest = _row_destinations(a, owner, fabric.ranks, lo, hi)
 
-    pending = None                      # row j-1 of L, if this rank needs it
     for j in range(n):
-        # Pipeline step j: finish column j-1, then compute pivot j.
-        if j > 0:
-            if f.touches(j - 1):
-                if pending is None:
-                    pending = fabric.recv(rank, int(owner[j - 1]))
-                f.column(j - 1, *pending)
-            pending = None
         if lo <= j < hi:
             f.pivot(j)
             row_j = f.row(j)
             for q in dest[dest_ptr[j - lo]:dest_ptr[j - lo + 1]].tolist():
                 if q != rank:
                     fabric.send(rank, q, row_j)
-            if f.touches(j):
-                pending = row_j
+        elif f.touches(j):
+            row_j = fabric.recv(rank, int(owner[j]))
+        if f.touches(j):
+            f.column(j, *row_j)
         fabric.barrier(rank)
 
     return fabric.allgather_object(
@@ -360,8 +355,7 @@ def _solve_levels(sweep, rhs: np.ndarray, out: np.ndarray) -> None:
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
-                            partition: RowPartition, rank: int,
-                            fabric: CommFabric,
+                            fabric: CommFabric, rank: int,
                             concat: str = "spmd") -> np.ndarray:
     """Solve L L^T x = b with the factor's level schedules.
 
@@ -372,15 +366,10 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
     and the blocks merge with one concatenation per apply.  Either way a
     rank's rows are solved level by level (see
     ``CholeskyFactor.schedule``), each row summed in a fixed order, so a
-    full factor gives a result bitwise independent of P.  ``partition``
-    must have the fabric's row bounds.
+    full factor gives a result bitwise independent of P.
     """
-    if not np.array_equal(partition.row_starts, fabric.partition.row_starts):
-        raise ValueError(
-            f"row bounds {partition.row_starts.tolist()} differ from the "
-            f"fabric's {fabric.partition.row_starts.tolist()}")
     n, P = factor.n, fabric.ranks
-    lo, hi = partition.dof_range(rank)
+    lo, hi = fabric.dof_range(rank)
     forward, back = factor.schedule(lo, hi)
     b = np.asarray(b, dtype=np.complex128)
     if factor.block_local:
@@ -431,8 +420,8 @@ def _apply_preconditioner(precond: Preconditioner, r: np.ndarray, rank: int,
                           fabric: CommFabric, concat: str) -> np.ndarray:
     if precond.kind == "dp":
         return precond.inv_diag * r
-    return forward_back_substitute(precond.factor, r, fabric.partition, rank,
-                                   fabric, concat=concat)
+    return forward_back_substitute(precond.factor, r, fabric, rank,
+                                   concat=concat)
 
 
 def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
@@ -466,7 +455,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
         rho = _dot(r, z)
         history, converged = [_norm(r) / bnorm], False
         for _ in range(max_iter):
-            partial = spmv_partial(a, fabric.partition, rank, p)
+            partial = spmv_partial(a, fabric, rank, p)
             q = concat_fn(fabric, rank, partial)
             denom = _dot(p, q)
             if denom == 0:

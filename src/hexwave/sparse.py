@@ -3,10 +3,9 @@
 Two row-wise representations are provided for the symmetric system
 matrix: the lower triangle (storage #1), and storage #1 plus the
 mirrored strict upper triangle, so each row holds its full pattern
-(storage #2).  Neither carries a column index.  A ``RowPartition`` is
-only the row bounds of each rank's contiguous block; ``partition_rows``
-splits whole mesh nodes, three matrix rows each.  The run's fabric is
-built on that one partition.
+(storage #2).  Neither carries a column index.  ``partition_rows``
+gives the row bounds of each rank's contiguous block, whole mesh nodes
+of three matrix rows each; the run's ``CommFabric`` holds them.
 """
 from __future__ import annotations
 
@@ -22,28 +21,11 @@ class SparseFormatError(ValueError):
     """Malformed sparse matrix data."""
 
 
-@dataclass(frozen=True, eq=False)
-class RowPartition:
-    """Contiguous row ranges: rank r owns rows [row_starts[r],
-    row_starts[r + 1]).  Compared and hashed by identity."""
-    row_starts: np.ndarray       # length P+1, ascending
-
-    @property
-    def ranks(self) -> int:
-        return len(self.row_starts) - 1
-
-    def dof_range(self, rank: int) -> tuple[int, int]:
-        return int(self.row_starts[rank]), int(self.row_starts[rank + 1])
-
-    def owner_of_dof(self, dof):
-        """Rank owning a row, or the owners of an array of rows."""
-        owner = np.searchsorted(self.row_starts, dof, side="right") - 1
-        return owner if np.ndim(owner) else int(owner)
-
-
-def partition_rows(node_count: int, ranks: int) -> RowPartition:
-    """Split N nodes' 3N rows over P ranks, whole nodes per rank; the
-    first N mod P ranks get one extra node."""
+def partition_rows(node_count: int, ranks: int) -> np.ndarray:
+    """Row bounds ``row_starts`` (length P + 1) that split N nodes' 3N
+    rows over P ranks, whole nodes per rank: rank r owns rows
+    [row_starts[r], row_starts[r + 1]), and the first N mod P ranks get
+    one extra node."""
     if ranks < 1:
         raise ValueError("ranks must be >= 1")
     if ranks > node_count:
@@ -51,7 +33,7 @@ def partition_rows(node_count: int, ranks: int) -> RowPartition:
     base, extra = divmod(node_count, ranks)
     sizes = [base + (1 if r < extra else 0) for r in range(ranks)]
     starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    return RowPartition(row_starts=3 * starts)
+    return 3 * starts
 
 
 class _CsrBase:
@@ -243,19 +225,19 @@ def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
     return out[:m.n]
 
 
-def spmv_partial(m, partition: RowPartition, rank: int,
-                 x: np.ndarray) -> SparseVector:
-    """This rank's contribution to A @ x.
+def spmv_partial(m, fabric, rank: int, x: np.ndarray) -> SparseVector:
+    """This rank's contribution to A @ x, from the rows the run's
+    ``CommFabric`` gives it.
 
     For storage #2 the result is exactly the owned row segment.  For
     storage #1 each stored lower entry acts both as (i, j) and (j, i), so
     the contribution also scatters below the owned range; the sum over
     ranks equals the full product either way.
     """
-    expected = int(partition.row_starts[-1])
+    expected = int(fabric.row_starts[-1])
     if len(x) != expected:
         raise ValueError(f"vector length {len(x)} != {expected}")
-    lo, hi = partition.dof_range(rank)
+    lo, hi = fabric.dof_range(rank)
     if isinstance(m, LowerSymmetricRows):
         return SparseVector.from_segment(0, _lower_matvec(m, lo, hi, x), m.n)
     return SparseVector.from_segment(lo, _block_matvec(m.rows(lo, hi), x), m.n)

@@ -17,8 +17,8 @@ import pytest
 from hexwave.fabric import CommFabric
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
 from hexwave.solver import _levels
-from hexwave.sparse import (LowerSymmetricRows, RowPartition, _CsrBase,
-                            _block_matvec, _ranges, partition_rows)
+from hexwave.sparse import (LowerSymmetricRows, _CsrBase, _block_matvec,
+                            _ranges, partition_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +412,16 @@ def same_bits(got, ref) -> bool:
             and got.tobytes() == ref.tobytes())
 
 
-def split_rows(n: int, ranks: int) -> RowPartition:
-    """``partition_rows``' split, over single rows instead of nodes: the
-    first n mod P ranks get one extra row."""
-    return RowPartition(partition_rows(n, ranks).row_starts // 3)
+def split_rows(n: int, ranks: int) -> np.ndarray:
+    """``partition_rows``' row bounds, over single rows instead of nodes:
+    the first n mod P ranks get one extra row."""
+    return partition_rows(n, ranks) // 3
 
 
 def fabric_of(ranks: int, timeout: float = 60.0) -> CommFabric:
     """A fabric of ``ranks`` ranks, one row each, for tests of the fabric
     alone."""
-    return CommFabric(RowPartition(np.arange(ranks + 1)), timeout)
+    return CommFabric(np.arange(ranks + 1), timeout)
 
 
 def phase_traffic(fabric, phase: str) -> tuple[int, int]:

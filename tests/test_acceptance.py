@@ -34,7 +34,7 @@ from hexwave.mesh import (ScattererSpec, build_box_mesh, classify_boundary,
 from hexwave.runner import (Scenario, assemble_system, build_scenario_mesh,
                             run_scenario)
 from hexwave.solver import Preconditioner, build_bicp, build_icp, cg_solve
-from hexwave.sparse import RedundantRows, RowPartition, partition_rows, to_redundant
+from hexwave.sparse import RedundantRows, partition_rows, to_redundant
 
 from conftest import dense, dense_ic_oracle, element_loop_assemble, row_block
 
@@ -62,8 +62,8 @@ def _small_scenario(**kw) -> Scenario:
 
 def _assembled(scenario: Scenario):
     mesh = build_scenario_mesh(scenario)
-    part = partition_rows(mesh.node_count, 1)
-    return assemble_system(scenario, mesh, 0, CommFabric(part)) + (part,)
+    starts = partition_rows(mesh.node_count, 1)
+    return assemble_system(scenario, mesh, 0, CommFabric(starts)) + (starts,)
 
 
 def test_criterion_1_assembly_matches_element_loop_oracle():
@@ -125,9 +125,9 @@ def _cube_scattering_scenario(**kw) -> Scenario:
 def test_criterion_3_block_factor_on_one_rank_is_global_factor():
     """Tolerance: bitwise equality of factor arrays and equal solve
     iteration counts on a 3^3-element scattering system."""
-    matrix, _, part = _assembled(_cube_scattering_scenario())
-    icp = build_icp(matrix, 0, CommFabric(part))
-    bicp = build_bicp(matrix, part, 0)
+    matrix, _, starts = _assembled(_cube_scattering_scenario())
+    icp = build_icp(matrix, 0, CommFabric(starts))
+    bicp = build_bicp(matrix, 0, CommFabric(starts))
     same_factor = (np.array_equal(icp.data, bicp.data)
                    and np.array_equal(icp.indices, bicp.indices)
                    and np.array_equal(icp.indptr, bicp.indptr))
@@ -172,7 +172,7 @@ def test_criterion_5_dense_pattern_factorization_is_exact(rng):
     a = (m @ m.T + 20 * np.eye(20)).astype(complex)
     rows = [(np.arange(20), a[i].copy()) for i in range(20)]
     ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
-    fab = CommFabric(RowPartition(np.array([0, 20])))
+    fab = CommFabric(np.array([0, 20]))
     factor = build_icp(ar, 0, fab)
     gap = np.abs(dense(factor) - np.linalg.cholesky(a.real)).max()
     b = rng.standard_normal(20).astype(complex)
@@ -240,11 +240,11 @@ def test_criterion_9_storage_layouts_hold_identical_entries():
     sc1 = _small_scenario(storage="1")
     sc2 = _small_scenario(storage="2")
     m1, b1, _ = _assembled(sc1)
-    m2, b2, part = _assembled(sc2)
+    m2, b2, starts = _assembled(sc2)
     d1 = dense(to_redundant(m1))
     d2 = dense(m2)
     same_entries = np.array_equal(d1, d2) and np.array_equal(b1, b2)
-    factor = build_icp(m2, 0, CommFabric(part))
+    factor = build_icp(m2, 0, CommFabric(starts))
     stored = np.zeros((m2.n, m2.n), dtype=bool)
     for i in range(m2.n):
         cols, _ = m2.row(i)

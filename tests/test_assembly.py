@@ -209,19 +209,19 @@ def test_dof_assembly_equals_element_loop(npw):
     assert np.abs(got - ref).max() / scale < 1e-12
 
 
-def _node_range(part, rank):
+def _node_range(fab, rank):
     """The nodes of a rank's rows, three rows per node."""
-    lo, hi = part.dof_range(rank)
+    lo, hi = fab.dof_range(rank)
     return lo // 3, hi // 3
 
 
 def _stacked_rows(mesh, params, ranks):
     """Every rank's row block, each starting at its first owned dof,
     stacked into one matrix."""
-    part = partition_rows(mesh.node_count, ranks)
-    blocks = [assemble_rows(mesh, params, _node_range(part, r))
+    fab = CommFabric(partition_rows(mesh.node_count, ranks))
+    blocks = [assemble_rows(mesh, params, _node_range(fab, r))
               for r in range(ranks)]
-    assert [b.row_start for b in blocks] == [part.dof_range(r)[0]
+    assert [b.row_start for b in blocks] == [fab.dof_range(r)[0]
                                              for r in range(ranks)]
     return RedundantRows.from_rows(blocks, 3 * mesh.node_count)
 
@@ -265,9 +265,9 @@ def test_rhs_matches_facet_loop_reference(direction, polarization):
     mesh = _scatter_mesh()
     wave = _wave(direction, polarization)
     ref = facet_loop_rhs(mesh, wave)
-    part = partition_rows(mesh.node_count, 3)
+    fab = CommFabric(partition_rows(mesh.node_count, 3))
     for got in (assemble_rhs(mesh, wave, (0, mesh.node_count)),
-                np.concatenate([assemble_rhs(mesh, wave, _node_range(part, r))
+                np.concatenate([assemble_rhs(mesh, wave, _node_range(fab, r))
                                 for r in range(3)])):
         assert np.abs(got - ref).max() / np.abs(ref).max() <= 1e-13
 
@@ -334,8 +334,8 @@ def test_rhs_segments_concatenate(npw=4):
     mesh = build_box_mesh((1.,) * 3, npw)
     wave = _wave()
     full = assemble_rhs(mesh, wave, (0, mesh.node_count))
-    part = partition_rows(mesh.node_count, 3)
-    split = np.concatenate([assemble_rhs(mesh, wave, _node_range(part, r))
+    fab = CommFabric(partition_rows(mesh.node_count, 3))
+    split = np.concatenate([assemble_rhs(mesh, wave, _node_range(fab, r))
                             for r in range(3)])
     np.testing.assert_array_equal(full, split)
 
@@ -415,12 +415,11 @@ def test_conflicting_plane_kinds_on_shared_node_named():
 
 def _assembled(mesh, ranks=1):
     params = MaterialParams(k0=2 * np.pi)
-    part = partition_rows(mesh.node_count, ranks)
-    fab = CommFabric(part)
+    fab = CommFabric(partition_rows(mesh.node_count, ranks))
 
     def fn(f, r):
-        block = assemble_rows(mesh, params, _node_range(part, r))
-        rhs = assemble_rhs(mesh, _wave(), _node_range(part, r))
+        block = assemble_rows(mesh, params, _node_range(f, r))
+        rhs = assemble_rhs(mesh, _wave(), _node_range(f, r))
         return block, rhs
 
     out = run_spmd(fab, fn)
@@ -559,7 +558,7 @@ def test_symmetrize_parallel_matches_serial_bitwise():
         return symmetrize(*out4[r], r, f)
 
     res = run_spmd(fab4, fn)
-    starts = fab4.partition.row_starts[:-1].tolist()
+    starts = fab4.row_starts[:-1].tolist()
     assert [blk.row_start for blk, _ in res] == starts
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res],
                                             block1.n), block1)

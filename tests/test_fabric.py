@@ -39,12 +39,19 @@ def test_payload_accounting_rejects_non_array_payloads(payload):
 
 @pytest.mark.parametrize("nodes, ranks", [(1, 1), (10, 3), (12, 4)])
 def test_fabric_ranks_are_its_partitions(nodes, ranks):
-    """A fabric is built on one row partition and has its rank count."""
-    part = partition_rows(nodes, ranks)
-    fab = CommFabric(part)
-    assert fab.partition is part
-    assert fab.ranks == part.ranks == ranks
+    """A fabric holds one row partition's bounds and has its rank
+    count."""
+    starts = partition_rows(nodes, ranks)
+    fab = CommFabric(starts)
+    assert fab.row_starts is starts
+    assert fab.ranks == len(starts) - 1 == ranks
     assert fab.counters_report()["ranks"] == ranks
+
+
+@pytest.mark.parametrize("starts", [[0], []])
+def test_fabric_rejects_bounds_without_a_rank(starts):
+    with pytest.raises(ValueError, match="need at least one rank"):
+        CommFabric(np.array(starts, dtype=np.int64))
 
 
 def test_send_recv_counts_messages_and_bytes():

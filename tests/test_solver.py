@@ -22,8 +22,8 @@ from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             _dot, _norm, _row_destinations, build_bicp,
                             build_dp, build_icp, cg_solve,
                             forward_back_substitute)
-from hexwave.sparse import (LowerSymmetricRows, RedundantRows, RowPartition,
-                            partition_rows, to_redundant)
+from hexwave.sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
+                            to_redundant)
 
 from conftest import (csr_from_rows, dense, dense_ic_oracle, entry_loop_ic,
                       gather_level_substitute, phase_traffic,
@@ -32,11 +32,13 @@ from conftest import (csr_from_rows, dense, dense_ic_oracle, entry_loop_ic,
 
 
 def _one_rank(n):
-    return RowPartition(np.array([0, n]))
+    """A fresh one-rank fabric over n rows."""
+    return CommFabric(np.array([0, n]))
 
 
 def _split(starts):
-    return RowPartition(np.asarray(starts))
+    """A fresh fabric whose rank r owns rows [starts[r], starts[r + 1])."""
+    return CommFabric(np.asarray(starts))
 
 
 def _redundant(dense):
@@ -80,7 +82,7 @@ def test_icp_dense_spd_equals_cholesky(rng):
     m = rng.standard_normal((20, 20))
     a = m @ m.T + 20 * np.eye(20)
     ar = _redundant(a.astype(complex))
-    factor = build_icp(ar, 0, CommFabric(_one_rank(20)))
+    factor = build_icp(ar, 0, _one_rank(20))
     assert np.abs(dense(factor) - np.linalg.cholesky(a)).max() < 1e-14
 
 
@@ -88,7 +90,7 @@ def test_icp_sparse_matches_dense_zero_fill_oracle(rng):
     rows, a = random_symmetric_sparse(rng, 15, density=0.25,
                                       diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 15)], 15)
-    factor = build_icp(ar, 0, CommFabric(_one_rank(15)))
+    factor = build_icp(ar, 0, _one_rank(15))
     ref = dense_ic_oracle(a)
     assert np.abs(dense(factor) - ref).max() < 1e-13
 
@@ -97,12 +99,12 @@ def test_icp_zero_pivot_aborts_with_column():
     dense = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     # second pivot: 1 - 1*1 = 0
     with pytest.raises(FactorBreakdownError, match="column 1"):
-        build_icp(_redundant(dense), 0, CommFabric(_one_rank(2)))
+        build_icp(_redundant(dense), 0, _one_rank(2))
 
 
 def test_icp_complex_pivot_principal_branch():
     dense = np.array([[-4.0 + 0j]])
-    f = build_icp(_redundant(dense), 0, CommFabric(_one_rank(1)))
+    f = build_icp(_redundant(dense), 0, _one_rank(1))
     assert f.data[0] == pytest.approx(2j)   # principal branch of sqrt(-4)
 
 
@@ -110,7 +112,7 @@ def test_icp_complex_pivot_principal_branch():
 def test_icp_parallel_bitwise_equals_serial(rng, ranks):
     rows, dense = random_symmetric_sparse(rng, 12, density=0.35)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    serial = build_icp(ar, 0, CommFabric(_one_rank(12)))
+    serial = build_icp(ar, 0, _one_rank(12))
     out = run_spmd(CommFabric(split_rows(12, ranks)),
                    lambda f, r: build_icp(ar, r, f))
     for factor in out:
@@ -122,7 +124,7 @@ def test_icp_pipeline_barrier_count_matches_column_count(rng):
     """n columns + the final insertion step."""
     rows, _ = random_symmetric_sparse(rng, 9, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
-    fab = CommFabric(_split([0, 3, 6, 9]))
+    fab = _split([0, 3, 6, 9])
     run_spmd(fab, lambda f, r: build_icp(ar, r, f))
     assert fab.barrier_collectives == 9 + 1
 
@@ -135,7 +137,7 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
                   [1, 1, 4, 1],
                   [1, 1, 1, 4]], dtype=complex)
     ar = _redundant(a)
-    fab = CommFabric(_split([0, 2, 3, 4]))
+    fab = _split([0, 2, 3, 4])
     out = run_spmd(fab, lambda f, r: build_icp(ar, r, f))
     assert fab.barrier_collectives == 5
     assert out[0] is out[1] is out[2]      # one shared factor
@@ -145,9 +147,8 @@ def test_icp_four_by_four_on_three_ranks_five_steps():
 def test_bicp_single_rank_is_icp_bitwise(rng):
     rows, _ = random_symmetric_sparse(rng, 12, density=0.3)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    part = _one_rank(12)
-    icp = build_icp(ar, 0, CommFabric(part))
-    bicp = build_bicp(ar, part, 0)
+    icp = build_icp(ar, 0, _one_rank(12))
+    bicp = build_bicp(ar, 0, _one_rank(12))
     assert np.array_equal(icp.indices, bicp.indices)
     assert np.array_equal(icp.data, bicp.data)
     assert np.array_equal(icp.indptr, bicp.indptr)
@@ -157,10 +158,10 @@ def test_bicp_single_rank_is_icp_bitwise(rng):
 def test_bicp_blocks_match_per_block_oracle(rng):
     rows, a = random_symmetric_sparse(rng, 12, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    part = _split([0, 4, 8, 12])
+    fab = _split([0, 4, 8, 12])
     for r in range(3):
-        lo, hi = part.dof_range(r)
-        factor = build_bicp(ar, part, r)
+        lo, hi = fab.dof_range(r)
+        factor = build_bicp(ar, r, fab)
         assert factor.block_local
         ref = dense_ic_oracle(a[lo:hi, lo:hi])
         got = dense(factor)[lo:hi, lo:hi]
@@ -174,9 +175,8 @@ def test_bicp_blocks_match_per_block_oracle(rng):
 def test_bicp_needs_no_messages(rng):
     rows, _ = random_symmetric_sparse(rng, 9, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
-    part = _split([0, 3, 6, 9])
-    fab = CommFabric(part)
-    run_spmd(fab, lambda f, r: build_bicp(ar, part, r))
+    fab = _split([0, 3, 6, 9])
+    run_spmd(fab, lambda f, r: build_bicp(ar, r, f))
     assert fab.counters_report()["totals"]["messages"] == 0
 
 
@@ -196,12 +196,11 @@ def test_factor_builds_equal_on_either_storage(rng, ranks):
     give bitwise the same factors and the same build traffic."""
     rows, _ = random_symmetric_sparse(rng, 15, density=0.35)
     full = RedundantRows.from_rows([row_block(rows, 15)], 15)
-    part = split_rows(15, ranks)
     built = []
     for a in (full, _lower(full)):
-        fab = CommFabric(part)
+        fab = CommFabric(split_rows(15, ranks))
         icp = run_spmd(fab, lambda f, r: build_icp(a, r, f))[0]
-        bicp = [build_bicp(a, part, r) for r in range(ranks)]
+        bicp = [build_bicp(a, r, fab) for r in range(ranks)]
         built.append(([icp] + bicp, fab.counters_report()))
     (factors2, counters2), (factors1, counters1) = built
     assert counters1 == counters2
@@ -216,11 +215,11 @@ def test_row_destinations_match_column_loop(rng, ranks):
     the diagonal, ascending, on either storage."""
     rows, dense = random_symmetric_sparse(rng, 20, density=0.25)
     full = RedundantRows.from_rows([row_block(rows, 20)], 20)
-    part = split_rows(20, ranks)
-    owner = part.owner_of_dof(np.arange(20))
+    fab = CommFabric(split_rows(20, ranks))
+    owner = fab.owner_of_dof(np.arange(20))
     for a in (full, _lower(full)):
         for r in range(ranks):
-            lo, hi = part.dof_range(r)
+            lo, hi = fab.dof_range(r)
             ptr, dest = _row_destinations(a, owner, ranks, lo, hi)
             assert len(ptr) == hi - lo + 1 and ptr[-1] == len(dest)
             for j in range(lo, hi):
@@ -373,20 +372,21 @@ def test_bicp_solve_concatenates_once_per_apply(ranks, concat):
 # -- column-batched kernel against the per-entry loop ------------------------
 
 def _kernel_system(rng, kind, storage):
-    """``(matrix, partition maker)`` of a random pattern whose column 5
-    no row below touches, or of the 240-unknown grid system."""
+    """``(matrix, fabric maker)`` of a random pattern whose column 5 no
+    row below touches, or of the 240-unknown grid system."""
     if kind == "grid":
         sc = _grid_scenario(storage=storage)
         mesh = runner.build_scenario_mesh(sc)
         nodes = mesh.node_count
         a, _ = runner.assemble_system(
             sc, mesh, 0, CommFabric(partition_rows(nodes, 1)))
-        return a, lambda ranks: partition_rows(nodes, ranks)
+        return a, lambda ranks: CommFabric(partition_rows(nodes, ranks))
     _, dense = random_symmetric_sparse(rng, 30, density=0.12,
                                        diag_boost=10.0)
     dense[6:, 5] = dense[5, 6:] = 0.0
     a = _redundant(dense)
-    return (a if storage == "2" else _lower(a)), lambda r: split_rows(30, r)
+    return ((a if storage == "2" else _lower(a)),
+            lambda r: CommFabric(split_rows(30, r)))
 
 
 def _oracle_factor(a, lo, hi):
@@ -394,7 +394,7 @@ def _oracle_factor(a, lo, hi):
                           *csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo))
 
 
-def _assert_kernel_edge_cases(a, part):
+def _assert_kernel_edge_cases(a, fab):
     """Some row starts its lower part off the diagonal (an empty prefix),
     and with several ranks some rank holds rows below a column that other
     ranks' rows touch but none of its own do."""
@@ -402,11 +402,11 @@ def _assert_kernel_edge_cases(a, part):
     below = a.indices < rows
     first = a.indices[np.searchsorted(rows, np.arange(a.n))]
     assert (first < np.arange(a.n)).any()
-    owner = part.owner_of_dof(rows[below])
+    owner = fab.owner_of_dof(rows[below])
     touched = set(zip(owner.tolist(), a.indices[below].tolist()))
-    skipped = [(r, j) for _, j in touched for r in range(part.ranks)
-               if part.dof_range(r)[1] - 1 > j and (r, j) not in touched]
-    assert part.ranks == 1 or skipped
+    skipped = [(r, j) for _, j in touched for r in range(fab.ranks)
+               if fab.dof_range(r)[1] - 1 > j and (r, j) not in touched]
+    assert fab.ranks == 1 or skipped
 
 
 def _assert_same_factor(got, ref):
@@ -424,9 +424,9 @@ def _assert_same_factor(got, ref):
 @pytest.mark.parametrize("ranks", [1, 2, 3, 5])
 def test_icp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     a, split = _kernel_system(rng, kind, storage)
-    part = split(ranks)
-    _assert_kernel_edge_cases(a, part)
-    out = run_spmd(CommFabric(part), lambda f, r: build_icp(a, r, f))
+    fab = split(ranks)
+    _assert_kernel_edge_cases(a, fab)
+    out = run_spmd(fab, lambda f, r: build_icp(a, r, f))
     _assert_same_factor(out[0], _oracle_factor(a, 0, a.n))
 
 
@@ -435,11 +435,11 @@ def test_icp_kernel_matches_entry_loop(rng, ranks, kind, storage):
 @pytest.mark.parametrize("ranks", [1, 3])
 def test_bicp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     a, split = _kernel_system(rng, kind, storage)
-    part = split(ranks)
-    _assert_kernel_edge_cases(a, part)
+    fab = split(ranks)
+    _assert_kernel_edge_cases(a, fab)
     for r in range(ranks):
-        lo, hi = part.dof_range(r)
-        _assert_same_factor(build_bicp(a, part, r),
+        lo, hi = fab.dof_range(r)
+        _assert_same_factor(build_bicp(a, r, fab),
                             _oracle_factor(a, lo, hi))
 
 
@@ -450,18 +450,17 @@ def test_factor_builds_name_first_row_without_diagonal(storage):
     dense = (4.0 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)).astype(complex)
     dense[2, 2] = dense[4, 4] = 0.0
     a = _redundant(dense) if storage == "2" else _lower(_redundant(dense))
-    whole, halves = _one_rank(6), _split([0, 3, 6])
     with pytest.raises(FactorBreakdownError, match="missing diagonal in row 2"):
-        build_icp(a, 0, CommFabric(whole))
-    for part in (halves, _split([0, 2, 6])):
+        build_icp(a, 0, _one_rank(6))
+    for starts in ([0, 3, 6], [0, 2, 6]):
         with pytest.raises(FactorBreakdownError,
                            match="missing diagonal in row 2"):
-            run_spmd(CommFabric(part, timeout=10.0),
+            run_spmd(CommFabric(np.array(starts), timeout=10.0),
                      lambda f, r: build_icp(a, r, f))
     with pytest.raises(FactorBreakdownError, match="missing diagonal in row 2"):
-        build_bicp(a, whole, 0)
+        build_bicp(a, 0, _one_rank(6))
     with pytest.raises(FactorBreakdownError, match="missing diagonal in row 4"):
-        build_bicp(a, halves, 1)
+        build_bicp(a, 1, _split([0, 3, 6]))
 
 
 # -- triangular solves -------------------------------------------------------
@@ -470,10 +469,9 @@ def test_substitution_matches_scipy(rng):
     m = rng.standard_normal((15, 15))
     a = m @ m.T + 15 * np.eye(15)
     ar = _redundant(a.astype(complex))
-    part = _one_rank(15)
-    factor = build_icp(ar, 0, CommFabric(part))
+    factor = build_icp(ar, 0, _one_rank(15))
     b = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    x = forward_back_substitute(factor, b, part, 0, CommFabric(part))
+    x = forward_back_substitute(factor, b, _one_rank(15), 0)
     lo = np.linalg.cholesky(a)
     y_ref = scipy.linalg.solve_triangular(lo, b, lower=True)
     x_ref = scipy.linalg.solve_triangular(lo.T, y_ref, lower=False)
@@ -484,47 +482,27 @@ def test_substitution_matches_scipy(rng):
 def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     rows, _ = random_symmetric_sparse(rng, 12, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    part1 = _one_rank(12)
-    factor = build_icp(ar, 0, CommFabric(part1))
+    factor = build_icp(ar, 0, _one_rank(12))
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    serial = forward_back_substitute(factor, b, part1, 0, CommFabric(part1))
-    part = split_rows(12, ranks)
-    fab = CommFabric(part)
+    serial = forward_back_substitute(factor, b, _one_rank(12), 0)
+    fab = CommFabric(split_rows(12, ranks))
     for r in range(ranks):
         fab.set_phase(r, "solve")
     out = run_spmd(
-        fab, lambda f, r: forward_back_substitute(factor, b, part, r, f))
+        fab, lambda f, r: forward_back_substitute(factor, b, f, r))
     for x in out:
         assert np.array_equal(x, serial)
     # one segment broadcast per rank per triangular solve
     assert phase_traffic(fab, "solve")[0] == 2 * ranks * (ranks - 1)
 
 
-def test_substitution_rejects_a_partition_other_than_the_fabrics(rng):
-    """The row bounds passed in must be the fabric's; equal bounds in
-    another object are accepted."""
-    rows, _ = random_symmetric_sparse(rng, 12, density=0.4)
-    ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    fab = CommFabric(_one_rank(12))
-    factor = build_icp(ar, 0, fab)
-    b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    with pytest.raises(ValueError, match=r"row bounds \[0, 6, 12\] differ "
-                                         r"from the fabric's \[0, 12\]"):
-        forward_back_substitute(factor, b, _split([0, 6, 12]), 0, fab)
-    assert np.array_equal(
-        forward_back_substitute(factor, b, _one_rank(12), 0, fab),
-        forward_back_substitute(factor, b, fab.partition, 0, fab))
-
-
 def test_block_substitution_is_block_exact(rng):
     rows, dense = random_symmetric_sparse(rng, 12, density=0.4)
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    part = _split([0, 6, 12])
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    fab = CommFabric(part)
     out = run_spmd(
-        fab, lambda f, r: forward_back_substitute(build_bicp(ar, part, r), b,
-                                                  part, r, f))
+        _split([0, 6, 12]),
+        lambda f, r: forward_back_substitute(build_bicp(ar, r, f), b, f, r))
     for r, lohi in enumerate([(0, 6), (6, 12)]):
         lo, hi = lohi
         lref = dense_ic_oracle(dense[lo:hi, lo:hi])
@@ -548,11 +526,11 @@ def _level_rows(sweep) -> list:
 def test_level_counts_diagonal_and_tridiagonal():
     n = 7
     diag = build_icp(_redundant(4.0 * np.eye(n, dtype=complex)), 0,
-                     CommFabric(_one_rank(n)))
+                     _one_rank(n))
     forward, back = diag.schedule(0, n)
     assert (len(_level_rows(forward)), len(_level_rows(back))) == (1, 1)
     tri = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)).astype(complex)
-    chain = build_icp(_redundant(tri), 0, CommFabric(_one_rank(n)))
+    chain = build_icp(_redundant(tri), 0, _one_rank(n))
     forward, back = chain.schedule(0, n)
     assert (len(_level_rows(forward)), len(_level_rows(back))) == (n, n)
     assert _level_rows(forward) == [[i] for i in range(n)]
@@ -562,12 +540,11 @@ def test_level_counts_diagonal_and_tridiagonal():
 def test_level_solve_matches_scipy_full_factor(rng):
     rows, _ = random_symmetric_sparse(rng, 30, density=0.08, diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 30)], 30)
-    part = _one_rank(30)
-    factor = build_icp(ar, 0, CommFabric(part))
+    factor = build_icp(ar, 0, _one_rank(30))
     forward, back = (len(_level_rows(s)) for s in factor.schedule(0, 30))
     assert 3 <= forward < 30 and 3 <= back < 30
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    x = forward_back_substitute(factor, b, part, 0, CommFabric(part))
+    x = forward_back_substitute(factor, b, _one_rank(30), 0)
     np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
                                rtol=1e-12)
 
@@ -579,11 +556,11 @@ def test_level_mixing_rows_with_and_without_entries(rng):
     a = 4.0 * np.eye(6, dtype=complex)
     for i, j in ((3, 0), (5, 1)):
         a[i, j] = a[j, i] = 1.0
-    ar, part = _redundant(a), _split([0, 3, 6])
+    ar = _redundant(a)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    out = run_spmd(CommFabric(part), lambda f, r: forward_back_substitute(
-        build_icp(ar, r, f), b, part, r, f))
-    factor = build_icp(ar, 0, CommFabric(_one_rank(6)))
+    out = run_spmd(_split([0, 3, 6]), lambda f, r: forward_back_substitute(
+        build_icp(ar, r, f), b, f, r))
+    factor = build_icp(ar, 0, _one_rank(6))
     assert _level_rows(factor.schedule(3, 6)[0])[0] == [3, 5, 4]
     for x in out:
         np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
@@ -593,16 +570,15 @@ def test_level_mixing_rows_with_and_without_entries(rng):
 def test_level_solve_matches_scipy_block_local_factor(rng):
     rows, _ = random_symmetric_sparse(rng, 40, density=0.08, diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 40)], 40)
-    part = _split([0, 20, 40])
-    factors = [build_bicp(ar, part, r) for r in range(2)]
+    fab = _split([0, 20, 40])
+    factors = [build_bicp(ar, r, fab) for r in range(2)]
     for f in factors:
         assert f.block_local
         assert min(len(_level_rows(s))
                    for s in f.schedule(f.row_start, f.row_end)) >= 3
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     out = run_spmd(
-        CommFabric(part),
-        lambda f, r: forward_back_substitute(factors[r], b, part, r, f))
+        fab, lambda f, r: forward_back_substitute(factors[r], b, f, r))
     for f in factors:
         lo, hi = f.row_start, f.row_end
         ref = _scipy_substitute(dense(f)[lo:hi, lo:hi], b[lo:hi])
@@ -613,18 +589,17 @@ def test_level_solve_matches_scipy_block_local_factor(rng):
 def test_repeated_applies_bitwise_equal(rng):
     rows, _ = random_symmetric_sparse(rng, 20, density=0.2)
     ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
-    part = _one_rank(20)
-    factor = build_icp(ar, 0, CommFabric(part))
+    factor = build_icp(ar, 0, _one_rank(20))
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    first = forward_back_substitute(factor, b, part, 0, CommFabric(part))
-    second = forward_back_substitute(factor, b, part, 0, CommFabric(part))
+    first = forward_back_substitute(factor, b, _one_rank(20), 0)
+    second = forward_back_substitute(factor, b, _one_rank(20), 0)
     assert np.array_equal(first, second)
 
 
 def test_schedule_built_once_under_racing_threads(rng):
     rows, _ = random_symmetric_sparse(rng, 60, density=0.1, diag_boost=20.0)
     ar = RedundantRows.from_rows([row_block(rows, 60)], 60)
-    factor = build_icp(ar, 0, CommFabric(_one_rank(60)))
+    factor = build_icp(ar, 0, _one_rank(60))
     got = []
     start = threading.Barrier(8)
 
@@ -653,10 +628,9 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
     data = np.array([2, 1, 3, 1, 0, 1, 5], dtype=complex)   # L[2, 2] = 0
     factor = CholeskyFactor(n=n, row_start=0, indptr=indptr, indices=indices,
                             data=data)
-    part = _one_rank(n)
     with pytest.raises(FactorBreakdownError, match="row 2"):
-        forward_back_substitute(factor, np.ones(n, dtype=complex), part, 0,
-                                CommFabric(part))
+        forward_back_substitute(factor, np.ones(n, dtype=complex),
+                                _one_rank(n), 0)
 
 
 @pytest.mark.parametrize("precond, ranks", [("icp", 1), ("bicp", 2)])
@@ -668,9 +642,9 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
     applies = []
     solve = solver.forward_back_substitute
 
-    def checked(factor, b, partition, rank, fabric, concat="spmd"):
-        x = solve(factor, b, partition, rank, fabric, concat=concat)
-        lo, hi = partition.dof_range(rank)
+    def checked(factor, b, fabric, rank, concat="spmd"):
+        x = solve(factor, b, fabric, rank, concat=concat)
+        lo, hi = fabric.dof_range(rank)
         assert same_bits(x[lo:hi], gather_level_substitute(factor, b, lo, hi))
         applies.append(rank)
         return x
@@ -748,13 +722,13 @@ def test_sweep_that_raises_fails_the_run_and_frees_the_lock(rng):
     on rank 1 in the concatenation, and the sweep lock is free."""
     rows, _ = random_symmetric_sparse(rng, 40, density=0.08, diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 40)], 40)
-    part = _split([0, 20, 40])
-    factors = [build_bicp(ar, part, r) for r in range(2)]
+    fab = _split([0, 20, 40])
+    factors = [build_bicp(ar, r, fab) for r in range(2)]
     b = np.ones(25, dtype=complex)
     t0 = time.monotonic()
     with pytest.raises(IndexError):
-        run_spmd(CommFabric(part), lambda f, r: forward_back_substitute(
-            factors[r], b, part, r, f))
+        run_spmd(fab, lambda f, r: forward_back_substitute(
+            factors[r], b, f, r))
     assert time.monotonic() - t0 < 5.0
     assert not solver._SERIAL.locked()
 
@@ -770,8 +744,7 @@ def _cg_system(rng, n=18):
 
 def test_cg_dp_solves_to_tolerance(rng):
     ar, dense, b = _cg_system(rng)
-    part = _one_rank(18)
-    x, rep = cg_solve(ar, b, build_dp(ar), 0, CommFabric(part), tol=1e-10)
+    x, rep = cg_solve(ar, b, build_dp(ar), 0, _one_rank(18), tol=1e-10)
     assert rep.converged and not rep.breakdown
     assert rep.true_residual <= 1e-9
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-7)
@@ -783,11 +756,10 @@ def test_cg_exact_factor_converges_in_one_iteration(rng):
     m = rng.standard_normal((20, 20))
     a = m @ m.T + 20 * np.eye(20)
     ar = _redundant(a.astype(complex))
-    part = _one_rank(20)
-    factor = build_icp(ar, 0, CommFabric(part))
+    factor = build_icp(ar, 0, _one_rank(20))
     b = rng.standard_normal(20).astype(complex)
     x, rep = cg_solve(ar, b, Preconditioner(kind="icp", factor=factor),
-                      0, CommFabric(part), tol=1e-10)
+                      0, _one_rank(20), tol=1e-10)
     assert rep.iterations == 1 and rep.converged
 
 
@@ -834,16 +806,14 @@ def test_cg_strategy_equivalence_bitwise(rng):
 def test_cg_breakdown_distinct_from_nonconvergence():
     dense = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     ar = _redundant(dense)
-    part = _one_rank(2)
     b = np.array([1.0, 1.0], dtype=complex)
-    x, rep = cg_solve(ar, b, build_dp(ar), 0, CommFabric(part), tol=1e-12)
+    x, rep = cg_solve(ar, b, build_dp(ar), 0, _one_rank(2), tol=1e-12)
     assert rep.breakdown and not rep.converged
 
 
 def test_cg_nonconvergence_reported(rng):
     ar, _, b = _cg_system(rng)
-    part = _one_rank(18)
-    x, rep = cg_solve(ar, b, build_dp(ar), 0, CommFabric(part),
+    x, rep = cg_solve(ar, b, build_dp(ar), 0, _one_rank(18),
                       tol=1e-14, max_iter=2)
     assert not rep.converged and not rep.breakdown
     assert rep.iterations == 2
@@ -853,13 +823,12 @@ def test_cg_nonconvergence_reported(rng):
 def test_cg_zero_rhs_returns_zero_before_any_message(rng, precond):
     """b = 0 at P = 2: x = 0 after no iteration and no apply."""
     ar, _, _ = _cg_system(rng)
-    part = split_rows(18, 2)
-    fab = CommFabric(part)
+    fab = CommFabric(split_rows(18, 2))
     b = np.zeros(18, dtype=complex)
 
     def solve(f, r):
         pre = (build_dp(ar) if precond == "dp" else
-               Preconditioner("bicp", factor=build_bicp(ar, part, r)))
+               Preconditioner("bicp", factor=build_bicp(ar, r, f)))
         return cg_solve(ar, b, pre, r, f)
 
     for x, rep in run_spmd(fab, solve):
@@ -873,8 +842,7 @@ def test_cg_zero_rhs_returns_zero_before_any_message(rng, precond):
 
 def test_cg_report_serializes(rng):
     ar, _, b = _cg_system(rng)
-    part = _one_rank(18)
-    _, rep = cg_solve(ar, b, build_dp(ar), 0, CommFabric(part), tol=1e-8)
+    _, rep = cg_solve(ar, b, build_dp(ar), 0, _one_rank(18), tol=1e-8)
     blob = json.loads(json.dumps(rep.as_dict()))
     assert blob["preconditioner"] == "dp"
     assert blob["iterations"] == rep.iterations

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hexwave.fabric import CommFabric, run_spmd
 from hexwave.runner import Scenario, assemble_system, build_scenario_mesh
 from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
-                            RedundantRows, RowPartition, SparseFormatError,
+                            RedundantRows, SparseFormatError,
                             SparseVector, full_matvec, partition_rows,
                             spmv_partial, to_redundant, write_matrix_market,
                             write_rhs)
@@ -22,36 +22,38 @@ from conftest import (assert_same_csr, below_by_column_loop, dense,
 # -- partitioning ------------------------------------------------------------
 
 def test_partition_even():
-    p = partition_rows(12, 4)
-    assert [p.dof_range(r) for r in range(4)] == [(0, 9), (9, 18), (18, 27),
-                                                  (27, 36)]
+    fab = CommFabric(partition_rows(12, 4))
+    assert [fab.dof_range(r) for r in range(4)] == [(0, 9), (9, 18),
+                                                    (18, 27), (27, 36)]
 
 
 def test_partition_remainder_to_first_ranks():
-    p = partition_rows(10, 4)
-    sizes = [p.dof_range(r)[1] - p.dof_range(r)[0] for r in range(4)]
+    fab = CommFabric(partition_rows(10, 4))
+    sizes = [fab.dof_range(r)[1] - fab.dof_range(r)[0] for r in range(4)]
     assert sizes == [9, 9, 6, 6]
 
 
 def test_partition_dof_ranges_are_triples():
-    p = partition_rows(10, 3)
-    assert p.ranks == 3
-    assert p.row_starts.tolist() == [0, 12, 21, 30]
+    starts = partition_rows(10, 3)
+    fab = CommFabric(starts)
+    assert fab.ranks == 3
+    assert starts.tolist() == [0, 12, 21, 30]
     for r in range(3):
-        lo, hi = p.dof_range(r)
+        lo, hi = fab.dof_range(r)
         assert lo % 3 == 0 and hi % 3 == 0
 
 
 def test_owner_lookup():
-    p = partition_rows(10, 4)
+    fab = CommFabric(partition_rows(10, 4))
+    owner = fab.owner_of_dof(np.arange(30))
     for dof in range(30):
-        r = p.owner_of_dof(dof)
-        lo, hi = p.dof_range(r)
+        r = int(owner[dof])
+        lo, hi = fab.dof_range(r)
         assert lo <= dof < hi
         # The three rows of a node have one owner.
-        assert p.owner_of_dof(3 * (dof // 3)) == r
-    assert p.owner_of_dof(np.arange(30)).tolist() == [
-        p.owner_of_dof(dof) for dof in range(30)]
+        assert owner[3 * (dof // 3)] == r
+    assert owner.tolist() == [fab.owner_of_dof(np.array([dof]))[0]
+                              for dof in range(30)]
 
 
 def test_partition_more_ranks_than_nodes_rejected():
@@ -195,11 +197,11 @@ def test_spmv_partials_sum_to_full_product(rng, ranks, storage):
         m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, n)], n)
     else:
         m = RedundantRows.from_rows([row_block(rows, n)], n)
-    part = partition_rows(nodes, ranks)
+    fab = CommFabric(partition_rows(nodes, ranks))
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     total = np.zeros(n, dtype=np.complex128)
     for r in range(ranks):
-        sv = spmv_partial(m, part, r, x)
+        sv = spmv_partial(m, fab, r, x)
         np.add.at(total, sv.indices, sv.values)
     np.testing.assert_allclose(total, dense @ x, rtol=1e-13)
 
@@ -208,9 +210,9 @@ def test_redundant_partial_is_owned_segment(rng):
     nodes = 4
     rows, dense = random_symmetric_sparse(rng, 12)
     m = RedundantRows.from_rows([row_block(rows, 12)], 12)
-    part = partition_rows(nodes, 2)
+    fab = CommFabric(partition_rows(nodes, 2))
     x = rng.standard_normal(12) + 0j
-    sv = spmv_partial(m, part, 1, x)
+    sv = spmv_partial(m, fab, 1, x)
     assert sv.indices.min() >= 6
     got = np.zeros(12, dtype=np.complex128)
     got[sv.indices] = sv.values
@@ -225,10 +227,10 @@ def test_redundant_segment_bitwise_rank_invariant(rng):
     x = rng.standard_normal(18) + 1j * rng.standard_normal(18)
     ref = full_matvec(m, x)
     for ranks in (1, 2, 3, 6):
-        part = partition_rows(nodes, ranks)
+        fab = CommFabric(partition_rows(nodes, ranks))
         got = np.zeros(18, dtype=np.complex128)
         for r in range(ranks):
-            sv = spmv_partial(m, part, r, x)
+            sv = spmv_partial(m, fab, r, x)
             got[sv.indices] = sv.values
         # np.array_equal: bitwise, not approximate
         assert np.array_equal(got, ref)
@@ -241,8 +243,8 @@ def test_redundant_product_bits_do_not_depend_on_block_size(rng):
     n = 400
     rows, _ = random_symmetric_sparse(rng, n, density=0.08)
     m = RedundantRows.from_rows([row_block(rows, n)], n)
-    one = RowPartition(np.array([0, n]))
-    two = RowPartition(np.array([0, n // 2, n]))
+    one = CommFabric(np.array([0, n]))
+    two = CommFabric(np.array([0, n // 2, n]))
     assert m.nnz > 16384 and m.indptr[n // 2] < 16384
     assert m.nnz - m.indptr[n // 2] < 16384
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -253,6 +255,16 @@ def test_redundant_product_bits_do_not_depend_on_block_size(rng):
         sv = spmv_partial(m, two, r, x)
         got[sv.indices] = sv.values
     assert same_bits(got, ref)
+
+
+@pytest.mark.parametrize("length", [11, 13])
+def test_spmv_partial_rejects_a_vector_of_another_length(rng, length):
+    """The vector must have one entry per row of the fabric's layout."""
+    rows, _ = random_symmetric_sparse(rng, 12)
+    m = RedundantRows.from_rows([row_block(rows, 12)], 12)
+    fab = CommFabric(np.array([0, 6, 12]))
+    with pytest.raises(ValueError, match=f"vector length {length} != 12"):
+        spmv_partial(m, fab, 1, np.ones(length, dtype=complex))
 
 
 def test_full_matvec_lower_equals_dense(rng):
@@ -274,14 +286,14 @@ def test_spmv_property_random(nodes, seed):
                                rtol=1e-12, atol=1e-12)
 
 
-def _assert_lower_spmv_matches_oracle(m, part, x) -> None:
+def _assert_lower_spmv_matches_oracle(m, fab, x) -> None:
     """Every rank's partial product, and the full product, are bitwise
     the mask-and-gather oracle's."""
-    for r in range(part.ranks):
-        lo, hi = part.dof_range(r)
+    for r in range(fab.ranks):
+        lo, hi = fab.dof_range(r)
         ref = SparseVector.from_segment(0, masked_lower_matvec(m, lo, hi, x),
                                         m.n)
-        got = spmv_partial(m, part, r, x)
+        got = spmv_partial(m, fab, r, x)
         assert same_bits(got.indices, ref.indices), r
         assert same_bits(got.values, ref.values), r
     assert same_bits(full_matvec(m, x), masked_lower_matvec(m, 0, m.n, x))
@@ -294,7 +306,8 @@ def test_lower_spmv_bitwise_equals_masked_oracle(rng, ranks):
     rows, _ = random_symmetric_sparse(rng, n, density=0.4)
     m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, n)], n)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    _assert_lower_spmv_matches_oracle(m, partition_rows(nodes, ranks), x)
+    _assert_lower_spmv_matches_oracle(
+        m, CommFabric(partition_rows(nodes, ranks)), x)
 
 
 def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
@@ -310,9 +323,9 @@ def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
     np.testing.assert_array_equal(m.targets, [5, 0, 0, 1, 5, 2, 3, 5])
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for ranks in (1, 2, 3):
-        part = split_rows(n, ranks)
-        _assert_lower_spmv_matches_oracle(m, part, x)
-        _assert_lower_spmv_matches_oracle(other, part, x)
+        fab = CommFabric(split_rows(n, ranks))
+        _assert_lower_spmv_matches_oracle(m, fab, x)
+        _assert_lower_spmv_matches_oracle(other, fab, x)
 
 
 def test_lower_storage_indices_are_read_only(rng):
@@ -334,14 +347,13 @@ def test_lower_spmv_oracle_on_empty_box_system():
                   direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
                   ranks=2, storage="1")
     mesh = build_scenario_mesh(sc)
-    part = partition_rows(mesh.node_count, 2)
-    out = run_spmd(CommFabric(part),
-                   lambda f, r: assemble_system(sc, mesh, r, f))
+    fab = CommFabric(partition_rows(mesh.node_count, 2))
+    out = run_spmd(fab, lambda f, r: assemble_system(sc, mesh, r, f))
     m = out[0][0]
     assert isinstance(m, LowerSymmetricRows) and m.n == 24_000
     rng = np.random.default_rng(5)
     x = rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n)
-    _assert_lower_spmv_matches_oracle(m, part, x)
+    _assert_lower_spmv_matches_oracle(m, fab, x)
 
 
 def test_sparse_vector_filters_zeros():
@@ -387,9 +399,3 @@ def test_rhs_roundtrip_exact(rng, tmp_path):
     back = np.loadtxt(path, skiprows=1).view(np.complex128).ravel()
     np.testing.assert_array_equal(back, b)
 
-
-def test_row_partition_compares_and_hashes_by_identity():
-    p = partition_rows(10, 3)
-    assert p == p and {p: "layout"}[p] == "layout"
-    assert hash(p) == hash(p)
-    assert p != partition_rows(10, 3)
