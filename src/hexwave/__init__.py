@@ -12,8 +12,8 @@ from .mesh import (FacetKind, HexMesh, MeshError, ScattererSpec,
 from .sparse import (LowerSymmetricRows, RedundantRows, SparseFormatError,
                      SparseVector, full_matvec, partition_rows, spmv_partial,
                      to_redundant, write_matrix_market)
-from .fabric import (CommFabric, FabricError, FabricTimeout, MessageCounters,
-                     RankFailed, master_slave_concat, run_spmd, spmd_concat)
+from .fabric import (CommFabric, FabricError, FabricTimeout, RankFailed,
+                     master_slave_concat, run_spmd, spmd_concat)
 from .assembly import (AssemblyError, MaterialParams, PlaneWave,
                        apply_symmetry_bc, assemble_rhs, assemble_rows,
                        constrained_dofs, element_matrices, incident_field,

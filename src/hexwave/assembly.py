@@ -471,7 +471,7 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
     n, cols, vals = block.n, block.indices, block.data
     rows = block.entry_rows()
     incoming = [(cols, rows, vals)]
-    if fabric.ranks > 1:
+    if fabric.ranks > 1:    # at P = 1 the split would copy every entry
         fabric.set_phase(rank, "symmetrize")
         owner = fabric.owner_of_dof(cols)
         incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from .fabric import CONCAT_STRATEGIES
 from .mesh import MeshError
@@ -35,7 +36,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precond", choices=PRECONDITIONERS,
                    help="preconditioner (default dp)")
     p.add_argument("--concat", choices=list(CONCAT_STRATEGIES),
-                   help="residual concatenation strategy (default spmd)")
+                   help="concatenation strategy that rebuilds the product "
+                        "and each bicp apply (default spmd)")
     p.add_argument("--storage", choices=STORAGES,
                    help="matrix layout: 1 = lower-triangle rows, "
                         "2 = layout 1 plus the mirrored upper triangle "
@@ -53,7 +55,6 @@ def _scenario_from_args(args) -> Scenario:
                  "concat": args.concat, "storage": args.storage,
                  "tol": args.tol, "max_iter": args.max_iter,
                  "seed": args.seed}
-    from dataclasses import replace
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         scenario = replace(scenario, **overrides)
@@ -118,11 +119,13 @@ def _cmd_compare(args) -> int:
     for p in preconds:
         if p not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {p!r}")
+    if not preconds or not ranks or min(ranks) < 1:
+        raise ConfigError("need preconditioners and rank counts >= 1, got "
+                          f"{args.precond_list!r} and {args.ranks_list!r}")
     rows = compare_preconditioners(scenario, preconds, ranks)
     fields = ["preconditioner", "ranks", "iterations", "converged",
               "messages", "bytes", "barriers", "error"]
-    out = (open(args.report, "w", newline="") if args.report
-           else sys.stdout)
+    out = open(args.report, "w", newline="") if args.report else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=fields)
         writer.writeheader()

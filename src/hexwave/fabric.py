@@ -6,14 +6,14 @@ payload bytes, per rank and per phase).  Byte accounting is 16 bytes per
 complex value and 8 per index; headers are ignored.  A watchdog turns a
 missing participant into an error instead of a hang, and a failed rank
 wakes every rank waiting on it.  A fabric is built on the run's row
-bounds (``sparse.partition_rows``) and is the one holder of that
-layout: every stage reads its rows from ``fabric.dof_range``.
+bounds (``sparse.partition_rows``) and concatenation strategy, and is
+the one holder of both: every stage reads its rows from
+``fabric.dof_range`` and rebuilds replicated vectors with ``fabric.concat``.
 """
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,17 +32,6 @@ class RankFailed(FabricError):
     """The rank a receive waited on stopped on an error of its own."""
 
 
-@dataclass
-class MessageCounters:
-    """Per-phase traffic snapshot for one rank."""
-    phase: str
-    messages: int = 0
-    bytes: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
 def payload_bytes(payload) -> int:
     """Accounting size of a message payload: a sparse vector, an array
     (16 B per complex entry, else 8 B), or a tuple or list of them."""
@@ -59,21 +48,26 @@ def payload_bytes(payload) -> int:
 
 class CommFabric:
     """P ranks, with point-to-point sends, barriers and counters; rank r
-    owns rows [row_starts[r], row_starts[r + 1])."""
+    owns rows [row_starts[r], row_starts[r + 1]), and ``strategy`` names
+    the run's entry of ``CONCAT_STRATEGIES``."""
 
-    def __init__(self, row_starts: np.ndarray, timeout: float = 60.0):
+    def __init__(self, row_starts: np.ndarray, strategy: str = "spmd",
+                 timeout: float = 60.0):
         ranks = len(row_starts) - 1
         if ranks < 1:
             raise ValueError("need at least one rank")
+        if strategy not in CONCAT_STRATEGIES:
+            raise ValueError(f"unknown concat strategy {strategy!r}")
         self.row_starts = row_starts
         self.ranks = ranks
+        self.strategy = strategy
         self.timeout = timeout
         self._queues = [[queue.SimpleQueue() for _ in range(ranks)]
                         for _ in range(ranks)]      # [dst][src]
         self._barrier = threading.Barrier(ranks) if ranks > 1 else None
         self._lock = threading.Lock()
         self._phase = ["idle"] * ranks
-        self._counters: dict[tuple[int, str], MessageCounters] = {}
+        self._traffic: dict[tuple[int, str], list[int]] = {}   # [msgs, bytes]
         self._barrier_count = [0] * ranks
         self.barrier_collectives = 0
         self._shared: dict = {}
@@ -89,27 +83,18 @@ class CommFabric:
         """The rank owning each row of an array of rows."""
         return np.searchsorted(self.row_starts, dofs, side="right") - 1
 
-    # -- phases and counters -------------------------------------------------
+    # -- phases and traffic --------------------------------------------------
 
     def set_phase(self, rank: int, label: str) -> None:
         self._phase[rank] = label
-
-    def _count(self, rank: int, nbytes: int) -> None:
-        key = (rank, self._phase[rank])
-        with self._lock:
-            c = self._counters.get(key)
-            if c is None:
-                c = self._counters[key] = MessageCounters(phase=self._phase[rank])
-            c.messages += 1
-            c.bytes += nbytes
 
     def counters_report(self) -> dict:
         """Snapshot: per-rank per-phase counters plus consistent totals."""
         with self._lock:
             per_rank: list[list[dict]] = [[] for _ in range(self.ranks)]
-            for (rank, phase), c in sorted(self._counters.items(),
-                                           key=lambda kv: (kv[0][0], kv[0][1])):
-                per_rank[rank].append(c.as_dict())
+            for (rank, phase), (msgs, nbytes) in sorted(self._traffic.items()):
+                per_rank[rank].append({"phase": phase, "messages": msgs,
+                                       "bytes": nbytes})
         totals = {"messages": sum(c["messages"] for r in per_rank for c in r),
                   "bytes": sum(c["bytes"] for r in per_rank for c in r),
                   "barriers": self.barrier_collectives}
@@ -122,7 +107,11 @@ class CommFabric:
     def send(self, src: int, dst: int, payload) -> None:
         if src == dst:
             raise FabricError("a rank does not message itself")
-        self._count(src, payload_bytes(payload))
+        nbytes = payload_bytes(payload)
+        with self._lock:
+            c = self._traffic.setdefault((src, self._phase[src]), [0, 0])
+            c[0] += 1
+            c[1] += nbytes
         self._queues[dst][src].put(payload)
 
     def recv(self, dst: int, src: int):
@@ -142,6 +131,11 @@ class CommFabric:
         for dst in range(self.ranks):
             if dst != src:
                 self.send(src, dst, payload)
+
+    def concat(self, rank: int, partial: SparseVector) -> np.ndarray:
+        """The dense sum of every rank's partial, by the run's strategy
+        (looked up per call, so the table's entries may be swapped)."""
+        return CONCAT_STRATEGIES[self.strategy](self, rank, partial)
 
     # -- collectives ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -232,13 +232,13 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         raise ConfigError(f"probe stride must be >= 0, got {probe_stride}")
     start = time.monotonic()
     mesh = build_scenario_mesh(scenario)
-    fabric = CommFabric(partition_rows(mesh.node_count, scenario.ranks))
+    fabric = CommFabric(partition_rows(mesh.node_count, scenario.ranks),
+                        scenario.concat)
 
     def per_rank(fab: CommFabric, rank: int):
         matrix, b = assemble_system(scenario, mesh, rank, fab)
         precond = build_preconditioner(scenario, matrix, rank, fab)
-        x, report = cg_solve(matrix, b, precond, rank, fab,
-                             concat=scenario.concat, tol=scenario.tol,
+        x, report = cg_solve(matrix, b, precond, rank, fab, tol=scenario.tol,
                              max_iter=scenario.max_iter)
         pbytes = fab.allgather_object(rank, precond.memory_bytes())
         # A full factor is replicated on every rank: count it once.
@@ -267,13 +267,12 @@ def compare_preconditioners(scenario: Scenario, precond_list,
 
     Failures are recorded as marked cells, not raised.
     """
-    from dataclasses import replace as _replace
     rows = []
     for precond in precond_list:
         for ranks in rank_list:
             cell = {"preconditioner": precond, "ranks": ranks}
             try:
-                sc = _replace(scenario, preconditioner=precond, ranks=ranks)
+                sc = replace(scenario, preconditioner=precond, ranks=ranks)
                 res = run_scenario(sc)
                 totals = res.report.counters["totals"]
                 cell.update({

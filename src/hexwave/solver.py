@@ -18,10 +18,11 @@ values stored in sweep order.  ICP pipelines its segments over the
 fabric; a BICP block runs both sweeps on its own rows and the blocks
 merge with one concatenation per apply.
 
-Rank threads share the interpreter lock, so level sweeps and the BICP
-column loop, hundreds of small NumPy calls each, run one rank at a time
-under ``_SERIAL`` rather than trade that lock at every call; the SpMV
-and vector operations, whose large calls release it, still overlap.
+Rank threads share the interpreter lock, so level sweeps, schedule
+builds and the BICP column loop, hundreds of small NumPy calls each, run
+one rank at a time under ``_SERIAL`` rather than trade that lock at
+every call; the SpMV and vector operations, whose large calls release
+it, still overlap.
 Wall time at P > 1 is therefore simulation overhead, not speedup.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ import threading
 
 import numpy as np
 
-from .fabric import CommFabric, CONCAT_STRATEGIES
+from .fabric import CommFabric
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
                      SparseVector, _CsrBase, _ranges, _stacked, full_matvec,
                      spmv_partial)
@@ -62,7 +63,6 @@ class CholeskyFactor(_CsrBase):
         super().__init__(n, indptr, indices, data, row_start)
         # Level schedules per row segment; rank threads may share a factor.
         self._schedules: dict = {}
-        self._lock = threading.Lock()
 
     @property
     def block_local(self) -> bool:
@@ -73,7 +73,7 @@ class CholeskyFactor(_CsrBase):
     def schedule(self, lo: int, hi: int):
         """``(forward, back)`` level schedules of rows [lo, hi), built on
         first use and shared by every later solve on this factor."""
-        with self._lock:
+        with _SERIAL:
             sched = self._schedules.get((lo, hi))
             if sched is None:
                 sched = self._schedules[(lo, hi)] = _schedule_segment(
@@ -355,8 +355,7 @@ def _solve_levels(sweep, rhs: np.ndarray, out: np.ndarray) -> None:
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
-                            fabric: CommFabric, rank: int,
-                            concat: str = "spmd") -> np.ndarray:
+                            fabric: CommFabric, rank: int) -> np.ndarray:
     """Solve L L^T x = b with the factor's level schedules.
 
     Full factors are solved in pipelined fashion: each rank solves its
@@ -376,8 +375,7 @@ def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
         y, x = np.zeros((2, n), dtype=np.complex128)
         _solve_levels(forward, b, y)
         _solve_levels(back, y, x)
-        return CONCAT_STRATEGIES[concat](
-            fabric, rank, SparseVector.from_segment(lo, x[lo:hi], n))
+        return fabric.concat(rank, SparseVector.from_segment(lo, x[lo:hi], n))
 
     def sweep(levels, rhs, segs):
         out = np.zeros(n, dtype=np.complex128)
@@ -417,15 +415,14 @@ def _norm(u: np.ndarray) -> float:
 
 
 def _apply_preconditioner(precond: Preconditioner, r: np.ndarray, rank: int,
-                          fabric: CommFabric, concat: str) -> np.ndarray:
+                          fabric: CommFabric) -> np.ndarray:
     if precond.kind == "dp":
         return precond.inv_diag * r
-    return forward_back_substitute(precond.factor, r, fabric, rank,
-                                   concat=concat)
+    return forward_back_substitute(precond.factor, r, fabric, rank)
 
 
 def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
-             fabric: CommFabric, concat: str = "spmd", tol: float = 1e-6,
+             fabric: CommFabric, tol: float = 1e-6,
              max_iter: int | None = None):
     """Preconditioned conjugate gradient with the unconjugated bilinear
     form, suitable for the complex symmetric systems assembled here.
@@ -440,7 +437,6 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
     n = len(b)
     if max_iter is None:
         max_iter = 10 * n
-    concat_fn = CONCAT_STRATEGIES[concat]
     fabric.set_phase(rank, "solve-iteration")
 
     x = np.zeros(n, dtype=np.complex128)
@@ -450,13 +446,13 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
     history, converged, breakdown, iterations = [0.0], True, False, 0
     true_res = 0.0
     if bnorm != 0.0:
-        z = _apply_preconditioner(precond, r, rank, fabric, concat)
+        z = _apply_preconditioner(precond, r, rank, fabric)
         p = z.copy()
         rho = _dot(r, z)
         history, converged = [_norm(r) / bnorm], False
         for _ in range(max_iter):
             partial = spmv_partial(a, fabric, rank, p)
-            q = concat_fn(fabric, rank, partial)
+            q = fabric.concat(rank, partial)
             denom = _dot(p, q)
             if denom == 0:
                 breakdown = True
@@ -470,7 +466,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
             if rel <= tol:
                 converged = True
                 break
-            z = _apply_preconditioner(precond, r, rank, fabric, concat)
+            z = _apply_preconditioner(precond, r, rank, fabric)
             rho_new = _dot(r, z)
             if rho_new == 0:
                 breakdown = True
@@ -481,8 +477,8 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
 
     report = SolveReport(
         iterations=iterations, residual_history=history,
-        converged=converged, breakdown=breakdown,
-        preconditioner=precond.kind, strategy=concat, ranks=fabric.ranks,
-        tol=tol, matrix_bytes=a.value_bytes(),
+        converged=converged, breakdown=breakdown, preconditioner=precond.kind,
+        strategy=fabric.strategy, ranks=fabric.ranks, tol=tol,
+        matrix_bytes=a.value_bytes(),
         precond_bytes=precond.memory_bytes(), true_residual=true_res)
     return x, report

@@ -418,10 +418,11 @@ def split_rows(n: int, ranks: int) -> np.ndarray:
     return partition_rows(n, ranks) // 3
 
 
-def fabric_of(ranks: int, timeout: float = 60.0) -> CommFabric:
+def fabric_of(ranks: int, timeout: float = 60.0,
+              strategy: str = "spmd") -> CommFabric:
     """A fabric of ``ranks`` ranks, one row each, for tests of the fabric
     alone."""
-    return CommFabric(np.arange(ranks + 1), timeout)
+    return CommFabric(np.arange(ranks + 1), strategy, timeout=timeout)
 
 
 def phase_traffic(fabric, phase: str) -> tuple[int, int]:

@@ -247,6 +247,23 @@ def test_compare_emits_csv_table(config_path, tmp_path):
     assert int(rows[0]["iterations"]) > 0
 
 
-def test_compare_bad_precond_list_exit_four(config_path, capsys):
-    assert main(["compare", "--config", config_path,
-                 "--precond-list", "dp,ssor"]) == 4
+def test_compare_bad_precond_list_exit_four(config_path, capsys,
+                                            monkeypatch):
+    """An unknown preconditioner, a rank count below 1 or an empty list
+    is a bad flag value: exit 4 before any mesh is built."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a rejected compare list")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    for flag, value, message in [
+            ("--precond-list", "dp,ssor", "unknown preconditioner 'ssor'"),
+            ("--ranks-list", "0", "rank counts >= 1"),
+            ("--ranks-list", "-1", "rank counts >= 1"),
+            ("--ranks-list", "1,-1", "rank counts >= 1"),
+            ("--precond-list", "", "rank counts >= 1"),
+            ("--ranks-list", "", "rank counts >= 1")]:
+        assert main(["compare", "--config", config_path, flag, value]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err

@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from hexwave.fabric import (CommFabric, FabricError, FabricTimeout,
-                            RankFailed, master_slave_concat, payload_bytes,
-                            run_spmd, spmd_concat)
+from hexwave.fabric import (CONCAT_STRATEGIES, CommFabric, FabricError,
+                            FabricTimeout, RankFailed, master_slave_concat,
+                            payload_bytes, run_spmd, spmd_concat)
 from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, SparseVector,
                             partition_rows)
 
@@ -45,13 +45,20 @@ def test_fabric_ranks_are_its_partitions(nodes, ranks):
     fab = CommFabric(starts)
     assert fab.row_starts is starts
     assert fab.ranks == len(starts) - 1 == ranks
+    assert fab.strategy == "spmd"
     assert fab.counters_report()["ranks"] == ranks
 
 
-@pytest.mark.parametrize("starts", [[0], []])
-def test_fabric_rejects_bounds_without_a_rank(starts):
-    with pytest.raises(ValueError, match="need at least one rank"):
-        CommFabric(np.array(starts, dtype=np.int64))
+@pytest.mark.parametrize("starts, strategy, message", [
+    pytest.param([0], "spmd", "need at least one rank", id="starts0"),
+    pytest.param([], "spmd", "need at least one rank", id="starts1"),
+    pytest.param([0, 1], "ring", "unknown concat strategy 'ring'",
+                 id="unknown-strategy"),
+])
+def test_fabric_rejects_bounds_without_a_rank(starts, strategy, message):
+    """No rank, or a strategy not in ``CONCAT_STRATEGIES``, is refused."""
+    with pytest.raises(ValueError, match=message):
+        CommFabric(np.array(starts, dtype=np.int64), strategy)
 
 
 def test_send_recv_counts_messages_and_bytes():
@@ -124,26 +131,43 @@ def _partials(ranks: int, n: int, seed: int = 3):
 
 @pytest.mark.parametrize("ranks", [1, 2, 4, 8, 10])
 def test_spmd_concat_message_count(ranks):
-    fab = fabric_of(ranks)
+    """The strategy called directly, and ``fabric.concat`` on a fabric
+    built with it."""
     parts, full = _partials(ranks, 10 * ranks)
-    for r in range(ranks):
-        fab.set_phase(r, "concat")
-    out = run_spmd(fab, lambda f, r: spmd_concat(f, r, parts[r]))
-    assert phase_traffic(fab, "concat")[0] == ranks * ranks - ranks
-    for o in out:
-        np.testing.assert_array_equal(o, full)
+    for fab, concat in ((fabric_of(ranks), spmd_concat),
+                        (fabric_of(ranks, strategy="spmd"),
+                         CommFabric.concat)):
+        for r in range(ranks):
+            fab.set_phase(r, "concat")
+        out = run_spmd(fab, lambda f, r: concat(f, r, parts[r]))
+        assert phase_traffic(fab, "concat")[0] == ranks * ranks - ranks
+        for o in out:
+            np.testing.assert_array_equal(o, full)
 
 
 @pytest.mark.parametrize("ranks", [1, 2, 4, 8, 10])
-def test_master_slave_concat_message_count(ranks):
-    fab = fabric_of(ranks)
+def test_master_slave_concat_message_count(ranks, monkeypatch):
+    """The strategy called directly, and ``fabric.concat`` on a fabric
+    built with it, which looks its table entry up at each call, so a
+    wrapper put in the table after the build (as perfbench's tracer
+    does) still runs."""
     parts, full = _partials(ranks, 10 * ranks)
-    for r in range(ranks):
-        fab.set_phase(r, "concat")
-    out = run_spmd(fab, lambda f, r: master_slave_concat(f, r, parts[r]))
-    assert phase_traffic(fab, "concat")[0] == 2 * (ranks - 1)
-    for o in out:
-        np.testing.assert_array_equal(o, full)
+    built, calls = fabric_of(ranks, strategy="ms"), []
+
+    def counted(f, r, partial):
+        calls.append(r)
+        return master_slave_concat(f, r, partial)
+
+    monkeypatch.setitem(CONCAT_STRATEGIES, "ms", counted)
+    for fab, concat in ((fabric_of(ranks), master_slave_concat),
+                        (built, CommFabric.concat)):
+        for r in range(ranks):
+            fab.set_phase(r, "concat")
+        out = run_spmd(fab, lambda f, r: concat(f, r, parts[r]))
+        assert phase_traffic(fab, "concat")[0] == 2 * (ranks - 1)
+        for o in out:
+            np.testing.assert_array_equal(o, full)
+    assert sorted(calls) == list(range(ranks))
 
 
 def test_master_broadcast_payload_is_dense():

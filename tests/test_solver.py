@@ -642,8 +642,8 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
     applies = []
     solve = solver.forward_back_substitute
 
-    def checked(factor, b, fabric, rank, concat="spmd"):
-        x = solve(factor, b, fabric, rank, concat=concat)
+    def checked(factor, b, fabric, rank):
+        x = solve(factor, b, fabric, rank)
         lo, hi = fabric.dof_range(rank)
         assert same_bits(x[lo:hi], gather_level_substitute(factor, b, lo, hi))
         applies.append(rank)
@@ -767,12 +767,11 @@ def test_cg_iteration_message_counts(rng):
     ar, _, b = _cg_system(rng)
     for ranks, concat, per_iter in ((2, "spmd", 2), (3, "spmd", 6),
                                     (3, "ms", 4)):
-        fab = CommFabric(split_rows(18, ranks))
+        fab = CommFabric(split_rows(18, ranks), concat)
         out = run_spmd(
-            fab, lambda f, r: cg_solve(ar, b, build_dp(ar), r, f,
-                                       concat=concat, tol=1e-8))
+            fab, lambda f, r: cg_solve(ar, b, build_dp(ar), r, f, tol=1e-8))
         rep = out[0][1]
-        assert rep.converged
+        assert rep.converged and rep.strategy == concat
         msgs = phase_traffic(fab, "solve-iteration")[0]
         assert msgs == per_iter * rep.iterations
 
@@ -796,9 +795,9 @@ def test_cg_strategy_equivalence_bitwise(rng):
     sols = {}
     for concat in ("spmd", "ms"):
         out = run_spmd(
-            CommFabric(split_rows(18, 3)),
-            lambda f, r: cg_solve(ar, b, build_dp(ar), r, f,
-                                  concat=concat, tol=1e-8))
+            CommFabric(split_rows(18, 3), concat),
+            lambda f, r: cg_solve(ar, b, build_dp(ar), r, f, tol=1e-8))
+        assert out[0][1].strategy == concat
         sols[concat] = out[0][0]
     assert np.array_equal(sols["spmd"], sols["ms"])
 
