@@ -22,7 +22,7 @@ import numpy as np
 
 from .fabric import CommFabric
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import _CsrBase, _csr_join, _ranges
+from .sparse import _CsrBase, _ranges
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -219,9 +219,10 @@ def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------
 
-# Owned nodes per block of assemble_rows' array pass: bounds its
-# temporaries at a few MB whatever the rank size.
-_BLOCK_NODES = 128
+# Owned nodes per block of assemble_rows' array pass, and entries per
+# chunk of symmetrize's local search: both bound their temporaries at a
+# few MB whatever the rank size.
+_BLOCK_NODES, _CHUNK = 128, 65_536
 
 
 def _check_range(mesh: HexMesh, node_range: tuple[int, int]):
@@ -320,10 +321,19 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     f_blocks, f_which = _first_blocks(match.argmax(axis=1), facet_block)
     f_blocks = f_blocks.reshape(-1, 4, 3, 12)
     n3 = 3 * mesh.node_count
+    # A node's three rows share one pattern, all components of the nodes
+    # of its elements (a facet's are its element's): size the rows first.
+    pairs = np.sort((e_node - lo)[:, None] * mesh.node_count
+                    + mesh.elements[e_elem], axis=None)
+    width = 3 * np.bincount(pairs[np.diff(pairs, prepend=-1) != 0]
+                            // mesh.node_count, minlength=hi - lo)
+    del pairs
+    indptr = np.append(0, np.repeat(width, 3).cumsum())
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1], dtype=np.complex128)
     edges = np.append(np.arange(lo, hi, _BLOCK_NODES), hi)
     e_cut = np.searchsorted(e_node, edges)
     f_cut = np.searchsorted(f_node, edges)
-    counts, indices, data = [], [], []
     for b0, b1, es, ee, fs, fe in zip(edges[:-1], edges[1:], e_cut[:-1],
                                       e_cut[1:], f_cut[:-1], f_cut[1:]):
         node = np.concatenate([np.repeat(e_node[es:ee], 24),
@@ -348,10 +358,10 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         at = _ranges(np.repeat(cut[:-1], 3), np.repeat(cut[1:], 3))
         length = np.repeat(np.diff(cut), 3)
         comp = np.repeat(np.tile(np.arange(3), b1 - b0), length)
-        counts.append(length)
-        indices.append(ukey[at] % n3)
-        data.append(acc[comp, at])
-    return _CsrBase(n3, *_csr_join(counts, indices, data), row_start=3 * lo)
+        span = slice(indptr[3 * (b0 - lo)], indptr[3 * (b1 - lo)])
+        indices[span] = ukey[at] % n3
+        data[span] = acc[comp, at]
+    return _CsrBase(n3, indptr, indices, data, row_start=3 * lo)
 
 
 def assemble_rhs(mesh: HexMesh, wave: PlaneWave,
@@ -462,35 +472,51 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
     """A new ``(block, rhs)``: A + A^T (no 1/2 factor) and 2*rhs.
 
     A must be structurally symmetric, as assembly and ``apply_symmetry_bc``
-    leave it: the owner of row j sorts the transposes (j, i, v) it receives
-    into its own pattern and adds them, own value first, so the result
-    shares the input's ``indptr`` and ``indices``.  ``AssemblyError``
-    names the first row whose pattern the transposes do not mirror.
+    leave it, so the transpose (j, i, v) of entry (i, j) lands on row j's
+    own entry (j, i): row j's owner finds it by binary search over its
+    ascending keys, with no sort, and adds v, own value first (a local
+    pair is found once, from its lower entry).  The result shares the
+    input's ``indptr`` and ``indices``.  ``AssemblyError`` names the
+    first row whose pattern the transposes do not mirror.
     """
     lo, hi = fabric.dof_range(rank)
-    n, cols, vals = block.n, block.indices, block.data
+    n, cols, vals, nnz = block.n, block.indices, block.data, block.nnz
     rows = block.entry_rows()
-    incoming = [(cols, rows, vals)]
-    if fabric.ranks > 1:    # at P = 1 the split would copy every entry
-        fabric.set_phase(rank, "symmetrize")
-        owner = fabric.owner_of_dof(cols)
-        incoming = [(cols[owner == q], rows[owner == q], vals[owner == q])
-                    for q in range(fabric.ranks)]
-        for q in range(fabric.ranks):
-            if q != rank:
-                fabric.send(rank, q, incoming[q])
-        incoming = [incoming[q] if q == rank else fabric.recv(rank, q)
-                    for q in range(fabric.ranks)]
-    in_rows, in_cols, in_vals = (t[0] if len(t) == 1 else np.concatenate(t)
-                                 for t in zip(*incoming))
-    # Key (row - lo) * n + col orders entries by row, then column.
-    in_key = (in_rows - lo) * n + in_cols
-    del incoming, in_rows, in_cols
-    order = np.argsort(in_key)
-    in_key, own_key = in_key[order], (rows - lo) * n + cols
-    if not np.array_equal(in_key, own_key):
-        first = np.setxor1d(in_key, own_key)[0]
-        raise AssemblyError(f"row {lo + first // n} is not mirrored: rows "
-                            f"[{lo}, {hi}) and their transposes differ there")
-    return (_CsrBase(n, block.indptr, cols, vals + in_vals[order],
-                     row_start=lo), rhs_seg * 2.0)
+    fabric.set_phase(rank, "symmetrize")
+    others = [q for q in range(fabric.ranks) if q != rank]
+    for q in others:
+        go = (cols >= fabric.row_starts[q]) & (cols < fabric.row_starts[q + 1])
+        fabric.send(rank, q, (cols[go], rows[go], vals[go]))
+    received = [fabric.recv(rank, q) for q in others]
+
+    def transposes():
+        """(keys, values, local entries or None) per batch of transposes."""
+        yield from (((r - lo) * n + c, v, None) for r, c, v in received)
+        for s in range(0, nnz, _CHUNK):
+            r, c = rows[s:s + _CHUNK], cols[s:s + _CHUNK]
+            e = s + np.flatnonzero((c >= lo) & (c <= r))
+            yield (cols[e] - lo) * n + rows[e], vals[e], e
+
+    own_key = (rows - lo) * n + cols        # ascends in CSR order
+    out, hit, arrived = np.empty_like(vals), np.zeros(nnz, dtype=bool), 0
+    for key, v, e in transposes():
+        pos = np.minimum(np.searchsorted(own_key, key), nnz - 1)
+        if not np.array_equal(own_key[pos], key):
+            break
+        out[pos] = vals[pos] + v
+        hit[pos] = True
+        arrived += len(pos)
+        if e is not None:       # the local entry takes its transpose's value
+            out[e] = v + vals[pos]
+            hit[e] = True
+            arrived += np.count_nonzero(e != pos)   # a diagonal is its own
+    else:   # as many transposes as entries, and every entry got one
+        if arrived == nnz and hit.all():
+            return (_CsrBase(n, block.indptr, cols, out, row_start=lo),
+                    rhs_seg * 2.0)
+    mine = (cols >= lo) & (cols < hi)
+    got = np.concatenate([(cols[mine] - lo) * n + rows[mine]]
+                         + [(r - lo) * n + c for r, c, _ in received])
+    first = np.append(np.setxor1d(got, own_key), own_key[np.argmin(hit)])[0]
+    raise AssemblyError(f"row {lo + first // n} is not mirrored: rows "
+                        f"[{lo}, {hi}) and their transposes differ there")

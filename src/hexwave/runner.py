@@ -28,6 +28,7 @@ from .sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
 SPEED_OF_LIGHT = 299_792_458.0    # m/s
 PRECONDITIONERS = ("dp", "icp", "bicp")
 STORAGES = ("1", "2")              # lower-triangle, redundant
+MAX_RANKS = 64      # a fabric holds P x P queues and runs one thread per rank
 
 
 class ConfigError(ValueError):
@@ -64,8 +65,8 @@ class Scenario:
         if str(self.storage) not in STORAGES:
             raise ConfigError(f"storage must be '1' or '2', got {self.storage!r}")
         self.storage = str(self.storage)
-        if self.ranks < 1:
-            raise ConfigError("ranks must be >= 1")
+        if not 1 <= self.ranks <= MAX_RANKS:
+            raise ConfigError(f"ranks {self.ranks} is not in [1, {MAX_RANKS}]")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 1:

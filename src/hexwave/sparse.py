@@ -110,13 +110,6 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + (end - count.cumsum()).repeat(count)
 
 
-def _csr_join(counts, indices, data):
-    """CSR ``(indptr, indices, data)`` of consecutive row pieces, each
-    given as its row lengths, columns and values."""
-    return (np.concatenate([[0], *counts]).cumsum(),
-            np.concatenate(indices or [[]]), np.concatenate(data or [[]]))
-
-
 def _stacked(blocks, n: int):
     """CSR ``(indptr, indices, data)`` of row blocks stacked in order."""
     row = 0
@@ -127,8 +120,9 @@ def _stacked(blocks, n: int):
         row = b.row_end
     if row != n:
         raise SparseFormatError(f"row blocks end at row {row}, expected {n}")
-    return _csr_join([np.diff(b.indptr) for b in blocks],
-                     [b.indices for b in blocks], [b.data for b in blocks])
+    return (np.concatenate([[0], *(np.diff(b.indptr) for b in blocks)])
+            .cumsum(), np.concatenate([b.indices for b in blocks]),
+            np.concatenate([b.data for b in blocks]))
 
 
 class LowerSymmetricRows(_CsrBase):
@@ -151,10 +145,9 @@ class LowerSymmetricRows(_CsrBase):
 
     @classmethod
     def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
-        """Keep the lower triangle of structurally symmetric row blocks."""
-        full = _CsrBase(n, *_stacked(blocks, n))
-        lower = full.select(full.indices <= full.entry_rows())
-        return cls(n, lower.indptr, lower.indices, lower.data)
+        """Stack the lower triangles of structurally symmetric row blocks."""
+        return cls(n, *_stacked([b.select(b.indices <= b.entry_rows())
+                                  for b in blocks], n))
 
 
 class RedundantRows(_CsrBase):

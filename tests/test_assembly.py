@@ -1,6 +1,7 @@
 """Element integrals, boundary terms, RHS, constraints, symmetrization."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from hexwave.fabric import CommFabric, run_spmd
 from hexwave.mesh import (HEX_CORNERS, FacetKind, ScattererSpec,
                           build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
-from hexwave.sparse import RedundantRows, _CsrBase, partition_rows
+from hexwave.sparse import (LowerSymmetricRows, RedundantRows, _CsrBase,
+                            partition_rows)
 
 from conftest import (abc_incident_load, assert_same_csr, curl_block_oracle,
                       dense, element_loop_assemble, facet_loop_rhs,
@@ -565,6 +567,113 @@ def test_symmetrize_parallel_matches_serial_bitwise():
     np.testing.assert_array_equal(np.concatenate([rhs for _, rhs in res]),
                                   rhs1)
     assert phase_traffic(fab4, "symmetrize")[0] == 12
+
+
+def _without_entry(block, k):
+    """The block with its stored entry k removed."""
+    keep = np.arange(block.nnz) != k
+    return _CsrBase(block.n, block.indptr - (block.indptr > k),
+                    block.indices[keep], block.data[keep],
+                    row_start=block.row_start)
+
+
+def test_symmetrize_rejects_unmirrored_pattern_across_ranks():
+    """Dropping rank 0's entry (r, c), whose transpose lives on rank 1,
+    names row r at P = 2 as at P = 1."""
+    mesh = build_box_mesh((1.,) * 3, 3)
+    r = 30
+    for ranks in (1, 2):
+        out, fab = _assembled(mesh, ranks)
+        block, rhs = out[0]
+        drop = block.indptr[r + 1] - 1           # last (largest) column
+        assert fab.owner_of_dof(block.indices[drop:drop + 1])[0] == ranks - 1
+        broken = [(_without_entry(block, drop), rhs)] + out[1:]
+        with pytest.raises(AssemblyError, match=f"^row {r} is not mirrored"):
+            run_spmd(fab, lambda f, q: symmetrize(*broken[q], q, f))
+
+
+def test_symmetrize_rejects_a_transpose_that_arrives_twice():
+    """One transpose arrives twice: in place of the next one, from a row
+    that stores one column twice or from a message that repeats one
+    triple, and on top of all the others."""
+    mesh = build_box_mesh((1.,) * 3, 3)
+    ((block, rhs),), fab = _assembled(mesh)
+    r = 30
+    end = block.indptr[r + 1]
+    cols = block.indices.copy()
+    cols[end - 1] = cols[end - 2]
+    twice = _CsrBase(block.n, block.indptr, cols, block.data)
+    with pytest.raises(AssemblyError, match=f"^row {r} is not mirrored"):
+        symmetrize(twice, rhs, 0, fab)
+
+    out, _ = _assembled(mesh, ranks=2)
+    other = out[1][0]
+    rows = other.entry_rows()
+    go = np.flatnonzero(other.indices < out[0][0].row_end)
+    repeated = go.copy()
+    repeated[1] = go[0]
+    for sent, row in ((repeated, other.indices[go[1]]),
+                      (np.append(go, go[0]), r"\d+")):
+        fab = CommFabric(partition_rows(mesh.node_count, 2))
+
+        def fn(f, q):
+            if q == 0:
+                return symmetrize(*out[0], 0, f)
+            f.send(1, 0, (other.indices[sent], rows[sent], other.data[sent]))
+
+        with pytest.raises(AssemblyError, match=f"^row {row} is not mirrored"):
+            run_spmd(fab, fn)
+
+
+def test_symmetrize_in_small_chunks_equals_a_plus_at(monkeypatch):
+    """Chunks that split rows give the same exact A + A^T at P = 1 and 3."""
+    from hexwave import assembly
+    monkeypatch.setattr(assembly, "_CHUNK", 100)
+    mesh = build_box_mesh((1.,) * 3, 4)
+    for ranks in (1, 3):
+        out, fab = _assembled(mesh, ranks)
+        before = dense(RedundantRows.from_rows([b for b, _ in out], 192))
+        res = run_spmd(fab, lambda f, q: symmetrize(*out[q], q, f))
+        after = RedundantRows.from_rows([b for b, _ in res], 192)
+        assert np.array_equal(dense(after), before + before.T)
+
+
+def _traced_peak(fn):
+    """``(fn(), peak bytes fn allocated above what was live at entry)``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetrize_and_lower_join_hold_about_one_copy():
+    """On a 12 x 12 x 12-node box at P = 2, symmetrize's peak stays
+    within 2.5x, and the storage-1 join's within 1.25x, of their input
+    blocks' index and value bytes (24 B per entry); sorting copies of
+    every triple and stacking full rows took 3.0-3.5x and 1.9x."""
+    mesh = build_box_mesh((1.,) * 3, 12)
+    out, fab = _assembled(mesh, ranks=2)
+    entry_bytes = 24 * sum(b.nnz for b, _ in out)
+    res, peak = _traced_peak(
+        lambda: run_spmd(fab, lambda f, q: symmetrize(*out[q], q, f)))
+    assert peak <= 2.5 * entry_bytes, peak / entry_bytes
+    del out
+    blocks = [b for b, _ in res]
+    _, peak = _traced_peak(lambda: LowerSymmetricRows.from_symmetric_rows(
+        blocks, blocks[0].n))
+    assert peak <= 1.25 * entry_bytes, peak / entry_bytes
+
+
+def test_assemble_rows_writes_rows_in_place():
+    """Rows go straight into their final arrays: on the 12 x 12 x 12-node
+    box the peak stays within 2x the result's 24 B per entry (keeping
+    every node block's pieces and their concatenation took 2.2x)."""
+    mesh = build_box_mesh((1.,) * 3, 12)
+    block, peak = _traced_peak(lambda: assemble_rows(
+        mesh, MaterialParams(k0=2 * np.pi), (0, mesh.node_count)))
+    assert peak <= 2.0 * 24 * block.nnz, peak / (24 * block.nnz)
 
 
 def test_rows_and_symmetrize_across_node_blocks():

@@ -5,6 +5,7 @@ import csv
 import json
 import pathlib
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import scipy.io
 import hexwave
 from hexwave import cli
 from hexwave.cli import main
-from hexwave.runner import ConfigError, Scenario
+from hexwave.runner import MAX_RANKS, ConfigError, Scenario
 from hexwave.solver import FactorBreakdownError
 
 SMALL_CONFIG = """\
@@ -61,6 +62,27 @@ def test_scenario_validation_errors():
         Scenario(frequency=-1.0)
     with pytest.raises(ConfigError):
         Scenario(ranks=0)
+
+
+def test_scenario_rejects_more_ranks_than_the_cap(monkeypatch):
+    """A rank count above MAX_RANKS is refused when the scenario is built,
+    before any fabric (P x P queues) or rank thread exists."""
+    from hexwave import fabric
+    built = []
+    monkeypatch.setattr(fabric.CommFabric, "__init__",
+                        lambda self, *a, **k: built.append(a))
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match=r"^ranks 1701 is not in \[1, 64\]"):
+        Scenario(ranks=1701)
+    with pytest.raises(ConfigError):
+        Scenario(ranks=MAX_RANKS + 1)
+    assert Scenario(ranks=MAX_RANKS).ranks == MAX_RANKS
+    assert not built and threading.active_count() == threads
+
+
+def test_run_too_many_ranks_exit_four(config_path, capsys):
+    assert main(["run", "--config", config_path, "--ranks", "65"]) == 4
+    assert "ranks 65 is not in [1, 64]" in capsys.readouterr().err
 
 
 def test_run_converged_exit_zero_and_report(config_path, tmp_path, capsys):
