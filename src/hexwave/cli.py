@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .fabric import CONCAT_STRATEGIES
-from .mesh import MeshError
+from .mesh import MeshBudgetError
 from .runner import (PRECONDITIONERS, STORAGES, ConfigError, Scenario,
                      compare_preconditioners, run_scenario)
 from .solver import SolverError
@@ -142,13 +142,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except MeshError as exc:
-        if "budget" in str(exc):
-            print(f"budget exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
+    except MeshBudgetError as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except ValueError as exc:          # ConfigError, other MeshErrors
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

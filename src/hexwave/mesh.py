@@ -46,6 +46,10 @@ class MeshError(ValueError):
     """Invalid mesh construction request."""
 
 
+class MeshBudgetError(MeshError):
+    """The box needs more nodes than the node budget allows."""
+
+
 class FacetKind(enum.Enum):
     EXTERIOR = "exterior"
     PEC = "pec"
@@ -137,7 +141,8 @@ def build_box_mesh(extent, nodes_per_wavelength: int, wavelength: float = 1.0,
     counts = [_edge_node_count(extent[d], nodes_per_wavelength) for d in range(3)]
     nx, ny, nz = counts
     if nx * ny * nz > node_budget:
-        raise MeshError(f"mesh of {nx * ny * nz} nodes exceeds budget {node_budget}")
+        raise MeshBudgetError(
+            f"mesh of {nx * ny * nz} nodes exceeds budget {node_budget}")
     h = wavelength / nodes_per_wavelength
 
     # Node id = i + nx*(j + ny*k), x fastest; elements in the same order.

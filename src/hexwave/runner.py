@@ -56,6 +56,11 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("extent", "frequency", "direction", "polarization",
+                    "eps_r", "mu_r", "tol"):
+            value = getattr(self, key)
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.frequency <= 0:
             raise ConfigError("frequency must be positive")
         if self.preconditioner not in PRECONDITIONERS:
@@ -83,15 +88,12 @@ class Scenario:
     @classmethod
     def from_config(cls, path) -> "Scenario":
         cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        read = cp.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
         try:
-            return cls._from_parser(cp)
-        except (ValueError, KeyError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            if cp.read(path):
+                return cls._from_parser(cp)
+        except (configparser.Error, ValueError, KeyError) as exc:
             raise ConfigError(f"bad config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path}")
 
     @classmethod
     def _from_parser(cls, cp: configparser.ConfigParser) -> "Scenario":

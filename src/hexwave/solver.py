@@ -11,18 +11,19 @@ rank holds its rows of the lower pattern as one CSR row block
 all of its entries in column j come at once from one gather, multiply
 and segmented sum over the row prefixes left of j.  Both factored
 preconditioners apply L L^T through one level-scheduled
-triangular-solve kernel: the rows of a segment are grouped once per
-factor into dependency levels and solved in level order on the
-segment's slice of the output, one contiguous slice per level, over
-values stored in sweep order.  ICP pipelines its segments over the
+triangular-solve kernel: each solve groups its rank's rows once, at
+its first apply, into dependency levels, and solves them in level order
+on the segment's slice of the output, one contiguous slice per level,
+over values stored in sweep order.  ICP pipelines its segments over the
 fabric; a BICP block runs both sweeps on its own rows and the blocks
 merge with one concatenation per apply.
 
-Rank threads share the interpreter lock, so level sweeps, schedule
-builds and the BICP column loop, hundreds of small NumPy calls each, run
-one rank at a time under ``_SERIAL`` rather than trade that lock at
-every call; the SpMV and vector operations, whose large calls release
-it, still overlap.
+Rank threads share only read-only objects (mesh, joined system, ICP
+factor; each solve builds its own schedules) and the interpreter lock,
+so level sweeps, schedule builds and the BICP column loop, hundreds of
+small NumPy calls each, run one rank at a time under ``_SERIAL`` rather
+than trade that lock at every call; the SpMV and vector operations,
+whose large calls release it, still overlap.
 Wall time at P > 1 is therefore simulation overhead, not speedup.
 """
 from __future__ import annotations
@@ -59,26 +60,11 @@ class CholeskyFactor(_CsrBase):
     the last entry of each row.
     """
 
-    def __init__(self, n, row_start, indptr, indices, data):
-        super().__init__(n, indptr, indices, data, row_start)
-        # Level schedules per row segment; rank threads may share a factor.
-        self._schedules: dict = {}
-
     @property
     def block_local(self) -> bool:
         """A BICP block of several ranks: fewer than n rows, and columns
         only among its own rows."""
         return self.row_end - self.row_start < self.n
-
-    def schedule(self, lo: int, hi: int):
-        """``(forward, back)`` level schedules of rows [lo, hi), built on
-        first use and shared by every later solve on this factor."""
-        with _SERIAL:
-            sched = self._schedules.get((lo, hi))
-            if sched is None:
-                sched = self._schedules[(lo, hi)] = _schedule_segment(
-                    self, lo, hi)
-        return sched
 
 
 @dataclass
@@ -207,7 +193,7 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows, rank: int,
             f.pivot(j)
             if f.touches(j):
                 f.column(j, *f.row(j))
-    return CholeskyFactor(a.n, lo, f.indptr, f.indices, f.data)
+    return CholeskyFactor(a.n, f.indptr, f.indices, f.data, lo)
 
 
 def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
@@ -253,7 +239,7 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
         fabric.barrier(rank)
 
     return fabric.allgather_object(
-        rank, f, lambda parts: CholeskyFactor(n, 0, *_stacked(parts, n)))
+        rank, f, lambda parts: CholeskyFactor(n, *_stacked(parts, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,21 +341,22 @@ def _solve_levels(sweep, rhs: np.ndarray, out: np.ndarray) -> None:
 
 
 def forward_back_substitute(factor: CholeskyFactor, b: np.ndarray,
-                            fabric: CommFabric, rank: int) -> np.ndarray:
-    """Solve L L^T x = b with the factor's level schedules.
+                            fabric: CommFabric, rank: int,
+                            sweeps) -> np.ndarray:
+    """Solve L L^T x = b with the ``(forward, back)`` level schedules of
+    this rank's rows (``_schedule_segment``).
 
     Full factors are solved in pipelined fashion: each rank solves its
     contiguous segment and broadcasts it so the next segment can start
     (P(P-1) messages per triangular solve).  A block-local factor's back
     sweep reads only its own rows, so each block runs both sweeps alone
     and the blocks merge with one concatenation per apply.  Either way a
-    rank's rows are solved level by level (see
-    ``CholeskyFactor.schedule``), each row summed in a fixed order, so a
-    full factor gives a result bitwise independent of P.
+    rank's rows are solved level by level, each row summed in a fixed
+    order, so a full factor gives a result bitwise independent of P.
     """
     n, P = factor.n, fabric.ranks
     lo, hi = fabric.dof_range(rank)
-    forward, back = factor.schedule(lo, hi)
+    forward, back = sweeps
     b = np.asarray(b, dtype=np.complex128)
     if factor.block_local:
         y, x = np.zeros((2, n), dtype=np.complex128)
@@ -414,13 +401,6 @@ def _norm(u: np.ndarray) -> float:
     return float(np.sqrt(_dot(u.real, u.real) + _dot(u.imag, u.imag)))
 
 
-def _apply_preconditioner(precond: Preconditioner, r: np.ndarray, rank: int,
-                          fabric: CommFabric) -> np.ndarray:
-    if precond.kind == "dp":
-        return precond.inv_diag * r
-    return forward_back_substitute(precond.factor, r, fabric, rank)
-
-
 def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
              fabric: CommFabric, tol: float = 1e-6,
              max_iter: int | None = None):
@@ -430,9 +410,10 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
     Every rank keeps a full (replicated) copy of all vectors, so scalar
     reductions are message-free; the only per-iteration traffic is the
     concatenation of the partial matrix-vector product (plus the
-    preconditioner's triangular-solve traffic).  Returns ``(x, report)``;
-    a vanishing bilinear form sets ``report.breakdown`` and stops, which
-    is reported distinctly from plain non-convergence.
+    preconditioner's triangular-solve traffic).  Level schedules of this
+    rank's rows are built once, before the first apply.  Returns
+    ``(x, report)``; a vanishing bilinear form sets ``report.breakdown``
+    and stops, which is reported distinctly from plain non-convergence.
     """
     n = len(b)
     if max_iter is None:
@@ -446,7 +427,18 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
     history, converged, breakdown, iterations = [0.0], True, False, 0
     true_res = 0.0
     if bnorm != 0.0:
-        z = _apply_preconditioner(precond, r, rank, fabric)
+        if precond.kind == "dp":
+            def apply(v):
+                return precond.inv_diag * v
+        else:
+            with _SERIAL:
+                sweeps = _schedule_segment(precond.factor,
+                                           *fabric.dof_range(rank))
+
+            def apply(v):
+                return forward_back_substitute(precond.factor, v, fabric,
+                                               rank, sweeps)
+        z = apply(r)
         p = z.copy()
         rho = _dot(r, z)
         history, converged = [_norm(r) / bnorm], False
@@ -466,7 +458,7 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
             if rel <= tol:
                 converged = True
                 break
-            z = _apply_preconditioner(precond, r, rank, fabric)
+            z = apply(r)
             rho_new = _dot(r, z)
             if rho_new == 0:
                 breakdown = True

@@ -111,7 +111,8 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 
 def _stacked(blocks, n: int):
-    """CSR ``(indptr, indices, data)`` of row blocks stacked in order."""
+    """CSR ``(indptr, indices, data)`` of row blocks stacked in order, as
+    new read-only arrays: they back the objects all ranks share."""
     row = 0
     for k, b in enumerate(blocks):
         if b.row_start != row:
@@ -120,9 +121,12 @@ def _stacked(blocks, n: int):
         row = b.row_end
     if row != n:
         raise SparseFormatError(f"row blocks end at row {row}, expected {n}")
-    return (np.concatenate([[0], *(np.diff(b.indptr) for b in blocks)])
-            .cumsum(), np.concatenate([b.indices for b in blocks]),
-            np.concatenate([b.data for b in blocks]))
+    csr = (np.concatenate([[0], *(np.diff(b.indptr) for b in blocks)])
+           .cumsum(), np.concatenate([b.indices for b in blocks]),
+           np.concatenate([b.data for b in blocks]))
+    for arr in csr:
+        arr.flags.writeable = False
+    return csr
 
 
 class LowerSymmetricRows(_CsrBase):

@@ -16,7 +16,7 @@ import pytest
 
 from hexwave.fabric import CommFabric
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
-from hexwave.solver import _levels
+from hexwave.solver import _levels, _schedule_segment, forward_back_substitute
 from hexwave.sparse import (LowerSymmetricRows, _CsrBase, _block_matvec,
                             _ranges, partition_rows)
 
@@ -554,6 +554,13 @@ def gather_level_substitute(factor, b, lo: int, hi: int) -> np.ndarray:
     gather_level_solve(forward, factor.data, b, y)
     gather_level_solve(back, factor.data, y, x)
     return x[lo:hi]
+
+
+def substitute(factor, b, fabric: CommFabric, rank: int) -> np.ndarray:
+    """``forward_back_substitute`` on the level schedules of the rank's
+    rows, built for this one call as ``cg_solve`` builds them per solve."""
+    sweeps = _schedule_segment(factor, *fabric.dof_range(rank))
+    return forward_back_substitute(factor, b, fabric, rank, sweeps)
 
 
 @pytest.fixture

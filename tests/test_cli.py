@@ -14,6 +14,7 @@ import scipy.io
 import hexwave
 from hexwave import cli
 from hexwave.cli import main
+from hexwave.mesh import MeshBudgetError, MeshError
 from hexwave.runner import MAX_RANKS, ConfigError, Scenario
 from hexwave.solver import FactorBreakdownError
 
@@ -158,6 +159,61 @@ def test_unknown_config_key_or_section_exit_four(tmp_path, capsys, text,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, named", [
+    ("[solver]\ntol = 1e-6\ntol = 1e-5\n",
+     "option 'tol' in section 'solver' already exists"),
+    ("[solver]\ntol = 1e-6\n[solver]\nranks = 2\n",
+     "section 'solver' already exists"),
+    ("[solver\ntol = 1e-6\n", "no section headers"),
+], ids=["duplicate-key", "duplicate-section", "unterminated-header"])
+def test_malformed_config_exit_four(tmp_path, capsys, text, named):
+    """INI syntax errors are config errors that name the file, not
+    tracebacks."""
+    p = tmp_path / "malformed.ini"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(str(p))):
+        Scenario.from_config(str(p))
+    assert main(["run", "--config", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad config {p}: ") and named in err
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("solver", "tol", "{}"), ("domain", "frequency", "{}"),
+    ("material", "eps_r", "{}"), ("material", "mu_r", "{}"),
+    ("domain", "extent", "1 {} 1"), ("wave", "direction", "0 0 {}"),
+    ("wave", "polarization", "{} 0 0")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_value_exit_four_before_mesh(tmp_path, capsys,
+                                                monkeypatch, section, key,
+                                                text, value):
+    """A NaN or infinite tolerance, frequency, material constant or
+    geometry vector is rejected when the scenario is built, naming the
+    key, before any mesh exists."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a non-finite value")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    p = tmp_path / "nonfinite.ini"
+    p.write_text(f"[{section}]\n{key} = {text.format(value)}\n")
+    assert main(["run", "--config", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert f"{key} must be finite, got " in err and value in err
+    parsed = runner._CONFIG_KEYS[section][key](text.format(value))
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        Scenario(**{key: parsed})
+
+
+def test_non_finite_flags_and_complex_parts_rejected(config_path, capsys):
+    assert main(["run", "--config", config_path, "--tol", "nan"]) == 4
+    assert "tol must be finite, got nan" in capsys.readouterr().err
+    for key in ("eps_r", "mu_r"):
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            Scenario(**{key: complex(1.0, float("nan"))})
+
+
 def test_readme_ini_example_loads(tmp_path):
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     p = tmp_path / "readme.ini"
@@ -223,6 +279,21 @@ def test_node_budget_exit_five(tmp_path, capsys):
                  "node_budget = 100\n")
     assert main(["run", "--config", str(p)]) == 5
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code", [
+    (MeshBudgetError("mesh of 9 nodes exceeds budget 8"), 5),
+    (MeshError("budget words in a mesh error of another kind"), 4)])
+def test_mesh_errors_map_to_exit_codes_by_type(config_path, monkeypatch,
+                                               capsys, error, code):
+    """Only a MeshBudgetError exits 5, whatever the message says."""
+    def fail(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(cli, "run_scenario", fail)
+    assert main(["run", "--config", config_path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded: " if code == 5
+                          else "config error: ")
 
 
 def test_solver_breakdown_exit_three(config_path, monkeypatch, capsys):

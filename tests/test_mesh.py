@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hexwave.mesh import (FacetKind, MeshError, ScattererSpec,
-                          build_box_mesh, classify_boundary,
+from hexwave.mesh import (FacetKind, MeshBudgetError, MeshError,
+                          ScattererSpec, build_box_mesh, classify_boundary,
                           embed_pec_scatterer)
 
 from conftest import dict_boundary_facets, facet_loop_kinds, loop_box_elements
@@ -48,8 +48,9 @@ def test_non_integer_edge_count_rejected():
 
 
 def test_node_budget_enforced():
-    with pytest.raises(MeshError, match="budget"):
+    with pytest.raises(MeshBudgetError, match="budget"):
         build_box_mesh((3.0, 3.0, 3.0), 10, node_budget=1000)
+    assert issubclass(MeshBudgetError, MeshError)
 
 
 def test_boundary_facet_count_cube():

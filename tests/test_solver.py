@@ -19,16 +19,16 @@ from hexwave.mesh import ScattererSpec
 from hexwave.runner import Scenario, run_scenario
 from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             Preconditioner, SingularPreconditionerError,
-                            _dot, _norm, _row_destinations, build_bicp,
-                            build_dp, build_icp, cg_solve,
-                            forward_back_substitute)
+                            _dot, _norm, _row_destinations,
+                            _schedule_segment, build_bicp, build_dp,
+                            build_icp, cg_solve)
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
                             to_redundant)
 
 from conftest import (csr_from_rows, dense, dense_ic_oracle, entry_loop_ic,
                       gather_level_substitute, phase_traffic,
                       random_symmetric_sparse, row_block, same_bits,
-                      split_rows)
+                      split_rows, substitute)
 
 
 def _one_rank(n):
@@ -390,8 +390,8 @@ def _kernel_system(rng, kind, storage):
 
 
 def _oracle_factor(a, lo, hi):
-    return CholeskyFactor(a.n, lo,
-                          *csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo))
+    return CholeskyFactor(a.n, *csr_from_rows(entry_loop_ic(a, lo, hi),
+                                              hi - lo), row_start=lo)
 
 
 def _assert_kernel_edge_cases(a, fab):
@@ -463,6 +463,27 @@ def test_factor_builds_name_first_row_without_diagonal(storage):
         build_bicp(a, 1, _split([0, 3, 6]))
 
 
+@pytest.mark.parametrize("storage", ["1", "2"])
+def test_shared_system_and_icp_factor_reject_writes(storage):
+    """The joined system and the stacked icp factor are the objects all
+    rank threads share; a write to any of their arrays raises."""
+    sc = Scenario(extent=(0.5, 0.5, 0.5), nodes_per_wavelength=6,
+                  storage=storage, preconditioner="icp", ranks=2)
+    mesh = runner.build_scenario_mesh(sc)
+
+    def per_rank(fab, rank):
+        matrix, _ = runner.assemble_system(sc, mesh, rank, fab)
+        return matrix, build_icp(matrix, rank, fab)
+
+    (a0, l0), (a1, l1) = run_spmd(
+        CommFabric(partition_rows(mesh.node_count, 2)), per_rank)
+    assert a0 is a1 and l0 is l1
+    for shared in (a0, l0):
+        for arr in (shared.indptr, shared.indices, shared.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[-1] = arr[-1]
+
+
 # -- triangular solves -------------------------------------------------------
 
 def test_substitution_matches_scipy(rng):
@@ -471,7 +492,7 @@ def test_substitution_matches_scipy(rng):
     ar = _redundant(a.astype(complex))
     factor = build_icp(ar, 0, _one_rank(15))
     b = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-    x = forward_back_substitute(factor, b, _one_rank(15), 0)
+    x = substitute(factor, b, _one_rank(15), 0)
     lo = np.linalg.cholesky(a)
     y_ref = scipy.linalg.solve_triangular(lo, b, lower=True)
     x_ref = scipy.linalg.solve_triangular(lo.T, y_ref, lower=False)
@@ -484,12 +505,12 @@ def test_pipelined_substitution_bitwise_rank_invariant(rng, ranks):
     ar = RedundantRows.from_rows([row_block(rows, 12)], 12)
     factor = build_icp(ar, 0, _one_rank(12))
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    serial = forward_back_substitute(factor, b, _one_rank(12), 0)
+    serial = substitute(factor, b, _one_rank(12), 0)
     fab = CommFabric(split_rows(12, ranks))
     for r in range(ranks):
         fab.set_phase(r, "solve")
     out = run_spmd(
-        fab, lambda f, r: forward_back_substitute(factor, b, f, r))
+        fab, lambda f, r: substitute(factor, b, f, r))
     for x in out:
         assert np.array_equal(x, serial)
     # one segment broadcast per rank per triangular solve
@@ -502,7 +523,7 @@ def test_block_substitution_is_block_exact(rng):
     b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     out = run_spmd(
         _split([0, 6, 12]),
-        lambda f, r: forward_back_substitute(build_bicp(ar, r, f), b, f, r))
+        lambda f, r: substitute(build_bicp(ar, r, f), b, f, r))
     for r, lohi in enumerate([(0, 6), (6, 12)]):
         lo, hi = lohi
         lref = dense_ic_oracle(dense[lo:hi, lo:hi])
@@ -527,11 +548,11 @@ def test_level_counts_diagonal_and_tridiagonal():
     n = 7
     diag = build_icp(_redundant(4.0 * np.eye(n, dtype=complex)), 0,
                      _one_rank(n))
-    forward, back = diag.schedule(0, n)
+    forward, back = _schedule_segment(diag, 0, n)
     assert (len(_level_rows(forward)), len(_level_rows(back))) == (1, 1)
     tri = (4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)).astype(complex)
     chain = build_icp(_redundant(tri), 0, _one_rank(n))
-    forward, back = chain.schedule(0, n)
+    forward, back = _schedule_segment(chain, 0, n)
     assert (len(_level_rows(forward)), len(_level_rows(back))) == (n, n)
     assert _level_rows(forward) == [[i] for i in range(n)]
     assert _level_rows(back) == [[i] for i in range(n - 1, -1, -1)]
@@ -541,10 +562,11 @@ def test_level_solve_matches_scipy_full_factor(rng):
     rows, _ = random_symmetric_sparse(rng, 30, density=0.08, diag_boost=10.0)
     ar = RedundantRows.from_rows([row_block(rows, 30)], 30)
     factor = build_icp(ar, 0, _one_rank(30))
-    forward, back = (len(_level_rows(s)) for s in factor.schedule(0, 30))
+    forward, back = (len(_level_rows(s))
+                     for s in _schedule_segment(factor, 0, 30))
     assert 3 <= forward < 30 and 3 <= back < 30
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    x = forward_back_substitute(factor, b, _one_rank(30), 0)
+    x = substitute(factor, b, _one_rank(30), 0)
     np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
                                rtol=1e-12)
 
@@ -558,10 +580,10 @@ def test_level_mixing_rows_with_and_without_entries(rng):
         a[i, j] = a[j, i] = 1.0
     ar = _redundant(a)
     b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    out = run_spmd(_split([0, 3, 6]), lambda f, r: forward_back_substitute(
+    out = run_spmd(_split([0, 3, 6]), lambda f, r: substitute(
         build_icp(ar, r, f), b, f, r))
     factor = build_icp(ar, 0, _one_rank(6))
-    assert _level_rows(factor.schedule(3, 6)[0])[0] == [3, 5, 4]
+    assert _level_rows(_schedule_segment(factor, 3, 6)[0])[0] == [3, 5, 4]
     for x in out:
         np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
                                    rtol=1e-12)
@@ -574,11 +596,11 @@ def test_level_solve_matches_scipy_block_local_factor(rng):
     factors = [build_bicp(ar, r, fab) for r in range(2)]
     for f in factors:
         assert f.block_local
-        assert min(len(_level_rows(s))
-                   for s in f.schedule(f.row_start, f.row_end)) >= 3
+        assert min(len(_level_rows(s)) for s in _schedule_segment(
+            f, f.row_start, f.row_end)) >= 3
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     out = run_spmd(
-        fab, lambda f, r: forward_back_substitute(factors[r], b, f, r))
+        fab, lambda f, r: substitute(factors[r], b, f, r))
     for f in factors:
         lo, hi = f.row_start, f.row_end
         ref = _scipy_substitute(dense(f)[lo:hi, lo:hi], b[lo:hi])
@@ -591,34 +613,9 @@ def test_repeated_applies_bitwise_equal(rng):
     ar = RedundantRows.from_rows([row_block(rows, 20)], 20)
     factor = build_icp(ar, 0, _one_rank(20))
     b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    first = forward_back_substitute(factor, b, _one_rank(20), 0)
-    second = forward_back_substitute(factor, b, _one_rank(20), 0)
+    first = substitute(factor, b, _one_rank(20), 0)
+    second = substitute(factor, b, _one_rank(20), 0)
     assert np.array_equal(first, second)
-
-
-def test_schedule_built_once_under_racing_threads(rng):
-    rows, _ = random_symmetric_sparse(rng, 60, density=0.1, diag_boost=20.0)
-    ar = RedundantRows.from_rows([row_block(rows, 60)], 60)
-    factor = build_icp(ar, 0, _one_rank(60))
-    got = []
-    start = threading.Barrier(8)
-
-    def schedule_segment():
-        start.wait(timeout=30)
-        got.append(factor.schedule(10, 50))
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=schedule_segment) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(got) == 8 and all(s is got[0] for s in got)
 
 
 def test_zero_pivot_in_factor_named_at_schedule_build():
@@ -629,7 +626,7 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
     factor = CholeskyFactor(n=n, row_start=0, indptr=indptr, indices=indices,
                             data=data)
     with pytest.raises(FactorBreakdownError, match="row 2"):
-        forward_back_substitute(factor, np.ones(n, dtype=complex),
+        substitute(factor, np.ones(n, dtype=complex),
                                 _one_rank(n), 0)
 
 
@@ -642,8 +639,8 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
     applies = []
     solve = solver.forward_back_substitute
 
-    def checked(factor, b, fabric, rank):
-        x = solve(factor, b, fabric, rank)
+    def checked(factor, b, fabric, rank, sweeps):
+        x = solve(factor, b, fabric, rank, sweeps)
         lo, hi = fabric.dof_range(rank)
         assert same_bits(x[lo:hi], gather_level_substitute(factor, b, lo, hi))
         applies.append(rank)
@@ -727,7 +724,7 @@ def test_sweep_that_raises_fails_the_run_and_frees_the_lock(rng):
     b = np.ones(25, dtype=complex)
     t0 = time.monotonic()
     with pytest.raises(IndexError):
-        run_spmd(fab, lambda f, r: forward_back_substitute(
+        run_spmd(fab, lambda f, r: substitute(
             factors[r], b, f, r))
     assert time.monotonic() - t0 < 5.0
     assert not solver._SERIAL.locked()
@@ -761,6 +758,33 @@ def test_cg_exact_factor_converges_in_one_iteration(rng):
     x, rep = cg_solve(ar, b, Preconditioner(kind="icp", factor=factor),
                       0, _one_rank(20), tol=1e-10)
     assert rep.iterations == 1 and rep.converged
+
+
+@pytest.mark.parametrize("precond", ["dp", "icp", "bicp"])
+def test_each_solve_builds_its_ranks_schedules(monkeypatch, rng, precond):
+    """A solve builds the schedules of its own rank's rows once, before
+    its first apply, and a dp solve builds none; a second solve on the
+    same preconditioners builds them again, as nothing is kept on the
+    factor the ranks share."""
+    ar, _, b = _cg_system(rng)
+    build = {"dp": lambda f, r: build_dp(ar),
+             "icp": lambda f, r: build_icp(ar, r, f),
+             "bicp": lambda f, r: build_bicp(ar, r, f)}[precond]
+    preconds = [p if precond == "dp" else Preconditioner(precond, factor=p)
+                for p in run_spmd(_split([0, 9, 18]), build)]
+    built, schedule = [], solver._schedule_segment
+
+    def counted(factor, lo, hi):
+        built.append((lo, hi))
+        return schedule(factor, lo, hi)
+
+    monkeypatch.setattr(solver, "_schedule_segment", counted)
+    for solves in (1, 2):
+        out = run_spmd(_split([0, 9, 18]), lambda f, r: cg_solve(
+            ar, b, preconds[r], r, f, tol=1e-10))
+        assert all(report.converged for _, report in out)
+        assert sorted(built) == ([] if precond == "dp"
+                                 else solves * [(0, 9)] + solves * [(9, 18)])
 
 
 def test_cg_iteration_message_counts(rng):

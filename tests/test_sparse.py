@@ -112,6 +112,25 @@ def test_row_blocks_stack_into_either_storage(rng):
                 build(blocks, 9)
 
 
+def test_stacked_storage_is_read_only_and_leaves_the_blocks_writable(rng):
+    """Either storage stacks its blocks into new read-only arrays, which
+    back the system all ranks share; the caller's blocks stay writable,
+    and writing them leaves the stacked matrix as it was."""
+    rows, _ = random_symmetric_sparse(rng, 9)
+    blocks = [row_block(rows[:4], 9), row_block(rows[4:], 9, 4)]
+    for build in (RedundantRows.from_rows,
+                  LowerSymmetricRows.from_symmetric_rows):
+        m = build(blocks, 9)
+        before = m.data.copy()
+        for arr in (m.indptr, m.indices, m.data):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        for blk in blocks:
+            assert blk.indptr.flags.writeable and blk.indices.flags.writeable
+            blk.data[0] += 1.0
+        assert np.array_equal(m.data, before)
+
+
 def test_lower_storage_rejects_upper_entries():
     with pytest.raises(SparseFormatError, match="row 0"):
         LowerSymmetricRows(2, [0, 1, 2], [1, 1], [1.0, 2.0])
