@@ -242,11 +242,11 @@ def _incidence(conn: np.ndarray, lo: int, hi: int):
 
 
 def _exterior_facets(mesh: HexMesh):
-    """Ids, corner nodes (F, 4), elements and outward normals (F, 3) of
-    the exterior facets."""
+    """Ids, corner nodes (F, 4), element-local faces k and outward
+    normals (F, 3) of the exterior facets."""
     ids = np.flatnonzero(mesh.facet_kinds == FacetKind.EXTERIOR)
-    return (ids, mesh.facet_nodes[ids], mesh.facet_elements[ids],
-            mesh.facet_normals[ids])
+    return (ids, mesh.facet_nodes[ids],
+            mesh.facet_faces[ids] % len(HEX_FACES), mesh.facet_normals[ids])
 
 
 def _canonical(coords: np.ndarray, h: float) -> np.ndarray:
@@ -302,13 +302,8 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         np.column_stack([eps.real, eps.imag, mu.real, mu.imag]), element_block)
     e_blocks = e_blocks.reshape(-1, 8, 3, 24)
 
-    ids, fnodes, felems, normals = _exterior_facets(mesh)
+    _, fnodes, faces, normals = _exterior_facets(mesh)
     f_node, f_row, f_corner = _incidence(fnodes, lo, hi)
-    match = (mesh.elements[felems[f_row]][:, HEX_FACES]
-             == fnodes[f_row][:, None, :]).all(axis=2)
-    if not match.any(axis=1).all():
-        raise AssemblyError(f"facet {ids[f_row[np.argmin(match.any(axis=1))]]}"
-                            " does not match any element face")
 
     def facet_block(i):
         f = f_row[i]
@@ -318,7 +313,7 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         # matching the incident load on the right-hand side.
         return am.first_order + am.second_order
 
-    f_blocks, f_which = _first_blocks(match.argmax(axis=1), facet_block)
+    f_blocks, f_which = _first_blocks(faces[f_row], facet_block)
     f_blocks = f_blocks.reshape(-1, 4, 3, 12)
     n3 = 3 * mesh.node_count
     # A node's three rows share one pattern, all components of the nodes
@@ -416,7 +411,7 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
     kinds = mesh.facet_kinds
     plane = np.flatnonzero((kinds == FacetKind.SYMMETRY)
                            | (kinds == FacetKind.ANTISYMMETRY))
-    axis = np.argmax(np.abs(mesh.facet_normals[plane]), axis=1)
+    axis = mesh.facet_faces[plane] % len(HEX_FACES) // 2
     # One (node, axis) key per facet corner, in facet order.
     key = (3 * mesh.facet_nodes[plane] + axis[:, None]).ravel()
     anti = np.repeat(kinds[plane] == FacetKind.ANTISYMMETRY, 4)

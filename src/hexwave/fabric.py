@@ -202,14 +202,15 @@ def master_slave_concat(fabric: CommFabric, rank: int,
                         partial: SparseVector) -> np.ndarray:
     """Master-slave concatenation: slaves send their sparse partials to
     rank 0, which sums in ascending rank order and broadcasts the dense
-    result; 2(P - 1) messages, master payloads full-vector sized."""
+    result, which every rank returns as one shared read-only array;
+    2(P - 1) messages, master payloads full-vector sized."""
     if rank == 0:
         total = _rank_order_sum(fabric, 0, partial)
+        total.flags.writeable = False
         fabric.broadcast(0, total)
         return total
     fabric.send(rank, 0, partial)
-    # Copy: the master broadcasts one array object to every thread.
-    return fabric.recv(rank, 0).copy()
+    return fabric.recv(rank, 0)
 
 
 CONCAT_STRATEGIES = {"spmd": spmd_concat, "ms": master_slave_concat}

@@ -2,12 +2,12 @@
 
 Meshes are regular axis-aligned grids of trilinear hexahedra.  Boundary
 facets (element faces appearing exactly once) form one table of
-parallel arrays on the mesh: corner nodes, owning element, outward
-normal and a ``FacetKind`` tag that selects their treatment during
-assembly: absorbing boundary on the exterior, perfect-electric-conductor
-on scatterer surfaces, or symmetry-plane constraints on declared
-bounding-box faces.  The table is built, tagged and retagged with whole
-array operations.
+parallel arrays on the mesh: corner nodes, element face ``6e + k`` and
+a ``FacetKind`` tag that selects their treatment during assembly:
+absorbing boundary on the exterior, perfect-electric-conductor on
+scatterer surfaces, or symmetry-plane constraints on declared
+bounding-box faces.  Normals and tags are read from the element face,
+never from coordinates, with whole array operations.
 """
 from __future__ import annotations
 
@@ -23,8 +23,7 @@ HEX_CORNERS = np.array([
 ], dtype=np.int64)
 
 # Local node indices of the six faces, ordered so the quad is traversed
-# consistently.  Outward orientation is established from centroids, not
-# from the winding.
+# consistently.  Face k lies on axis k // 2, on its max side for odd k.
 HEX_FACES = np.array([
     (0, 3, 7, 4),   # -x
     (1, 2, 6, 5),   # +x
@@ -34,12 +33,14 @@ HEX_FACES = np.array([
     (4, 5, 6, 7),   # +z
 ], dtype=np.int64)
 
-_PLANE_NAMES = {
-    "x": ("x", 0), "y": ("y", 0), "z": ("z", 0),
-    "x-": ("x", 0), "y-": ("y", 0), "z-": ("z", 0),
-    "x+": ("x", 1), "y+": ("y", 1), "z+": ("z", 1),
-}
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+# Outward unit normal of face k, zeros written as +0.0 (np.eye(3) * -1
+# would hold -0.0).
+_FACE_NORMALS = np.array([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+                          (0.0, 1.0, 0.0), (0.0, 0.0, -1.0), (0.0, 0.0, 1.0)])
+
+# Bounding-box face name -> element face k; a bare axis is the min face.
+_PLANE_FACES = {"x": 0, "x-": 0, "x+": 1, "y": 2, "y-": 2, "y+": 3,
+                "z": 4, "z-": 4, "z+": 5}
 
 
 class MeshError(ValueError):
@@ -63,20 +64,27 @@ class ScattererSpec:
     corner_min: tuple[float, float, float]
     corner_max: tuple[float, float, float]
 
+    def __post_init__(self):
+        for name in ("corner_min", "corner_max"):
+            value = getattr(self, name)
+            if np.shape(value) != (3,) or not np.isfinite(value).all():
+                raise MeshError(f"scatterer {name} must be three finite "
+                                f"numbers, got {value}")
+
 
 @dataclass
 class HexMesh:
     """Nodes, elements and the boundary facet table.
 
-    Facet ``f`` is row ``f`` of four parallel arrays, ordered
+    Facet ``f`` is row ``f`` of three parallel arrays, ordered
     lexicographically by corner tuple: its corners in the element-face
-    winding, its element, its outward unit normal and its ``FacetKind``.
+    winding, its element face ``6e + k`` (face k of element e, as in
+    ``HEX_FACES``) and its ``FacetKind``.
     """
     nodes: np.ndarray             # (N, 3) coordinates in meters
     elements: np.ndarray          # (E, 8) node indices, VTK corner order
     facet_nodes: np.ndarray       # (F, 4) corner node indices
-    facet_elements: np.ndarray    # (F,) element owning each facet
-    facet_normals: np.ndarray     # (F, 3) outward unit normals
+    facet_faces: np.ndarray       # (F,) element face 6e + k
     facet_kinds: np.ndarray       # (F,) FacetKind members (object array)
     spacing: float                # grid step h in meters
 
@@ -87,6 +95,11 @@ class HexMesh:
     @property
     def element_count(self) -> int:
         return self.elements.shape[0]
+
+    @property
+    def facet_normals(self) -> np.ndarray:
+        """(F, 3) outward unit normals, read from each facet's face k."""
+        return _FACE_NORMALS[self.facet_faces % len(HEX_FACES)]
 
     @property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,16 +115,9 @@ def _mesh_with_boundary(nodes: np.ndarray, elements: np.ndarray,
                                 return_index=True, return_counts=True)
     once = first[count == 1]
     once = once[np.lexsort(quads[once].T[::-1])]
-    fnodes, felems = quads[once], once // len(HEX_FACES)
-    normals = nodes[fnodes].mean(axis=1) - nodes[elements[felems]].mean(axis=1)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    normals[np.abs(normals) < 1e-12] = 0.0
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return HexMesh(nodes=nodes, elements=elements, facet_nodes=fnodes,
-                   facet_elements=felems, facet_normals=normals,
-                   facet_kinds=np.full(len(once), FacetKind.EXTERIOR,
-                                       dtype=object),
-                   spacing=spacing)
+    kinds = np.full(len(once), FacetKind.EXTERIOR, dtype=object)
+    return HexMesh(nodes=nodes, elements=elements, facet_nodes=quads[once],
+                   facet_faces=once, facet_kinds=kinds, spacing=spacing)
 
 
 def _edge_node_count(side_wavelengths: float, nodes_per_wavelength: int) -> int:
@@ -192,48 +198,35 @@ def embed_pec_scatterer(mesh: HexMesh, spec: ScattererSpec | None) -> HexMesh:
     elements = renum[kept]
 
     out = _mesh_with_boundary(nodes, elements, mesh.spacing)
-    # Facets not on the bounding box were exposed by the removal: tag PEC.
-    tol = 1e-9 * mesh.spacing
-    coords = nodes[out.facet_nodes]
-    on_box = ((np.abs(coords - bb_lo) < tol).all(axis=1)
-              | (np.abs(coords - bb_hi) < tol).all(axis=1)).any(axis=1)
-    out.facet_kinds[~on_box] = FacetKind.PEC
+    # Tag PEC every facet whose element face was no non-PEC facet of the
+    # input: the removal exposed it, or it was PEC already.
+    e, k = np.divmod(out.facet_faces, len(HEX_FACES))
+    old_faces = np.flatnonzero(~inside)[e] * len(HEX_FACES) + k
+    open_faces = mesh.facet_faces[mesh.facet_kinds != FacetKind.PEC]
+    out.facet_kinds[~np.isin(old_faces, open_faces)] = FacetKind.PEC
     return out
 
 
 def classify_boundary(mesh: HexMesh,
                       symmetry_planes: list[tuple[str, str]]) -> HexMesh:
-    """Retag exterior facets on declared bounding-box faces.
+    """Retag non-PEC facets by the bounding-box face their element face
+    k lies on: declared faces take their plane kind, the rest exterior.
 
     Each plane is ``(face, kind)`` with face one of ``x-``, ``x+``, ... (a
     bare axis name means the min face) and kind ``symmetry`` or
     ``antisymmetry``.
     """
-    bb_lo, bb_hi = mesh.bounding_box
-    tol = 1e-9 * mesh.spacing
-    seen = set()
-    planes = []
+    by_face = np.full(len(HEX_FACES), FacetKind.EXTERIOR, dtype=object)
     for face, kind in symmetry_planes:
-        try:
-            axis_name, side = _PLANE_NAMES[face]
-        except KeyError:
-            raise MeshError(f"unknown bounding-box face {face!r}") from None
+        if face not in _PLANE_FACES:
+            raise MeshError(f"unknown bounding-box face {face!r}")
         if isinstance(kind, str):
             kind = FacetKind(kind)
         if kind not in (FacetKind.SYMMETRY, FacetKind.ANTISYMMETRY):
             raise MeshError(f"plane kind must be symmetry or antisymmetry, got {kind}")
-        key = (axis_name, side)
-        if key in seen:
+        if by_face[_PLANE_FACES[face]] is not FacetKind.EXTERIOR:
             raise MeshError(f"duplicate symmetry plane declaration on {face}")
-        seen.add(key)
-        axis = _AXIS_INDEX[axis_name]
-        coord = bb_hi[axis] if side else bb_lo[axis]
-        planes.append((axis, coord, kind))
-
+        by_face[_PLANE_FACES[face]] = kind
     kinds = np.where(mesh.facet_kinds == FacetKind.PEC, FacetKind.PEC,
-                     FacetKind.EXTERIOR)
-    # Reversed, so the first declared plane a facet lies on wins.
-    for axis, coord, kind in reversed(planes):
-        on = (np.abs(mesh.nodes[mesh.facet_nodes, axis] - coord) < tol).all(axis=1)
-        kinds[on & (kinds != FacetKind.PEC)] = kind
+                     by_face[mesh.facet_faces % len(HEX_FACES)])
     return replace(mesh, facet_kinds=kinds)

@@ -142,28 +142,29 @@ def dict_boundary_facets(nodes: np.ndarray, elements: np.ndarray):
     A face seen once is a boundary facet; its normal runs from the
     element centroid to the face centroid, normalized, with components
     below 1e-12 zeroed and renormalized.  Returns corners (F, 4) in the
-    element-face winding, elements (F,) and normals (F, 3), sorted by
-    corner tuple.
+    element-face winding, element faces 6e + k (F,) and normals (F, 3),
+    sorted by corner tuple.
     """
     seen: dict[tuple, tuple[int, tuple]] = {}
     dup: set[tuple] = set()
     for e, conn in enumerate(elements):
-        for face in HEX_FACES:
+        for k, face in enumerate(HEX_FACES):
             quad = tuple(int(n) for n in conn[face])
             key = tuple(sorted(quad))
             if key in seen:
                 dup.add(key)
             else:
-                seen[key] = (e, quad)
+                seen[key] = (6 * e + k, quad)
     facets = []
-    for key, (e, quad) in seen.items():
+    for key, (f, quad) in seen.items():
         if key in dup:
             continue
+        e = f // 6
         normal = nodes[list(quad)].mean(axis=0) - nodes[elements[e]].mean(axis=0)
         normal = normal / np.linalg.norm(normal)
         normal[np.abs(normal) < 1e-12] = 0.0
         normal = normal / np.linalg.norm(normal)
-        facets.append((quad, e, normal))
+        facets.append((quad, f, normal))
     facets.sort(key=lambda f: f[0])
     return (np.array([f[0] for f in facets], dtype=np.int64).reshape(-1, 4),
             np.array([f[1] for f in facets], dtype=np.int64),

@@ -292,27 +292,12 @@ def test_rhs_rejects_nonplanar_exterior_facet():
 
 
 def test_non_axis_aligned_exterior_facet_rejected():
-    mesh = build_box_mesh((1.,) * 3, 3)
-    fid = _corner_facet(mesh, 26, 2)
-    normals = mesh.facet_normals.copy()
-    normals[fid] = (0.0, 0.6, 0.8)
-    tilted = replace(mesh, facet_normals=normals)
+    """A mesh reads its normals from the element faces, so only a caller
+    of ``abc_facet_matrices`` can pass a tilted one."""
+    coords = np.array([(0., 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
     with pytest.raises(AssemblyError,
-                       match=f"facet {fid} normal is not axis-aligned"):
-        assemble_rhs(tilted, _wave(), (0, mesh.node_count))
-    with pytest.raises(AssemblyError, match="normal is not axis-aligned"):
-        assemble_rows(tilted, MaterialParams(), (26, 27))
-
-
-def test_facet_matching_no_element_face_named():
-    mesh = build_box_mesh((1.,) * 3, 3)
-    fid = _corner_facet(mesh, 26, 2)
-    elements = mesh.facet_elements.copy()
-    elements[fid] = 0
-    with pytest.raises(AssemblyError,
-                       match=f"facet {fid} does not match any element face"):
-        assemble_rows(replace(mesh, facet_elements=elements), MaterialParams(),
-                      (0, mesh.node_count))
+                       match="^facet normal is not axis-aligned"):
+        abc_facet_matrices(coords, np.array([0.0, 0.6, 0.8]), k0=1.0)
 
 
 def test_node_in_no_element_is_named():

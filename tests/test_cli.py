@@ -206,6 +206,33 @@ def test_non_finite_value_exit_four_before_mesh(tmp_path, capsys,
         Scenario(**{key: parsed})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("corner_min", "nan 0.4 0.4"), ("corner_max", "inf 0.8 0.8"),
+    ("corner_min", "0.4 0.4")], ids=["nan", "inf", "two-numbers"])
+def test_bad_scatterer_corner_exit_four(tmp_path, capsys, monkeypatch, key,
+                                        value):
+    """A scatterer corner that is not three finite numbers is a config
+    error naming the file, the corner and its value, before any mesh; a
+    NaN corner would otherwise remove nothing and solve an empty box."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a bad scatterer corner")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    corners = {"corner_min": "0.4 0.4 0.4", "corner_max": "0.8 0.8 0.8",
+               key: value}
+    p = tmp_path / "corner.ini"
+    p.write_text("[domain]\nextent = 1.2 1.2 1.2\nnodes_per_wavelength = 10\n"
+                 "[scatterer]\n" + "".join(f"{k} = {v}\n"
+                                           for k, v in corners.items()))
+    assert main(["run", "--config", str(p)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad config {p}: scatterer {key} "
+                          "must be three finite numbers, got (")
+    assert value.split()[0] in err
+
+
 def test_non_finite_flags_and_complex_parts_rejected(config_path, capsys):
     assert main(["run", "--config", config_path, "--tol", "nan"]) == 4
     assert "tol must be finite, got nan" in capsys.readouterr().err

@@ -170,6 +170,18 @@ def test_master_slave_concat_message_count(ranks, monkeypatch):
     assert sorted(calls) == list(range(ranks))
 
 
+def test_master_slave_result_is_one_shared_read_only_array():
+    """Every rank returns the master's broadcast array itself, not a
+    copy, and none can write into it."""
+    parts, full = _partials(3, 12)
+    out = run_spmd(fabric_of(3), lambda f, r: master_slave_concat(f, r,
+                                                                   parts[r]))
+    assert all(o is out[0] for o in out)
+    np.testing.assert_array_equal(out[0], full)
+    with pytest.raises(ValueError, match="read-only"):
+        out[1][0] = 0.0
+
+
 def test_master_broadcast_payload_is_dense():
     """The master's result broadcast is full-vector sized."""
     ranks, n = 3, 12

@@ -101,6 +101,20 @@ def test_pec_box_must_align_with_grid():
             corner_min=(1.5 * h, h, h), corner_max=(3 * h, 3 * h, 3 * h)))
 
 
+@pytest.mark.parametrize("corner", [
+    (float("nan"), 0.4, 0.4), (float("inf"), 0.8, 0.8), (0.4, 0.4)],
+    ids=["nan", "inf", "two-numbers"])
+@pytest.mark.parametrize("name", ["corner_min", "corner_max"])
+def test_scatterer_corner_must_be_three_finite_numbers(name, corner):
+    """A NaN corner would pass every comparison check and remove nothing;
+    the spec itself rejects it, naming the corner and its value."""
+    kw = {"corner_min": (0.4, 0.4, 0.4), "corner_max": (0.8, 0.8, 0.8)}
+    kw[name] = corner
+    with pytest.raises(MeshError, match=rf"^scatterer {name} must be three "
+                                        rf"finite numbers, got \({corner[0]}"):
+        ScattererSpec(**kw)
+
+
 def test_no_scatterer_is_identity():
     mesh = build_box_mesh((1.0, 1.0, 1.0), 3)
     assert embed_pec_scatterer(mesh, None) is mesh
@@ -151,10 +165,10 @@ def _scatter_mesh():
     _scatter_mesh(),
 ], ids=["cube", "non-cubic", "scatterer"])
 def test_facet_table_matches_dict_reference(mesh):
-    nodes, elems, normals = dict_boundary_facets(mesh.nodes, mesh.elements)
+    nodes, faces, normals = dict_boundary_facets(mesh.nodes, mesh.elements)
     assert mesh.facet_nodes.dtype == nodes.dtype
-    assert mesh.facet_elements.dtype == elems.dtype
-    for got, want in ((mesh.facet_nodes, nodes), (mesh.facet_elements, elems),
+    assert mesh.facet_faces.dtype == faces.dtype
+    for got, want in ((mesh.facet_nodes, nodes), (mesh.facet_faces, faces),
                       (mesh.facet_normals, normals)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -167,12 +181,22 @@ def test_box_elements_match_triple_loop():
     assert mesh.elements.tobytes() == want.tobytes()
 
 
+def _wall_hugging_mesh():
+    """The 5-node box with a PEC box from h to 3h: one element from
+    every wall."""
+    mesh = build_box_mesh((1.0, 1.0, 1.0), 5)
+    h = mesh.spacing
+    return embed_pec_scatterer(mesh, ScattererSpec(
+        corner_min=(h, h, h), corner_max=(3 * h, 3 * h, 3 * h)))
+
+
 def test_classified_kinds_match_facet_loop():
     planes = [("z+", "symmetry"), ("x", "antisymmetry")]
-    mesh = classify_boundary(_scatter_mesh(), planes)
-    want = facet_loop_kinds(mesh, planes)
-    assert list(mesh.facet_kinds) == want
-    assert set(want) == set(FacetKind)
+    for mesh in (_wall_hugging_mesh(), _scatter_mesh()):
+        mesh = classify_boundary(mesh, planes)
+        want = facet_loop_kinds(mesh, planes)
+        assert list(mesh.facet_kinds) == want
+        assert set(want) == set(FacetKind)
     # Retagging starts over: earlier planes revert to exterior.
     again = classify_boundary(mesh, [("y-", "antisymmetry")])
     assert list(again.facet_kinds) == facet_loop_kinds(again, [("y-", "antisymmetry")])
