@@ -3,13 +3,12 @@
 The Krylov loop is the unconjugated-inner-product variant (x^T y, not
 x^H y) appropriate for complex symmetric matrices.  Three
 preconditioners are available: inverse diagonal (DP), zero-fill
-incomplete Cholesky built column by column across ranks (ICP), and a
-block variant that factors only rank-local entries and therefore needs
-no build communication (BICP).  Both builds run one column kernel: a
-rank holds its rows of the lower pattern as one CSR row block
-(``sparse._CsrBase``, indexed by column with ``below_by_column``), and
-all of its entries in column j come at once from one gather, multiply
-and segmented sum over the row prefixes left of j.  Both factored
+incomplete Cholesky built across ranks (ICP), and a block variant that
+factors only rank-local entries and therefore needs no build
+communication (BICP).  Both builds run one level kernel: columns go by
+the dependency level of their row, and a rank's entries in one level's
+columns come at once from one gather, multiply and segmented sum over
+the row prefixes left of each column.  Both factored
 preconditioners apply L L^T through one level-scheduled
 triangular-solve kernel: each solve groups its rank's rows once, at
 its first apply, into dependency levels, and solves them in level order
@@ -20,7 +19,7 @@ merge with one concatenation per apply.
 
 Rank threads share only read-only objects (mesh, joined system, ICP
 factor; each solve builds its own schedules) and the interpreter lock,
-so level sweeps, schedule builds and the BICP column loop, hundreds of
+so level sweeps, schedule builds and the BICP level loop, hundreds of
 small NumPy calls each, run one rank at a time under ``_SERIAL`` rather
 than trade that lock at every call; the SpMV and vector operations,
 whose large calls release it, still overlap.
@@ -120,18 +119,20 @@ def build_dp(a) -> Preconditioner:
 
 class _RankFactor(_CsrBase):
     """One rank's rows [row_start, row_end) of the zero-fill factor, built
-    column by column (Saad, *Iterative Methods for Sparse Linear Systems*,
-    2nd ed., section 10.3).
+    one dependency level of columns at a time (Saad, *Iterative Methods
+    for Sparse Linear Systems*, 2nd ed., sections 10.3 and 11.6).
 
     The pattern is A's lower triangle from column ``col_min`` on, read
     from either storage, with the diagonal last in each row; ``data``
     holds the factor values as they are computed and ``a`` the A values.
     ``by_col[col_ptr[j]:col_ptr[j + 1]]`` are the strict-lower entries of
-    column j, rows ascending (``below_by_column``).
+    column j, rows ascending (``below_by_column``).  ``levels`` are the
+    columns [col_min, col_end) by the forward level of their row in A's
+    pattern, ascending; ``window`` is 1 + the largest i - k of an entry.
     """
 
     def __init__(self, a: LowerSymmetricRows | RedundantRows, lo: int,
-                 hi: int, col_min: int):
+                 hi: int, col_min: int, col_end: int):
         block = a.rows(lo, hi)
         pattern = block.select((block.indices <= block.entry_rows())
                                & (block.indices >= col_min))
@@ -145,54 +146,79 @@ class _RankFactor(_CsrBase):
         self.by_col, by_row, self.col_ptr = self.below_by_column(0, a.n)
         # Entries left of each by_col entry in its row.
         self.prefix = self.by_col - self.indptr[by_row - lo]
-        self.scratch = np.zeros(a.n, dtype=np.complex128)
+        # Only indptr and indices of A: select would copy the values.
+        cover = a.rows(col_min, col_end)
+        rows = cover.entry_rows()
+        lower = cover.indices < rows
+        begin = cover.indptr[:-1]
+        level = _levels(col_min, col_end, begin, begin + np.bincount(
+            rows[lower] - col_min, minlength=col_end - col_min), cover.indices)
+        order = np.argsort(level, kind="stable")
+        self.levels = np.split(col_min + order,
+                               np.flatnonzero(np.diff(level[order])) + 1)
+        self.window = 1 + int((rows - cover.indices)[
+            lower & (cover.indices >= col_min)].max(initial=0))
+        self.scratch = np.zeros(max(map(len, self.levels)) * self.window,
+                                dtype=np.complex128)
 
-    def pivot(self, j: int) -> None:
-        """Row j's diagonal (principal square root) once its left is known."""
-        s, e = self.indptr[j - self.row_start:j - self.row_start + 2]
-        left = self.data[s:e - 1]
-        piv = np.sqrt(np.complex128(self.a[e - 1] - np.dot(left, left)))
-        if piv == 0:
-            raise FactorBreakdownError(f"zero pivot in column {j}")
-        self.data[e - 1] = piv
+    def pivots(self, cols: np.ndarray) -> None:
+        """Diagonals (principal square roots) of rows ``cols``, ascending,
+        once their left is known; the lowest zero one is named."""
+        diag = self.indptr[cols - self.row_start + 1] - 1
+        left = [np.dot(self.data[s:e], self.data[s:e]) for s, e in zip(
+            self.indptr[cols - self.row_start].tolist(), diag.tolist())]
+        piv = np.sqrt(self.a[diag] - np.array(left, dtype=np.complex128))
+        zero = np.flatnonzero(piv == 0)
+        if len(zero):
+            raise FactorBreakdownError(f"zero pivot in column {cols[zero[0]]}")
+        self.data[diag] = piv
 
-    def touches(self, j: int) -> bool:
-        """Whether a row of this rank has an entry below row j in column j."""
-        return self.col_ptr[j + 1] > self.col_ptr[j]
-
-    def column(self, j: int, cols_j: np.ndarray, vals_j: np.ndarray) -> None:
-        """Every entry of column j on this rank from row j of L.
-
-        Entry (i, j) subtracts the product of row i's prefix (its entries
-        left of column j) with row j, gathered from the dense scratch;
-        the prefixes of all rows are summed at once with ``reduceat``.
+    def level(self, cols: np.ndarray, recv) -> None:
+        """Every entry on this rank of one level's columns ``cols`` from
+        row j of L, its own or ``recv(j)`` (ascending j).  Entry (i, j)
+        subtracts row i's prefix (its entries left of column j) times row
+        j, read from a scratch holding L(j, k) at ``slot(j) * window + j -
+        k``; all prefixes are summed in one ``reduceat``.  An L(i, k) not
+        final yet meets L(j, k) = 0: k is at this level or a later one.
         """
-        c0, c1 = self.col_ptr[j], self.col_ptr[j + 1]
-        ent, count = self.by_col[c0:c1], self.prefix[c0:c1]
+        cols = cols[self.col_ptr[cols + 1] > self.col_ptr[cols]]
+        mine = (cols >= self.row_start) & (cols < self.row_end)
+        got = [recv(j) for j in cols[~mine].tolist()]
+        loc = cols[mine] - self.row_start
+        own = _ranges(self.indptr[loc], self.indptr[loc + 1])
+        sizes = np.concatenate((self.indptr[loc + 1] - self.indptr[loc],
+                                [len(c) for c, _ in got])).astype(np.int64)
+        base = np.arange(len(cols)) * self.window + cols
+        keys = (np.repeat(np.concatenate((base[mine], base[~mine])), sizes)
+                - np.concatenate([self.indices[own]] + [c for c, _ in got]))
+        self.scratch[keys] = np.concatenate([self.data[own]]
+                                            + [v for _, v in got])
+        per_col = self.col_ptr[cols + 1] - self.col_ptr[cols]
+        sel = _ranges(self.col_ptr[cols], self.col_ptr[cols + 1])
+        ent, count = self.by_col[sel], self.prefix[sel]
         new = self.a[ent]
+        pre = _ranges(ent - count, ent)
+        at = np.repeat(np.repeat(base, per_col), count) - self.indices[pre]
+        prod = self.data[pre] * self.scratch[at]
+        # reduceat mishandles empty segments, so they are left out.
         full = count > 0
-        if full.any():
-            # reduceat mishandles empty segments, so they are left out.
-            self.scratch[cols_j] = vals_j
-            pre = _ranges(ent - count, ent)
-            prod = self.data[pre] * self.scratch[self.indices[pre]]
-            new[full] -= np.add.reduceat(prod, (count.cumsum() - count)[full])
-            self.scratch[cols_j] = 0.0
-        self.data[ent] = new / vals_j[-1]
+        new[full] -= np.add.reduceat(prod, (count.cumsum() - count)[full])
+        self.data[ent] = new / np.repeat(self.scratch[base - cols], per_col)
+        self.scratch[keys] = 0.0
 
 
 def build_bicp(a: LowerSymmetricRows | RedundantRows, rank: int,
                fabric: CommFabric) -> CholeskyFactor:
     """Block incomplete Cholesky: only entries with both row and column
     owned by this rank are factored; no communication.  With one rank
-    this is exactly the classical ICP factor."""
+    this is exactly the classical ICP factor.  Columns run by dependency
+    level, so a zero pivot names the lowest of the first level with one."""
     lo, hi = fabric.dof_range(rank)
-    f = _RankFactor(a, lo, hi, col_min=lo)
+    f = _RankFactor(a, lo, hi, col_min=lo, col_end=hi)
     with _SERIAL:
-        for j in range(lo, hi):
-            f.pivot(j)
-            if f.touches(j):
-                f.column(j, *f.row(j))
+        for cols in f.levels:
+            f.pivots(cols)
+            f.level(cols, None)
     return CholeskyFactor(a.n, f.indptr, f.indices, f.data, lo)
 
 
@@ -207,35 +233,33 @@ def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
 
 def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
               fabric: CommFabric) -> CholeskyFactor:
-    """Column-parallel zero-fill incomplete Cholesky.
+    """Level-scheduled zero-fill incomplete Cholesky.
 
-    Pipeline step j: the owner of row j computes its pivot and ships the
-    row over the fabric to the other ranks with a row below it in column
-    j; then every such rank computes its entries of column j, from its
-    own row j or the one it receives.  One barrier closes every step
-    (n columns + final insertion).
-    The final insertion stacks the ranks' row blocks into the full
-    factor once (they must tile [0, n)), and every rank gets that same
-    read-only object.  On a dense pattern the result is the
-    complete Cholesky factor.
+    Column j needs row j of L, final once its left entries' columns are,
+    so columns run by the forward dependency level of their row, which
+    every rank computes alike (Anderson & Saad, 1989).  Pipeline step per
+    level: the owners compute its pivots and ship each row, ascending j,
+    to the other ranks with a row below it in its column; every rank
+    computes its entries of the level's columns at once.  One barrier
+    closes every step (levels + final insertion), and a zero pivot names
+    the lowest breaking column of the first level with one.  The final
+    insertion stacks the ranks' row blocks into the full factor once
+    (they must tile [0, n)), and every rank gets that same read-only
+    object.  On a dense pattern the result is the complete Cholesky factor.
     """
     n = a.n
     lo, hi = fabric.dof_range(rank)
-    f = _RankFactor(a, lo, hi, col_min=0)
+    f = _RankFactor(a, lo, hi, col_min=0, col_end=n)
     owner = fabric.owner_of_dof(np.arange(n))
     dest_ptr, dest = _row_destinations(a, owner, fabric.ranks, lo, hi)
-
-    for j in range(n):
-        if lo <= j < hi:
-            f.pivot(j)
-            row_j = f.row(j)
+    for cols in f.levels:
+        own = cols[(cols >= lo) & (cols < hi)]
+        f.pivots(own)
+        for j in own.tolist():
             for q in dest[dest_ptr[j - lo]:dest_ptr[j - lo + 1]].tolist():
                 if q != rank:
-                    fabric.send(rank, q, row_j)
-        elif f.touches(j):
-            row_j = fabric.recv(rank, int(owner[j]))
-        if f.touches(j):
-            f.column(j, *row_j)
+                    fabric.send(rank, q, f.row(j))
+        f.level(cols, lambda j: fabric.recv(rank, int(owner[j])))
         fabric.barrier(rank)
 
     return fabric.allgather_object(

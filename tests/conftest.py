@@ -5,9 +5,9 @@ implementation: element integrals come from closed-form tensor products
 of 1D linear-element matrices, global assembly from a dense
 element-by-element scatter, the storage-1 product from a mask over the
 strict lower entries, the incomplete factorization from a dense
-zero-fill loop or a sparse loop over single stored entries, and dense
-matrices and the CSR row-block operations from loops over rows and
-stored entries.
+zero-fill loop, a sparse loop over single stored entries or the
+column-by-column build, and dense matrices and the CSR row-block
+operations from loops over rows and stored entries.
 """
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ import pytest
 
 from hexwave.fabric import CommFabric
 from hexwave.mesh import HEX_CORNERS, HEX_FACES, FacetKind
-from hexwave.solver import _levels, _schedule_segment, forward_back_substitute
+from hexwave.solver import (CholeskyFactor, FactorBreakdownError, _levels,
+                            _RankFactor, _schedule_segment,
+                            forward_back_substitute)
 from hexwave.sparse import (LowerSymmetricRows, _CsrBase, _block_matvec,
                             _ranges, partition_rows)
 
@@ -505,6 +507,67 @@ def entry_loop_ic(a, lo: int, hi: int):
             l_vals[li][pos] = (pat_avals[li][pos] - s) / row_j[-1]
         scratch[pat_cols[j - lo]] = 0.0
     return list(zip(pat_cols, l_vals))
+
+
+class _ColumnLoopFactor(_RankFactor):
+    """``_RankFactor`` with the one-column-per-step kernel; ``dense`` is
+    a length-n scratch holding row j of L at its columns."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.dense = np.zeros(self.n, dtype=np.complex128)
+
+    def pivot(self, j: int) -> None:
+        """Row j's diagonal (principal square root) once its left is known."""
+        s, e = self.indptr[j - self.row_start:j - self.row_start + 2]
+        left = self.data[s:e - 1]
+        piv = np.sqrt(np.complex128(self.a[e - 1] - np.dot(left, left)))
+        if piv == 0:
+            raise FactorBreakdownError(f"zero pivot in column {j}")
+        self.data[e - 1] = piv
+
+    def touches(self, j: int) -> bool:
+        """Whether a row of this block has an entry below row j in column j."""
+        return self.col_ptr[j + 1] > self.col_ptr[j]
+
+    def column(self, j: int, cols_j: np.ndarray, vals_j: np.ndarray) -> None:
+        """Every entry of column j in this block from row j of L: entry
+        (i, j) subtracts the product of row i's prefix (its entries left of
+        column j) with row j, gathered from the dense scratch; the prefixes
+        of all rows are summed at once with ``reduceat``."""
+        c0, c1 = self.col_ptr[j], self.col_ptr[j + 1]
+        ent, count = self.by_col[c0:c1], self.prefix[c0:c1]
+        new = self.a[ent]
+        full = count > 0
+        if full.any():
+            # reduceat mishandles empty segments, so they are left out.
+            self.dense[cols_j] = vals_j
+            pre = _ranges(ent - count, ent)
+            prod = self.data[pre] * self.dense[self.indices[pre]]
+            new[full] -= np.add.reduceat(prod, (count.cumsum() - count)[full])
+            self.dense[cols_j] = 0.0
+        self.data[ent] = new / vals_j[-1]
+
+
+def column_loop_factor(a, rank: int, fabric: CommFabric,
+                       col_min: int) -> CholeskyFactor:
+    """The rank's rows [lo, hi) of the zero-fill factor on A's lower
+    pattern from column ``col_min`` on (0 for ``build_icp``, lo for a
+    ``build_bicp`` block), built one column per step: row j's pivot,
+    then every entry of column j from one gather, multiply and
+    ``reduceat``.
+
+    Rows [col_min, lo) are built alongside in one block instead of coming
+    over the fabric, so no other rank takes part: each entry's sum is its
+    own segment, so a row's bits do not depend on the rank split."""
+    lo, hi = fabric.dof_range(rank)
+    f = _ColumnLoopFactor(a, col_min, hi, col_min, hi)
+    for j in range(col_min, hi):
+        f.pivot(j)
+        if f.touches(j):
+            f.column(j, *f.row(j))
+    own = f.rows(lo, hi)
+    return CholeskyFactor(a.n, own.indptr, own.indices, own.data, lo)
 
 
 def gather_level_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:

@@ -25,10 +25,10 @@ from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
                             to_redundant)
 
-from conftest import (csr_from_rows, dense, dense_ic_oracle, entry_loop_ic,
-                      gather_level_substitute, phase_traffic,
-                      random_symmetric_sparse, row_block, same_bits,
-                      split_rows, substitute)
+from conftest import (column_loop_factor, csr_from_rows, dense,
+                      dense_ic_oracle, entry_loop_ic, gather_level_substitute,
+                      phase_traffic, random_symmetric_sparse, row_block,
+                      same_bits, split_rows, substitute)
 
 
 def _one_rank(n):
@@ -120,13 +120,25 @@ def test_icp_parallel_bitwise_equals_serial(rng, ranks):
         assert np.array_equal(factor.indices, serial.indices)
 
 
-def test_icp_pipeline_barrier_count_matches_column_count(rng):
-    """n columns + the final insertion step."""
-    rows, _ = random_symmetric_sparse(rng, 9, density=0.4)
-    ar = RedundantRows.from_rows([row_block(rows, 9)], 9)
-    fab = _split([0, 3, 6, 9])
+def _longest_dependency_path(a: np.ndarray) -> int:
+    """Columns on the longest chain j_0 < j_1 < ... with every
+    a[j_(t+1), j_t] nonzero, found row by row on the dense matrix."""
+    depth = []
+    for i in range(a.shape[0]):
+        depth.append(1 + max((depth[k] for k in range(i) if a[i, k] != 0),
+                             default=0))
+    return max(depth)
+
+
+def test_icp_pipeline_barrier_count_is_level_count_plus_one(rng):
+    """One step per dependency level + the final insertion step."""
+    rows, a = random_symmetric_sparse(rng, 16, density=0.15)
+    ar = RedundantRows.from_rows([row_block(rows, 16)], 16)
+    fab = _split([0, 5, 11, 16])
     run_spmd(fab, lambda f, r: build_icp(ar, r, f))
-    assert fab.barrier_collectives == 9 + 1
+    levels = _longest_dependency_path(a)
+    assert 1 < levels < 16
+    assert fab.barrier_collectives == levels + 1
 
 
 def test_icp_four_by_four_on_three_ranks_five_steps():
@@ -262,11 +274,12 @@ def test_run_factor_from_either_storage_identical(monkeypatch, precond,
 
 # Precond-build traffic of ``_grid_scenario`` with icp, either storage:
 # messages and bytes per rank, and total barriers of the run (the
-# build's n + 1 = 241 plus the system join and the precond-bytes gather).
+# build's 78 levels + 1 plus the system join and the precond-bytes
+# gather).
 ICP_BUILD_TRAFFIC = {
-    2: ([60, 0], [42408, 0], 243),
-    3: ([63, 63, 0], [31752, 40824, 0], 243),
-    5: ([48, 48, 48, 48, 0], [11376, 32976, 31680, 32112, 0], 243),
+    2: ([60, 0], [42408, 0], 81),
+    3: ([63, 63, 0], [31752, 40824, 0], 81),
+    5: ([48, 48, 48, 48, 0], [11376, 32976, 31680, 32112, 0], 81),
 }
 
 
@@ -293,13 +306,13 @@ def test_precond_build_traffic_pinned(ranks, storage):
 _BC, _SYM = (2, 128), (2, 59904)
 GRID_SYMMETRY_TRAFFIC = {
     ("icp", "1", "spmd"): ((_BC, _SYM, (60, 42408), (78, 228360)),
-                           243, 13, "ed75ef2379db"),
+                           77, 13, "ed75ef2379db"),
     ("icp", "1", "ms"): ((_BC, _SYM, (60, 42408), (78, 240840)),
-                         243, 13, "ed75ef2379db"),
+                         77, 13, "ed75ef2379db"),
     ("icp", "2", "spmd"): ((_BC, _SYM, (60, 42408), (78, 209640)),
-                           243, 13, "64105047827e"),
+                           77, 13, "64105047827e"),
     ("icp", "2", "ms"): ((_BC, _SYM, (60, 42408), (78, 222120)),
-                         243, 13, "64105047827e"),
+                         77, 13, "64105047827e"),
     ("bicp", "1", "spmd"): ((_BC, _SYM, (0, 0), (96, 292608)),
                             2, 24, "b08123b0e3b8"),
     ("bicp", "1", "ms"): ((_BC, _SYM, (0, 0), (96, 338688)),
@@ -335,7 +348,7 @@ def test_grid_run_traffic_pinned(precond, storage, concat):
 # send nothing.
 GRID_SYMMETRY_ONE_RANK = {
     "dp": (2, 26, "393ae1c3447c"),
-    "icp": (243, 13, "64105047827e"),
+    "icp": (77, 13, "64105047827e"),
     "bicp": (2, 13, "64105047827e"),
 }
 
@@ -369,7 +382,7 @@ def test_bicp_solve_concatenates_once_per_apply(ranks, concat):
     assert messages == 2 * per_concat * report.iterations
 
 
-# -- column-batched kernel against the per-entry loop ------------------------
+# -- level kernel against the column loop and the per-entry loop ------------
 
 def _kernel_system(rng, kind, storage):
     """``(matrix, fabric maker)`` of a random pattern whose column 5 no
@@ -428,19 +441,89 @@ def test_icp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     _assert_kernel_edge_cases(a, fab)
     out = run_spmd(fab, lambda f, r: build_icp(a, r, f))
     _assert_same_factor(out[0], _oracle_factor(a, 0, a.n))
+    _assert_icp_is_column_loop(a, fab, out[0])
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
 @pytest.mark.parametrize("kind", ["random", "grid"])
-@pytest.mark.parametrize("ranks", [1, 3])
+@pytest.mark.parametrize("ranks", [1, 2, 3, 5])
 def test_bicp_kernel_matches_entry_loop(rng, ranks, kind, storage):
     a, split = _kernel_system(rng, kind, storage)
     fab = split(ranks)
     _assert_kernel_edge_cases(a, fab)
     for r in range(ranks):
         lo, hi = fab.dof_range(r)
-        _assert_same_factor(build_bicp(a, r, fab),
-                            _oracle_factor(a, lo, hi))
+        block = build_bicp(a, r, fab)
+        _assert_same_factor(block, _oracle_factor(a, lo, hi))
+        assert same_bits(block.data, column_loop_factor(a, r, fab, lo).data)
+
+
+def _assert_icp_is_column_loop(a, fab, factor):
+    """The level build's icp factor holds, bitwise, every rank's rows of
+    the column-by-column build."""
+    for r in range(fab.ranks):
+        ref = column_loop_factor(a, r, fab, 0)
+        lo, hi = fab.dof_range(r)
+        got = factor.rows(lo, hi)
+        for name in ("indptr", "indices", "data"):
+            assert same_bits(getattr(got, name), getattr(ref, name)), name
+
+
+def _criterion_4_scenario(**kw) -> Scenario:
+    """The 1701-node scattering case of acceptance criteria 4 and 8."""
+    return Scenario(
+        extent=(1.2, 1.2, 1.2), nodes_per_wavelength=10,
+        scatterer=ScattererSpec(corner_min=(0.4, 0.4, 0.4),
+                                corner_max=(0.8, 0.8, 0.8)),
+        direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0), **kw)
+
+
+@pytest.fixture(scope="module")
+def criterion_4_system():
+    sc = _criterion_4_scenario()
+    mesh = runner.build_scenario_mesh(sc)
+    a, _ = runner.assemble_system(
+        sc, mesh, 0, CommFabric(partition_rows(mesh.node_count, 1)))
+    return a, mesh.node_count
+
+
+@pytest.mark.parametrize("ranks", [1, 2])
+def test_level_builds_are_column_loop_on_criterion_4_system(
+        criterion_4_system, ranks):
+    """The 5103-unknown system: the icp factor and every bicp block equal
+    the column-by-column build bitwise, and the icp build takes one
+    barrier per dependency level (234) plus the final insertion."""
+    a, nodes = criterion_4_system
+    fab = CommFabric(partition_rows(nodes, ranks))
+    icp = run_spmd(fab, lambda f, r: build_icp(a, r, f))[0]
+    assert fab.barrier_collectives == 234 + 1
+    _assert_icp_is_column_loop(a, fab, icp)
+    for r in range(ranks):
+        ref = column_loop_factor(a, r, fab, fab.dof_range(r)[0])
+        assert same_bits(build_bicp(a, r, fab).data, ref.data)
+
+
+@pytest.mark.parametrize("storage", ["1", "2"])
+def test_zero_pivot_named_from_first_level_with_one(storage):
+    """Columns 4 and 5 break at level 1 (after column 3), column 2 at
+    level 2 (after 0 and 1): every build names column 4, the lowest
+    breaking column of the first level with one, at P = 1, 2 and 3.
+    Columns 4 and 5 share a rank at each P, so one rank breaks."""
+    a = np.zeros((8, 8), dtype=complex)
+    a[np.arange(8), np.arange(8)] = [4, 2, 1, 1, 1, 1, 1, 1]
+    for i, j, v in ((1, 0, 2), (2, 1, 1), (4, 3, 1), (5, 3, 1)):
+        a[i, j] = a[j, i] = v
+    assert _longest_dependency_path(a) == 3
+    m = _redundant(a) if storage == "2" else _lower(_redundant(a))
+    for ranks in (1, 2, 3):
+        with pytest.raises(FactorBreakdownError, match="zero pivot in column 4"):
+            run_spmd(CommFabric(split_rows(8, ranks), timeout=10.0),
+                     lambda f, r: build_icp(m, r, f))
+    with pytest.raises(FactorBreakdownError, match="zero pivot in column 4"):
+        build_bicp(m, 0, _one_rank(8))
+    # One column per step, column 2 breaks first.
+    with pytest.raises(FactorBreakdownError, match="zero pivot in column 2"):
+        column_loop_factor(m, 0, _one_rank(8), 0)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -647,11 +730,7 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
         return x
 
     monkeypatch.setattr(solver, "forward_back_substitute", checked)
-    res = run_scenario(Scenario(
-        extent=(1.2, 1.2, 1.2), nodes_per_wavelength=10,
-        scatterer=ScattererSpec(corner_min=(0.4, 0.4, 0.4),
-                                corner_max=(0.8, 0.8, 0.8)),
-        direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0),
+    res = run_scenario(_criterion_4_scenario(
         preconditioner=precond, ranks=ranks, max_iter=300))
     assert res.node_count == 1701 and res.report.converged
     assert len(applies) == ranks * res.report.iterations
@@ -661,7 +740,7 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
 # of ``_grid_scenario`` on three ranks.
 GRID_THREE_RANKS = {
     "bicp": (28, 348, 768960, 2, "ce7197a7a166"),
-    "icp": (12, 354, 611088, 243, "1cdb6132f0db"),
+    "icp": (12, 354, 611088, 81, "1cdb6132f0db"),
 }
 
 
@@ -669,7 +748,7 @@ GRID_THREE_RANKS = {
 def test_sweeps_and_bicp_columns_run_one_rank_at_a_time(monkeypatch,
                                                         precond):
     """No two rank threads are ever inside a sweep's level loop, or in a
-    column of the bicp build, at the same moment, and the run keeps its
+    level of the bicp build, at the same moment, and the run keeps its
     pinned counts and bits.  Each entry sleeps, releasing the interpreter
     lock, so another rank could come in if nothing kept it out."""
     inside, peak, count_lock = [0], [0], threading.Lock()
@@ -691,19 +770,19 @@ def test_sweeps_and_bicp_columns_run_one_rank_at_a_time(monkeypatch,
         finally:
             leave()
 
-    def counted_column(self, *args):
+    def counted_level(self, *args):
         enter()
         try:
-            return column(self, *args)
+            return level(self, *args)
         finally:
             leave()
 
-    solve, column = solver._solve_levels, solver._RankFactor.column
+    solve, level = solver._solve_levels, solver._RankFactor.level
     monkeypatch.setattr(solver, "_solve_levels", lambda sweep, rhs, out:
                         solve((*sweep[:2], counted_levels(sweep[2])), rhs,
                               out))
     if precond == "bicp":
-        monkeypatch.setattr(solver._RankFactor, "column", counted_column)
+        monkeypatch.setattr(solver._RankFactor, "level", counted_level)
     res = run_scenario(_grid_scenario(preconditioner=precond, ranks=3))
     totals = res.report.counters["totals"]
     assert peak == [1] and inside == [0]
