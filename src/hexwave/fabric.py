@@ -3,12 +3,15 @@
 Ranks run as threads inside one process; every cross-rank data transfer
 goes through point-to-point queues here and is counted (messages and
 payload bytes, per rank and per phase).  Byte accounting is 16 bytes per
-complex value and 8 per index; headers are ignored.  A watchdog turns a
-missing participant into an error instead of a hang, and a failed rank
-wakes every rank waiting on it.  A fabric is built on the run's row
-bounds (``sparse.partition_rows``) and concatenation strategy, and is
-the one holder of both: every stage reads its rows from
-``fabric.dof_range`` and rebuilds replicated vectors with ``fabric.concat``.
+complex value and 8 per index; headers are ignored.  Ranks meet in one
+generation-counted barrier (Mellor-Crummey & Scott, ACM TOCS 9(1), 1991),
+which also hands every rank one replicated object.  A watchdog turns a
+missing participant into an error instead of a hang, a failed rank wakes
+every rank waiting on it, and a rank the barrier has released always
+returns.  A fabric is built on the run's row bounds
+(``sparse.partition_rows``) and concatenation strategy, and is the one
+holder of both: every stage reads its rows from ``fabric.dof_range`` and
+rebuilds replicated vectors with ``fabric.concat``.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ class FabricTimeout(FabricError):
 
 
 class RankFailed(FabricError):
-    """The rank a receive waited on stopped on an error of its own."""
+    """A rank that a receive or barrier waited on stopped on an error."""
 
 
 def payload_bytes(payload) -> int:
@@ -64,15 +67,13 @@ class CommFabric:
         self.timeout = timeout
         self._queues = [[queue.SimpleQueue() for _ in range(ranks)]
                         for _ in range(ranks)]      # [dst][src]
-        self._barrier = threading.Barrier(ranks) if ranks > 1 else None
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
         self._phase = ["idle"] * ranks
         self._traffic: dict[tuple[int, str], list[int]] = {}   # [msgs, bytes]
-        self._barrier_count = [0] * ranks
-        self.barrier_collectives = 0
-        self._shared: dict = {}
-        self._combined: dict = {}
-        self._allgather_seq = [0] * ranks
+        self._arrived: dict[int, object] = {}     # rank -> obj, this barrier
+        self._result = None                       # last finished barrier's
+        self.barrier_collectives = 0              # finished barriers
+        self._failed = False
 
     # -- row layout ----------------------------------------------------------
 
@@ -98,9 +99,7 @@ class CommFabric:
         totals = {"messages": sum(c["messages"] for r in per_rank for c in r),
                   "bytes": sum(c["bytes"] for r in per_rank for c in r),
                   "barriers": self.barrier_collectives}
-        return {"ranks": self.ranks, "per_rank": per_rank,
-                "barrier_count_per_rank": list(self._barrier_count),
-                "totals": totals}
+        return {"ranks": self.ranks, "per_rank": per_rank, "totals": totals}
 
     # -- point-to-point ------------------------------------------------------
 
@@ -121,7 +120,7 @@ class CommFabric:
             raise FabricTimeout(
                 f"rank {dst} waited {self.timeout}s for a message from rank "
                 f"{src}") from None
-        if payload is RankFailed:          # run_spmd's uncounted sentinel
+        if payload is RankFailed:          # fail()'s uncounted sentinel
             raise RankFailed(f"rank {dst} waited for a message from rank "
                              f"{src}, which failed")
         return payload
@@ -139,44 +138,47 @@ class CommFabric:
 
     # -- collectives ---------------------------------------------------------
 
-    def barrier(self, rank: int) -> None:
-        """No rank proceeds until all arrive; counted once per collective."""
-        self._barrier_count[rank] += 1
-        if self._barrier is None:
-            self.barrier_collectives += 1
-            return
-        try:
-            idx = self._barrier.wait(timeout=self.timeout)
-        except threading.BrokenBarrierError:
-            raise FabricTimeout(
-                f"barrier broken while rank {rank} waited (deadlock?)") from None
-        if idx == 0:
-            self.barrier_collectives += 1
+    def barrier(self, rank: int, obj=None, combine=None):
+        """No rank proceeds until all P arrive; counted once per collective.
+        The last to arrive calls ``combine`` once on the P ranks' ``obj`` in
+        rank order, and every rank returns that one result (``None``
+        without a ``combine``).  A waiting rank asks whether its barrier
+        finished before whether a rank failed, so a released rank returns.
+        """
+        with self._lock:
+            done = self.barrier_collectives + 1
+            self._arrived[rank] = obj
+            if len(self._arrived) == self.ranks and not self._failed:
+                parts = [self._arrived.pop(q) for q in range(self.ranks)]
+                self._result = None if combine is None else combine(parts)
+                self.barrier_collectives = done
+                self._lock.notify_all()
+            elif not self._lock.wait_for(
+                    lambda: self.barrier_collectives == done or self._failed,
+                    self.timeout):
+                missing = sorted(set(range(self.ranks)) - set(self._arrived))
+                raise FabricTimeout(f"rank {rank} waited {self.timeout}s at "
+                                    f"barrier {done} for ranks {missing}")
+            if self.barrier_collectives < done:
+                raise RankFailed(f"rank {rank}, barrier {done}: a rank failed")
+            return self._result  # stays until this rank arrives again
 
     def allgather_object(self, rank: int, obj, combine=list):
-        """Shared-memory allgather: one object built from every rank's
-        ``obj`` and handed to all ranks (simulation plumbing only).
+        """Shared-memory allgather (simulation plumbing only): one
+        ``barrier`` with a ``combine``, counted as one barrier collective
+        and no messages or bytes; it never carries payload data of the
+        counted algorithm phases.  Every rank returns the same object, so
+        it must be treated as read-only."""
+        return self.barrier(rank, obj, combine)
 
-        Each call is one barrier, counted as one barrier collective like
-        any other; no messages or bytes are counted, and it never carries
-        payload data of the counted algorithm phases.  After the barrier,
-        the first rank to get the fabric lock calls ``combine`` once on
-        the P objects in rank order, and every rank returns that same
-        result object, so it must be treated as read-only.  Results are
-        keyed by a per-rank sequence number and kept for the fabric's one
-        run; the gathered inputs are dropped once combined.
-        """
-        seq = self._allgather_seq[rank]
-        self._allgather_seq[rank] += 1
-        self._shared[(seq, rank)] = obj
-        self.barrier(rank)
+    def fail(self, rank: int) -> None:
+        """``rank`` stopped on an error: wake every barrier waiter and queue
+        an uncounted sentinel to every other rank's receive from it."""
         with self._lock:
-            if seq not in self._combined:
-                self._combined[seq] = combine(
-                    [self._shared[(seq, q)] for q in range(self.ranks)])
-                for q in range(self.ranks):
-                    del self._shared[(seq, q)]
-            return self._combined[seq]
+            self._failed = True
+            self._lock.notify_all()
+        for q in set(range(self.ranks)) - {rank}:
+            self._queues[q][rank].put(RankFailed)
 
 
 def _rank_order_sum(fabric: CommFabric, rank: int,
@@ -233,9 +235,7 @@ def run_spmd(fabric: CommFabric, fn):
             results[r] = fn(fabric, r)
         except BaseException as exc:   # noqa: BLE001 - reported to caller
             errors[r] = exc
-            fabric._barrier.abort()
-            for q in set(range(fabric.ranks)) - {r}:
-                fabric._queues[q][r].put(RankFailed)    # wakes q's recv
+            fabric.fail(r)
 
     threads = [threading.Thread(target=worker, args=(r,), name=f"rank{r}")
                for r in range(fabric.ranks)]

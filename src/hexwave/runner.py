@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import (MaterialParams, PlaneWave, apply_symmetry_bc,
-                       assemble_rhs, assemble_rows, constrained_dofs,
-                       symmetrize)
+from .assembly import (AssemblyError, MaterialParams, PlaneWave,
+                       apply_symmetry_bc, assemble_rhs, assemble_rows,
+                       constrained_dofs, symmetrize)
 from .fabric import CONCAT_STRATEGIES, CommFabric, run_spmd
 from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
                    embed_pec_scatterer)
@@ -63,6 +63,10 @@ class Scenario:
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.frequency <= 0:
             raise ConfigError("frequency must be positive")
+        try:                # the incident wave, before any mesh is built
+            PlaneWave(self.direction, self.polarization, self.k0)
+        except AssemblyError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.preconditioner not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.preconditioner!r}")
         if self.concat not in CONCAT_STRATEGIES:

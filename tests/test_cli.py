@@ -206,6 +206,31 @@ def test_non_finite_value_exit_four_before_mesh(tmp_path, capsys,
         Scenario(**{key: parsed})
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("direction", "1 1 0", "propagation direction must be a real unit vector"),
+    ("polarization", "1 0 0", "polarization must be orthogonal to direction"),
+])
+def test_bad_incident_wave_exit_four_before_mesh(tmp_path, capsys,
+                                                 monkeypatch, key, text,
+                                                 message):
+    """A direction that is not a unit vector, or a polarization that is
+    not orthogonal to the direction (default +x), is rejected when the
+    scenario is built, naming the file and the key, before any mesh."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a bad incident wave")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    p = tmp_path / "bad-wave.ini"
+    p.write_text(f"[wave]\n{key} = {text}\n")
+    assert main(["run", "--config", str(p)]) == 4
+    assert capsys.readouterr().err == (f"config error: bad config {p}: "
+                                       f"{message}\n")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Scenario(**{key: runner._floats(text)})
+
+
 @pytest.mark.parametrize("key, value", [
     ("corner_min", "nan 0.4 0.4"), ("corner_max", "inf 0.8 0.8"),
     ("corner_min", "0.4 0.4")], ids=["nan", "inf", "two-numbers"])

@@ -104,7 +104,6 @@ def test_barrier_releases_all_ranks_any_arrival_order():
     run_spmd(fab, fn)
     assert sorted(order) == [0, 1, 2, 3]
     assert fab.barrier_collectives == 1
-    assert fab.counters_report()["barrier_count_per_rank"] == [1, 1, 1, 1]
 
 
 def test_broken_barrier_reported():
@@ -116,6 +115,74 @@ def test_broken_barrier_reported():
 
     with pytest.raises(FabricTimeout):
         run_spmd(fab, fn)
+
+
+def test_barrier_timeout_wakes_the_other_waiters():
+    """Rank 2 never arrives: rank 0, first at the barrier, times out naming
+    it, and rank 1, which arrived later, wakes with ``RankFailed`` instead
+    of waiting out its own timeout."""
+    caught = {}
+
+    def fn(f, r):
+        if r == 2:
+            return
+        time.sleep(0.3 * r)
+        try:
+            f.barrier(r)
+        except FabricError as exc:
+            caught[r] = exc
+            raise
+
+    with pytest.raises(FabricTimeout, match=r"^rank 0 waited 0\.5s at "
+                       r"barrier 1 for ranks \[2\]$"):
+        run_spmd(fabric_of(3, timeout=0.5), fn)
+    assert type(caught[1]) is RankFailed
+    assert str(caught[1]) == "rank 1, barrier 1: a rank failed"
+
+
+def test_released_rank_returns_when_the_last_arrival_fails():
+    """Rank 1 waits at a barrier; rank 0 arrives last, which releases rank
+    1, and raises at once.  Rank 1's barrier still returns, and the error
+    re-raised is rank 0's."""
+    returned = []
+
+    def fn(f, r):
+        if r == 0:
+            time.sleep(0.05)             # rank 1 is waiting by now
+            f.barrier(r)
+            raise RuntimeError("rank 0 boom")
+        f.barrier(r)
+        returned.append(r)
+
+    with pytest.raises(RuntimeError, match="rank 0 boom"):
+        run_spmd(fabric_of(2, timeout=60), fn)
+    assert returned == [1]
+
+
+def test_failing_combine_is_reraised_at_once():
+    """A ``combine`` that raises in the last rank to arrive is the error
+    re-raised, and the waiting ranks wake at once on a 60-s fabric."""
+    def combine(parts):
+        raise ValueError(f"combine boom {parts}")
+
+    fab = fabric_of(3, timeout=60)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=r"combine boom \[0, 10, 20\]"):
+        run_spmd(fab, lambda f, r: f.barrier(r, 10 * r, combine))
+    assert time.monotonic() - t0 < 1.0
+    assert fab.barrier_collectives == 0
+
+
+@pytest.mark.parametrize("call", ["barrier", "allgather_object"])
+def test_one_rank_meets_in_the_same_rendezvous(call):
+    """At P = 1 a barrier and an allgather take the same path: the one
+    rank finishes the collective, counted once, and gets the combine's
+    result back."""
+    fab = fabric_of(1)
+    assert getattr(fab, call)(0, 7, lambda parts: parts + [8]) == [7, 8]
+    assert fab.barrier_collectives == 1
+    assert fab.barrier(0) is None
+    assert fab.counters_report()["totals"]["barriers"] == 2
 
 
 def _partials(ranks: int, n: int, seed: int = 3):

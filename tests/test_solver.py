@@ -507,8 +507,7 @@ def test_level_builds_are_column_loop_on_criterion_4_system(
 def test_zero_pivot_named_from_first_level_with_one(storage):
     """Columns 4 and 5 break at level 1 (after column 3), column 2 at
     level 2 (after 0 and 1): every build names column 4, the lowest
-    breaking column of the first level with one, at P = 1, 2 and 3.
-    Columns 4 and 5 share a rank at each P, so one rank breaks."""
+    breaking column of the first level with one, at P = 1, 2 and 3."""
     a = np.zeros((8, 8), dtype=complex)
     a[np.arange(8), np.arange(8)] = [4, 2, 1, 1, 1, 1, 1, 1]
     for i, j, v in ((1, 0, 2), (2, 1, 1), (4, 3, 1), (5, 3, 1)):
@@ -524,6 +523,25 @@ def test_zero_pivot_named_from_first_level_with_one(storage):
     # One column per step, column 2 breaks first.
     with pytest.raises(FactorBreakdownError, match="zero pivot in column 2"):
         column_loop_factor(m, 0, _one_rank(8), 0)
+
+
+def test_zero_pivots_on_two_ranks_of_one_level_name_the_lower_column():
+    """Columns 5 and 7 break in the same level, on ranks 1 and 2: with the
+    interpreter switching threads as often as it can, every build names
+    column 5, the lower one, never a barrier error of either rank."""
+    a = np.eye(8, dtype=complex)
+    a[5, 3] = a[3, 5] = a[7, 6] = a[6, 7] = 1.0
+    m = _redundant(a)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            with pytest.raises(FactorBreakdownError,
+                               match="^zero pivot in column 5$"):
+                run_spmd(CommFabric(np.array([0, 3, 6, 8]), timeout=10.0),
+                         lambda f, r: build_icp(m, r, f))
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
