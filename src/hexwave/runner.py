@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,6 +80,8 @@ class Scenario:
             raise ConfigError("tol must be positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.node_budget < 1:
+            raise ConfigError(f"node_budget must be >= 1, got {self.node_budget}")
 
     @property
     def wavelength(self) -> float:
@@ -151,17 +153,8 @@ class RunResult:
 
     def as_dict(self) -> dict:
         d = self.report.as_dict()
-        d.update({
-            "node_count": self.node_count,
-            "element_count": self.element_count,
-            "complex_unknowns": self.complex_unknowns,
-            "dof_count": self.dof_count,
-            "matrix_bytes": self.matrix_bytes,
-            "precond_total_bytes": self.precond_total_bytes,
-            "probes": self.probes,
-            "wall_time": self.wall_time,
-            "seed": self.seed,
-        })
+        d.update({f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("report", "solution")})
         return d
 
 

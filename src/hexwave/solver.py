@@ -139,8 +139,7 @@ class _RankFactor(_CsrBase):
         super().__init__(a.n, pattern.indptr, pattern.indices,
                          np.zeros(pattern.nnz, dtype=np.complex128), lo)
         self.a = pattern.data
-        missing = np.setdiff1d(np.arange(lo, hi),
-                               self.indices[self.indices == self.entry_rows()])
+        missing = lo + np.flatnonzero(~self.diagonal_last())
         if len(missing):
             raise FactorBreakdownError(f"missing diagonal in row {missing[0]}")
         self.by_col, by_row, self.col_ptr = self.below_by_column(0, a.n)
@@ -224,10 +223,11 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows, rank: int,
 
 def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
                       ranks: int, lo: int, hi: int):
-    """For each column j in [lo, hi), the ranks owning a stored row below
-    its diagonal, ascending: ``dest[ptr[j - lo]:ptr[j - lo + 1]]``."""
-    below, rows, _ = a.below_by_column(lo, hi)
-    key = np.unique(a.indices[below] * ranks + owner[rows])
+    """For each column j in [lo, hi), the later ranks owning a stored row
+    below its diagonal, ascending: ``dest[ptr[j - lo]:ptr[j - lo + 1]]``."""
+    later = a.rows(hi, a.n)
+    below, rows, _ = later.below_by_column(lo, hi)
+    key = np.unique(later.indices[below] * ranks + owner[rows])
     return np.searchsorted(key, np.arange(lo, hi + 1) * ranks), key % ranks
 
 
@@ -257,8 +257,7 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
         f.pivots(own)
         for j in own.tolist():
             for q in dest[dest_ptr[j - lo]:dest_ptr[j - lo + 1]].tolist():
-                if q != rank:
-                    fabric.send(rank, q, f.row(j))
+                fabric.send(rank, q, f.row(j))
         f.level(cols, lambda j: fabric.recv(rank, int(owner[j])))
         fabric.barrier(rank)
 

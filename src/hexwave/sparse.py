@@ -3,7 +3,7 @@
 Two row-wise representations are provided for the symmetric system
 matrix: the lower triangle (storage #1), and storage #1 plus the
 mirrored strict upper triangle, so each row holds its full pattern
-(storage #2).  Neither carries a column index.  ``partition_rows``
+(storage #2).  Neither keeps a column-wise copy.  ``partition_rows``
 gives the row bounds of each rank's contiguous block, whole mesh nodes
 of three matrix rows each; the run's ``CommFabric`` holds them.
 """
@@ -87,6 +87,14 @@ class _CsrBase:
         return below, rows[below], np.searchsorted(self.indices[below],
                                                    np.arange(lo, hi + 1))
 
+    def diagonal_last(self) -> np.ndarray:
+        """Whether each row's last stored entry is its diagonal."""
+        last = self.indptr[1:] - 1
+        stored = np.flatnonzero(last >= self.indptr[:-1])
+        on = np.zeros(len(last), dtype=bool)
+        on[stored] = self.indices[last[stored]] == self.row_start + stored
+        return on
+
     def entry_rows(self) -> np.ndarray:
         """Row of every stored entry."""
         return self.row_start + np.repeat(np.arange(len(self.indptr) - 1),
@@ -130,9 +138,8 @@ def _stacked(blocks, n: int):
 
 
 class LowerSymmetricRows(_CsrBase):
-    """Storage #1: only the lower triangle of a symmetric matrix, row-wise.
-    ``targets`` holds each stored entry's transpose row, or ``n`` for a
-    diagonal entry; ``indices`` is read-only so it cannot go stale."""
+    """Storage #1: only the lower triangle of a symmetric matrix, row-wise;
+    a stored diagonal is its row's last entry."""
 
     def __init__(self, n, indptr, indices, data):
         super().__init__(n, indptr, indices, data)
@@ -143,9 +150,6 @@ class LowerSymmetricRows(_CsrBase):
             raise SparseFormatError(
                 f"row {rows[np.argmax(bad)]}: columns must be strictly "
                 "increasing and <= row")
-        self.indices = self.indices.view()
-        self.indices.flags.writeable = False
-        self.targets = np.where(self.indices < rows, self.indices, self.n)
 
     @classmethod
     def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
@@ -156,7 +160,7 @@ class LowerSymmetricRows(_CsrBase):
 
 class RedundantRows(_CsrBase):
     """Storage #2: storage #1 plus the mirrored strict upper triangle, so
-    each row holds its full symmetric pattern; no column index."""
+    each row holds its full symmetric pattern; no column-wise copy."""
 
     @classmethod
     def from_rows(cls, blocks, n: int) -> "RedundantRows":
@@ -213,13 +217,16 @@ def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
     """Length-n product of rows [lo, hi) of lower-triangle storage with x,
     each stored off-diagonal entry also acting as its transpose."""
     block = m.rows(lo, hi)
-    out = np.zeros(m.n + 1, dtype=np.complex128)
+    out = np.zeros(m.n, dtype=np.complex128)
     out[lo:hi] = _block_matvec(block, x)
     # np.multiply, not `*`: `*` may reuse the repeat's temporary by swapping
     # the operands, and the complex product then rounds differently.
-    np.add.at(out, m.targets[m.indptr[lo]:m.indptr[hi]], np.multiply(
-        block.data, np.repeat(x[lo:hi], np.diff(block.indptr))))
-    return out[:m.n]
+    prod = np.multiply(block.data, np.repeat(x[lo:hi], np.diff(block.indptr)))
+    # A diagonal's transpose adds -0.0 to its row before any other transpose
+    # does: bitwise a no-op, where +0.0 would turn a -0.0 into +0.0.
+    prod[block.indptr[1:][block.diagonal_last()] - 1] = complex(-0.0, -0.0)
+    np.add.at(out, block.indices, prod)
+    return out
 
 
 def spmv_partial(m, fabric, rank: int, x: np.ndarray) -> SparseVector:

@@ -651,6 +651,24 @@ def test_symmetrize_and_lower_join_hold_about_one_copy():
     assert peak <= 1.25 * entry_bytes, peak / entry_bytes
 
 
+def test_lower_storage_holds_24_bytes_per_entry():
+    """The storage-1 system of the 12 x 12 x 12-node box at P = 2 holds
+    its entries' indices and values (24 B each) and its row pointers: a
+    transpose-row copy of the indices made it 32.2 B per entry."""
+    mesh = build_box_mesh((1.,) * 3, 12)
+    out, fab = _assembled(mesh, ranks=2)
+    blocks = [b for b, _ in run_spmd(
+        fab, lambda f, q: symmetrize(*out[q], q, f))]
+    del out
+    tracemalloc.start()
+    try:
+        m = LowerSymmetricRows.from_symmetric_rows(blocks, blocks[0].n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 24.5 * m.nnz, held / m.nnz
+
+
 def test_assemble_rows_writes_rows_in_place():
     """Rows go straight into their final arrays: on the 12 x 12 x 12-node
     box the peak stays within 2x the result's 24 B per entry (keeping

@@ -231,6 +231,27 @@ def test_bad_incident_wave_exit_four_before_mesh(tmp_path, capsys,
         Scenario(**{key: runner._floats(text)})
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_non_positive_node_budget_exit_four_before_mesh(tmp_path, capsys,
+                                                        monkeypatch, budget):
+    """A node budget below 1 is a config error naming the key, before any
+    mesh is built, not an exceeded budget (exit 5)."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a non-positive node budget")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    p = tmp_path / "node-budget.ini"
+    p.write_text(f"[domain]\nnode_budget = {budget}\n")
+    assert main(["run", "--config", str(p)]) == 4
+    message = f"node_budget must be >= 1, got {budget}"
+    assert capsys.readouterr().err == (f"config error: bad config {p}: "
+                                       f"{message}\n")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        Scenario(node_budget=budget)
+
+
 @pytest.mark.parametrize("key, value", [
     ("corner_min", "nan 0.4 0.4"), ("corner_max", "inf 0.8 0.8"),
     ("corner_min", "0.4 0.4")], ids=["nan", "inf", "two-numbers"])

@@ -221,10 +221,11 @@ def test_factor_builds_equal_on_either_storage(rng, ranks):
             assert np.array_equal(getattr(f1, name), getattr(f2, name))
 
 
-@pytest.mark.parametrize("ranks", [2, 3, 5])
+@pytest.mark.parametrize("ranks", [1, 2, 3, 5])
 def test_row_destinations_match_column_loop(rng, ranks):
-    """Column j's destinations are the owners of its stored rows below
-    the diagonal, ascending, on either storage."""
+    """Column j's destinations are the owners of its stored rows from the
+    rank's end ``hi`` on, ascending, on either storage: never the rank
+    itself, and none at all at P = 1."""
     rows, dense = random_symmetric_sparse(rng, 20, density=0.25)
     full = RedundantRows.from_rows([row_block(rows, 20)], 20)
     fab = CommFabric(split_rows(20, ranks))
@@ -234,8 +235,9 @@ def test_row_destinations_match_column_loop(rng, ranks):
             lo, hi = fab.dof_range(r)
             ptr, dest = _row_destinations(a, owner, ranks, lo, hi)
             assert len(ptr) == hi - lo + 1 and ptr[-1] == len(dest)
+            assert ranks > 1 or len(dest) == 0
             for j in range(lo, hi):
-                below = j + 1 + np.nonzero(dense[j + 1:, j])[0]
+                below = hi + np.nonzero(dense[hi:, j])[0]
                 assert (dest[ptr[j - lo]:ptr[j - lo + 1]].tolist()
                         == sorted(set(owner[below].tolist())))
 

@@ -331,7 +331,7 @@ def test_lower_spmv_bitwise_equals_masked_oracle(rng, ranks):
 
 def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
     """Row 1 stores no diagonal, row 2 stores nothing; a second matrix of
-    the same size but another pattern keeps its own transpose targets."""
+    the same size has another pattern."""
     n = 5
     indptr = [0, 1, 2, 2, 5, 8]
     indices = [0, 0, 0, 1, 3, 2, 3, 4]
@@ -339,7 +339,6 @@ def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
     other = LowerSymmetricRows(n, [0, 1, 3, 4, 6, 7], [0, 0, 1, 2, 1, 3, 4],
                                rng.standard_normal(7) + 1j)
     m = LowerSymmetricRows(n, indptr, indices, data)
-    np.testing.assert_array_equal(m.targets, [5, 0, 0, 1, 5, 2, 3, 5])
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for ranks in (1, 2, 3):
         fab = CommFabric(split_rows(n, ranks))
@@ -347,16 +346,15 @@ def test_lower_spmv_oracle_on_row_without_diagonal_and_empty_row(rng):
         _assert_lower_spmv_matches_oracle(other, fab, x)
 
 
-def test_lower_storage_indices_are_read_only(rng):
-    """The transpose targets are built once from ``indices``, so the
-    indices cannot be changed behind them."""
-    rows, _ = random_symmetric_sparse(rng, 6)
-    m = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 6)], 6)
-    with pytest.raises(ValueError, match="read-only"):
-        m.indices[0] = 1
-    passed = np.array([0, 0, 1], dtype=np.int64)
-    LowerSymmetricRows(2, [0, 1, 3], passed, np.ones(3))
-    passed[0] = 0          # the caller's own array stays writable
+def test_lower_full_product_keeps_a_negative_zero_row():
+    """Row 0's own product is -0.0 + 0j, and its diagonal's transpose
+    leaves it so (adding +0.0 there would give +0.0).  ``spmv_partial``
+    drops zero entries, so only the full product can show it."""
+    m = LowerSymmetricRows(2, [0, 1, 2], [0, 1], [-1 + 0j, 3 + 0j])
+    x = np.array([0, 1 + 1j])
+    got = full_matvec(m, x)
+    assert same_bits(got, masked_lower_matvec(m, 0, 2, x))
+    assert np.signbit(got[0].real)
 
 
 def test_lower_spmv_oracle_on_empty_box_system():
