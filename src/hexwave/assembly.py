@@ -22,7 +22,7 @@ import numpy as np
 
 from .fabric import CommFabric
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import _CsrBase, _ranges
+from .sparse import _CHUNK, _CsrBase, _ranges
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -219,10 +219,10 @@ def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------
 
-# Owned nodes per block of assemble_rows' array pass, and entries per
-# chunk of symmetrize's local search: both bound their temporaries at a
-# few MB whatever the rank size.
-_BLOCK_NODES, _CHUNK = 128, 65_536
+# Owned nodes per block of assemble_rows' array pass: bounds its
+# temporaries at a few MB whatever the rank size, as _CHUNK entries per
+# batch do symmetrize's.
+_BLOCK_NODES = 128
 
 
 def _check_range(mesh: HexMesh, node_range: tuple[int, int]):
@@ -468,36 +468,46 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
 
     A must be structurally symmetric, as assembly and ``apply_symmetry_bc``
     leave it, so the transpose (j, i, v) of entry (i, j) lands on row j's
-    own entry (j, i): row j's owner finds it by binary search over its
-    ascending keys, with no sort, and adds v, own value first (a local
-    pair is found once, from its lower entry).  The result shares the
-    input's ``indptr`` and ``indices``.  ``AssemblyError`` names the
-    first row whose pattern the transposes do not mirror.
+    own entry (j, i): row j's owner finds it by binary search, with no
+    sort, and adds v, own value first (a local pair is found once, from
+    its lower entry).  Transposes are searched in batches of ``_CHUNK``,
+    each over the ascending keys of only the rows it targets, so no array
+    as long as the block is built.  The result shares the input's
+    ``indptr`` and ``indices``.  ``AssemblyError`` names the first row
+    whose pattern the transposes do not mirror.
     """
     lo, hi = fabric.dof_range(rank)
-    n, cols, vals, nnz = block.n, block.indices, block.data, block.nnz
-    rows = block.entry_rows()
+    n, ptr, cols, vals = block.n, block.indptr, block.indices, block.data
+    nnz = block.nnz
     fabric.set_phase(rank, "symmetrize")
     others = [q for q in range(fabric.ranks) if q != rank]
     for q in others:
-        go = (cols >= fabric.row_starts[q]) & (cols < fabric.row_starts[q + 1])
-        fabric.send(rank, q, (cols[go], rows[go], vals[go]))
+        go = np.flatnonzero((cols >= fabric.row_starts[q])
+                            & (cols < fabric.row_starts[q + 1]))
+        fabric.send(rank, q, (cols[go], lo - 1 + np.searchsorted(
+            ptr, go, side="right"), vals[go]))
     received = [fabric.recv(rank, q) for q in others]
 
-    def transposes():
-        """(keys, values, local entries or None) per batch of transposes."""
-        yield from (((r - lo) * n + c, v, None) for r, c, v in received)
-        for s in range(0, nnz, _CHUNK):
-            r, c = rows[s:s + _CHUNK], cols[s:s + _CHUNK]
-            e = s + np.flatnonzero((c >= lo) & (c <= r))
-            yield (cols[e] - lo) * n + rows[e], vals[e], e
-
-    own_key = (rows - lo) * n + cols        # ascends in CSR order
     out, hit, arrived = np.empty_like(vals), np.zeros(nnz, dtype=bool), 0
-    for key, v, e in transposes():
-        pos = np.minimum(np.searchsorted(own_key, key), nnz - 1)
-        if not np.array_equal(own_key[pos], key):
-            break
+
+    def window(r0, r1):
+        """First entry of rows [r0, r1], and their entries' rows."""
+        ws = ptr[r0 - lo]
+        return ws, block.entry_rows(ws, ptr[r1 + 1 - lo])
+
+    def add(key, v, ws, rows, e=None) -> bool:
+        """Add the transposes with ``key`` and values ``v``, from local
+        entries ``e`` or received, to their own entries, found by key in
+        the window from entry ``ws`` whose entries' ``rows`` become its
+        keys.  False when one is missing."""
+        nonlocal arrived
+        rows -= lo
+        rows *= n
+        rows += cols[ws:ws + len(rows)]         # ascends in CSR order
+        pos = np.searchsorted(rows, key)
+        if (pos == len(rows)).any() or not np.array_equal(rows[pos], key):
+            return False
+        pos += ws
         out[pos] = vals[pos] + v
         hit[pos] = True
         arrived += len(pos)
@@ -505,10 +515,35 @@ def symmetrize(block: _CsrBase, rhs_seg: np.ndarray, rank: int,
             out[e] = v + vals[pos]
             hit[e] = True
             arrived += np.count_nonzero(e != pos)   # a diagonal is its own
-    else:   # as many transposes as entries, and every entry got one
-        if arrived == nnz and hit.all():
-            return (_CsrBase(n, block.indptr, cols, out, row_start=lo),
-                    rhs_seg * 2.0)
+        return True
+
+    def received_batch(r, c, v):
+        """Received transposes in rows r, columns c, values v."""
+        return add((r - lo) * n + c, v,
+                   *window(*np.clip([r.min(), r.max()], lo, hi - 1)))
+
+    def local_batch(s):
+        """Chunk s's local pairs, from their lower entries: the chunk lies
+        in rows [first, last], their transposes in rows [its least local
+        column, last]."""
+        c = cols[s:s + _CHUNK]
+        first, last = lo - 1 + np.searchsorted(ptr, [s, s + len(c) - 1],
+                                               side="right")
+        ws, rows = window(min(first, max(lo, c.min())), last)
+        r = rows[s - ws:s - ws + len(c)]
+        e = np.flatnonzero((c >= lo) & (c <= r))
+        key = (c[e] - lo) * n + r[e]
+        e += s
+        return add(key, vals[e], ws, rows, e)
+
+    if (all(received_batch(r[s:s + _CHUNK], c[s:s + _CHUNK], v[s:s + _CHUNK])
+            for r, c, v in received for s in range(0, len(r), _CHUNK))
+            and all(local_batch(s) for s in range(0, nnz, _CHUNK))
+            # as many transposes as entries, and every entry got one
+            and arrived == nnz and hit.all()):
+        return _CsrBase(n, ptr, cols, out, row_start=lo), rhs_seg * 2.0
+    rows = block.entry_rows()
+    own_key = (rows - lo) * n + cols
     mine = (cols >= lo) & (cols < hi)
     got = np.concatenate([(cols[mine] - lo) * n + rows[mine]]
                          + [(r - lo) * n + c for r, c, _ in received])

@@ -171,10 +171,12 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     """Assemble, constrain and symmetrize this rank's CSR row block, then
     stack every rank's block into one global ``(matrix, b)``.
 
-    The join is built once and every rank gets the same read-only
-    object, standing in for each rank's replicated copy of the final
-    system.  It is simulation plumbing, not counted algorithm traffic
-    (assembly itself is message-free, and the constraint and
+    With storage 1 each rank keeps only its block's lower triangle before
+    the join, so the full blocks are gone when the join copies each
+    stored entry once.  The join is built once and every rank gets the
+    same read-only object, standing in for each rank's replicated copy of
+    the final system.  It is simulation plumbing, not counted algorithm
+    traffic (assembly itself is message-free, and the constraint and
     symmetrization messages are counted in their own phases); it costs
     one barrier.
     """
@@ -190,6 +192,8 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained, rank,
                                        fabric)
     block, rhs_seg = symmetrize(block, rhs_seg, rank, fabric)
+    if scenario.storage == "1":
+        block = block.lower()
 
     def join(parts):
         build = (LowerSymmetricRows.from_symmetric_rows

@@ -15,6 +15,10 @@ import numpy as np
 
 COMPLEX_BYTES = 16   # one double-precision complex value
 INDEX_BYTES = 8      # one stored index
+# Stored entries per chunk of a pass over a whole block: bounds its
+# temporaries at a few MB, or a few hundred kB for bool ones, whatever the
+# block size.
+_CHUNK = 65_536
 
 
 class SparseFormatError(ValueError):
@@ -95,20 +99,61 @@ class _CsrBase:
         on[stored] = self.indices[last[stored]] == self.row_start + stored
         return on
 
-    def entry_rows(self) -> np.ndarray:
-        """Row of every stored entry."""
-        return self.row_start + np.repeat(np.arange(len(self.indptr) - 1),
-                                          np.diff(self.indptr))
+    def entry_rows(self, s: int = 0, e: int | None = None) -> np.ndarray:
+        """Row of every stored entry in [s, e), all of them by default."""
+        e = self.nnz if e is None else min(e, self.nnz)
+        if e <= s:
+            return np.empty(0, dtype=np.int64)
+        first, last = np.searchsorted(self.indptr, [s, e - 1],
+                                      side="right") - 1
+        count = np.diff(np.clip(self.indptr[first:last + 2], s, e))
+        rows = np.repeat(np.arange(first, last + 1), count)
+        rows += self.row_start
+        return rows
+
+    def first_row_not_lower(self) -> int | None:
+        """First row whose columns are not strictly increasing and at most
+        the row, or None.  Checked per chunk of entries: a column not above
+        the one before it other than at a row start, then each row ending
+        in the chunk by its last column."""
+        ptr, ends = self.indptr, self.indptr[1:]
+        for s in range(0, self.nnz, _CHUNK):
+            e = min(s + _CHUNK, self.nnz)
+            prev = max(s - 1, 0)                # the pair across the cut
+            c = self.indices[prev:e]
+            k = prev + 1 + np.flatnonzero(c[1:] <= c[:-1])
+            r = np.searchsorted(ptr, k, side="right") - 1
+            bad = r[ptr[r] != k]
+            a, b = np.searchsorted(ends, [s, e], side="right")
+            ending = a + np.flatnonzero(ends[a:b] > ptr[a:b])   # not empty
+            bad = np.append(bad, ending[self.indices[ends[ending] - 1]
+                                        > self.row_start + ending])
+            if len(bad):
+                return self.row_start + int(bad.min())
+        return None
+
+    def lower(self) -> "_CsrBase":
+        """The entries on or below the diagonal: this block itself when its
+        rows hold only those, columns strictly increasing."""
+        if self.first_row_not_lower() is None:
+            return self
+        keep = np.empty(self.nnz, dtype=bool)
+        for s in range(0, self.nnz, _CHUNK):
+            np.less_equal(self.indices[s:s + _CHUNK],
+                          self.entry_rows(s, s + _CHUNK),
+                          out=keep[s:s + _CHUNK])
+        return self.select(keep)
 
     def value_bytes(self) -> int:
         return COMPLEX_BYTES * self.nnz
 
     def diagonal(self) -> np.ndarray:
         """Stored diagonal entries; zero where a row stores none."""
-        rows = self.entry_rows()
-        on = self.indices == rows
         d = np.zeros(self.n, dtype=np.complex128)
-        d[rows[on]] = self.data[on]
+        for s in range(0, self.nnz, _CHUNK):
+            rows = self.entry_rows(s, s + _CHUNK)
+            on = np.flatnonzero(self.indices[s:s + _CHUNK] == rows)
+            d[rows[on]] = self.data[s + on]
         return d
 
 
@@ -120,7 +165,9 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
 
 def _stacked(blocks, n: int):
     """CSR ``(indptr, indices, data)`` of row blocks stacked in order, as
-    new read-only arrays: they back the objects all ranks share."""
+    read-only arrays: they back the objects all ranks share.  Several
+    blocks are copied into new arrays; one block is wrapped in read-only
+    views of its own, and copied not at all."""
     row = 0
     for k, b in enumerate(blocks):
         if b.row_start != row:
@@ -129,9 +176,13 @@ def _stacked(blocks, n: int):
         row = b.row_end
     if row != n:
         raise SparseFormatError(f"row blocks end at row {row}, expected {n}")
-    csr = (np.concatenate([[0], *(np.diff(b.indptr) for b in blocks)])
-           .cumsum(), np.concatenate([b.indices for b in blocks]),
-           np.concatenate([b.data for b in blocks]))
+    if len(blocks) == 1:
+        csr = tuple(a.view() for a in (blocks[0].indptr, blocks[0].indices,
+                                       blocks[0].data))
+    else:
+        csr = (np.concatenate([[0], *(np.diff(b.indptr) for b in blocks)])
+               .cumsum(), np.concatenate([b.indices for b in blocks]),
+               np.concatenate([b.data for b in blocks]))
     for arr in csr:
         arr.flags.writeable = False
     return csr
@@ -143,19 +194,16 @@ class LowerSymmetricRows(_CsrBase):
 
     def __init__(self, n, indptr, indices, data):
         super().__init__(n, indptr, indices, data)
-        rows = self.entry_rows()
-        bad = self.indices > rows
-        bad[1:] |= (np.diff(rows) == 0) & (np.diff(self.indices) <= 0)
-        if bad.any():
+        bad = self.first_row_not_lower()
+        if bad is not None:
             raise SparseFormatError(
-                f"row {rows[np.argmax(bad)]}: columns must be strictly "
-                "increasing and <= row")
+                f"row {bad}: columns must be strictly increasing and <= row")
 
     @classmethod
     def from_symmetric_rows(cls, blocks, n: int) -> "LowerSymmetricRows":
-        """Stack the lower triangles of structurally symmetric row blocks."""
-        return cls(n, *_stacked([b.select(b.indices <= b.entry_rows())
-                                  for b in blocks], n))
+        """Stack the lower triangles of structurally symmetric row blocks;
+        a block that holds only its lower triangle is stacked as it is."""
+        return cls(n, *_stacked([b.lower() for b in blocks], n))
 
 
 class RedundantRows(_CsrBase):
@@ -219,9 +267,11 @@ def _lower_matvec(m: LowerSymmetricRows, lo: int, hi: int,
     block = m.rows(lo, hi)
     out = np.zeros(m.n, dtype=np.complex128)
     out[lo:hi] = _block_matvec(block, x)
-    # np.multiply, not `*`: `*` may reuse the repeat's temporary by swapping
-    # the operands, and the complex product then rounds differently.
-    prod = np.multiply(block.data, np.repeat(x[lo:hi], np.diff(block.indptr)))
+    # np.multiply into the repeat's buffer, not `*`: `*` may reuse that
+    # buffer by swapping the operands, and the complex product then rounds
+    # differently.
+    prod = np.repeat(x[lo:hi], np.diff(block.indptr))
+    np.multiply(block.data, prod, out=prod)
     # A diagonal's transpose adds -0.0 to its row before any other transpose
     # does: bitwise a no-op, where +0.0 would turn a -0.0 into +0.0.
     prod[block.indptr[1:][block.diagonal_last()] - 1] = complex(-0.0, -0.0)

@@ -139,6 +139,66 @@ def test_lower_storage_rejects_upper_entries():
         LowerSymmetricRows(3, [0, 1, 3, 5], [0, 0, 1, 1, 1], np.ones(5))
 
 
+def _first_row_not_lower_loop(indptr, indices):
+    """Row of the first entry above the diagonal or not right of the one
+    before it in its row, or None."""
+    for i in range(len(indptr) - 1):
+        cols = indices[indptr[i]:indptr[i + 1]]
+        for k, c in enumerate(cols):
+            if c > i or (k and c <= cols[k - 1]):
+                return i
+    return None
+
+
+def test_lower_storage_names_the_first_bad_row_in_any_chunk(rng, monkeypatch):
+    """One row with an entry above its diagonal and another with a column
+    not right of the one before it, either first, fail naming the lower
+    row, however validation chunks cut the entries (also between the
+    two entries of the bad pair)."""
+    from hexwave import sparse
+    rows, _ = random_symmetric_sparse(rng, 12)
+    lower = [(c[c <= i], v[c <= i]) for i, (c, v) in enumerate(rows)]
+    lower[3] = (lower[3][0][:0], lower[3][1][:0])          # an empty row
+    base = row_block(lower, 12)
+    for upper_row, pair_row in ((5, 9), (9, 5), (0, 11)):
+        cols = [list(c) for c, _ in lower]
+        cols[upper_row][-1] = upper_row + 1
+        if len(cols[pair_row]) < 2:
+            cols[pair_row] = [0, 0]
+        cols[pair_row][1] = cols[pair_row][0]
+        indptr = np.append(0, np.cumsum([len(c) for c in cols]))
+        indices = np.concatenate(cols)
+        expect = _first_row_not_lower_loop(indptr, indices)
+        assert expect == min(upper_row, pair_row)
+        for chunk in (1, 2, 3, 5, 8, len(indices)):
+            monkeypatch.setattr(sparse, "_CHUNK", chunk)
+            with pytest.raises(SparseFormatError,
+                               match=f"^row {expect}: columns must be "
+                                     "strictly increasing and <= row$"):
+                LowerSymmetricRows(12, indptr, indices, np.ones(len(indices)))
+            assert base.first_row_not_lower() is None
+
+
+def test_entry_rows_of_any_range_and_lower_part(rng, monkeypatch):
+    """``entry_rows(s, e)`` is the slice [s, e) of every entry's row, an
+    empty row and a range past the end included; ``lower()`` keeps the
+    entries on or below the diagonal, and is the block itself once it
+    holds only those."""
+    from hexwave import sparse
+    m, rows = _irregular_block(rng)
+    every = np.concatenate([np.full(len(c), 4 + i)
+                            for i, (c, _) in enumerate(rows)])
+    assert np.array_equal(m.entry_rows(), every)
+    for s in range(m.nnz + 1):
+        for e in range(s, m.nnz + 3):
+            assert np.array_equal(m.entry_rows(s, e), every[s:e])
+    for chunk in (1, 7, sparse._CHUNK):
+        monkeypatch.setattr(sparse, "_CHUNK", chunk)
+        low = m.lower()
+        assert_same_csr(low, m.select(m.indices <= every))
+        assert low.lower() is low
+
+
 def test_to_redundant_matches_dense(rng):
     rows, a = random_symmetric_sparse(rng, 9)
     lower = LowerSymmetricRows.from_symmetric_rows([row_block(rows, 9)], 9)
@@ -149,17 +209,22 @@ def test_to_redundant_matches_dense(rng):
         np.testing.assert_array_equal(getattr(full, name), getattr(ref, name))
 
 
-def test_diagonal_matches_dense_on_every_layout(rng):
+def test_diagonal_matches_dense_on_every_layout(rng, monkeypatch):
+    """Also when chunks of entries cut rows."""
+    from hexwave import sparse
     rows, a = random_symmetric_sparse(rng, 10)
     # Row 4 keeps its off-diagonal entries but stores no diagonal.
     cols, vals = rows[4]
     rows[4] = (cols[cols != 4], vals[cols != 4])
     a[4, 4] = 0.0
     assert len(rows[4][0]) > 0
-    for m in (LowerSymmetricRows.from_symmetric_rows([row_block(rows, 10)], 10),
-              RedundantRows.from_rows([row_block(rows, 10)], 10)):
-        np.testing.assert_array_equal(m.diagonal(), np.diag(dense(m)))
-        np.testing.assert_array_equal(m.diagonal(), np.diag(a))
+    for chunk in (3, sparse._CHUNK):
+        monkeypatch.setattr(sparse, "_CHUNK", chunk)
+        for m in (LowerSymmetricRows.from_symmetric_rows(
+                      [row_block(rows, 10)], 10),
+                  RedundantRows.from_rows([row_block(rows, 10)], 10)):
+            np.testing.assert_array_equal(m.diagonal(), np.diag(dense(m)))
+            np.testing.assert_array_equal(m.diagonal(), np.diag(a))
 
 
 def _irregular_block(rng):
