@@ -450,11 +450,9 @@ def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
         return block, rhs_seg
     fixed = np.zeros(block.n, dtype=bool)
     fixed[merged] = True
-    rows, cols = block.entry_rows(), block.indices
-    diag = fixed[rows] & (cols == rows)
-    keep = ~(fixed[rows] | fixed[cols]) | diag
-    kept = block.select(keep)
-    kept.data[diag[keep]] = 1.0
+    kept = block.select(block.where(
+        lambda rows, cols: ~(fixed[rows] | fixed[cols]) | (rows == cols)))
+    kept.data[kept.indptr[mine - lo + 1] - 1] = 1.0
     # Eliminated columns carry zero solution values, so the right-hand
     # side is unchanged outside the constrained rows.
     rhs_seg = rhs_seg.copy()

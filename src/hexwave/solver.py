@@ -10,10 +10,10 @@ the dependency level of their row, and a rank's entries in one level's
 columns come at once from one gather, multiply and segmented sum over
 the row prefixes left of each column.  Both factored
 preconditioners apply L L^T through one level-scheduled
-triangular-solve kernel: each solve groups its rank's rows once, at
-its first apply, into dependency levels, and solves them in level order
-on the segment's slice of the output, one contiguous slice per level,
-over values stored in sweep order.  ICP pipelines its segments over the
+triangular-solve kernel: each solve orders its rank's rows once, by
+the dependency levels its factor's build found, and solves them in level
+order on the segment's slice of the output, one contiguous slice per
+level, over values stored in sweep order.  ICP pipelines its segments over the
 fabric; a BICP block runs both sweeps on its own rows and the blocks
 merge with one concatenation per apply.
 
@@ -56,8 +56,14 @@ class CholeskyFactor(_CsrBase):
     """Zero-fill lower factor on (a sub-pattern of) A's lower pattern.
 
     Rows [row_start, row_end) are stored CSR-style with the diagonal as
-    the last entry of each row.
+    the last entry of each row; ``depth`` (read-only) is the build's
+    forward dependency level of each row, which schedules every solve.
     """
+
+    def __init__(self, n, indptr, indices, data, row_start=0, *, depth):
+        super().__init__(n, indptr, indices, data, row_start)
+        self.depth = np.asarray(depth, dtype=np.int64).view()
+        self.depth.flags.writeable = False
 
     @property
     def block_local(self) -> bool:
@@ -127,15 +133,15 @@ class _RankFactor(_CsrBase):
     holds the factor values as they are computed and ``a`` the A values.
     ``by_col[col_ptr[j]:col_ptr[j + 1]]`` are the strict-lower entries of
     column j, rows ascending (``below_by_column``).  ``levels`` are the
-    columns [col_min, col_end) by the forward level of their row in A's
-    pattern, ascending; ``window`` is 1 + the largest i - k of an entry.
+    columns [col_min, col_end) grouped by ``depth``, their rows' forward
+    levels in A's pattern; ``window`` is 1 + the largest i - k of an entry.
     """
 
     def __init__(self, a: LowerSymmetricRows | RedundantRows, lo: int,
                  hi: int, col_min: int, col_end: int):
         block = a.rows(lo, hi)
-        pattern = block.select((block.indices <= block.entry_rows())
-                               & (block.indices >= col_min))
+        pattern = block.select(block.where(
+            lambda rows, cols: (cols <= rows) & (cols >= col_min)))
         super().__init__(a.n, pattern.indptr, pattern.indices,
                          np.zeros(pattern.nnz, dtype=np.complex128), lo)
         self.a = pattern.data
@@ -150,11 +156,11 @@ class _RankFactor(_CsrBase):
         rows = cover.entry_rows()
         lower = cover.indices < rows
         begin = cover.indptr[:-1]
-        level = _levels(col_min, col_end, begin, begin + np.bincount(
+        self.depth = _levels(col_min, col_end, begin, begin + np.bincount(
             rows[lower] - col_min, minlength=col_end - col_min), cover.indices)
-        order = np.argsort(level, kind="stable")
+        order = np.argsort(self.depth, kind="stable")
         self.levels = np.split(col_min + order,
-                               np.flatnonzero(np.diff(level[order])) + 1)
+                               np.flatnonzero(np.diff(self.depth[order])) + 1)
         self.window = 1 + int((rows - cover.indices)[
             lower & (cover.indices >= col_min)].max(initial=0))
         self.scratch = np.zeros(max(map(len, self.levels)) * self.window,
@@ -218,7 +224,7 @@ def build_bicp(a: LowerSymmetricRows | RedundantRows, rank: int,
         for cols in f.levels:
             f.pivots(cols)
             f.level(cols, None)
-    return CholeskyFactor(a.n, f.indptr, f.indices, f.data, lo)
+    return CholeskyFactor(a.n, f.indptr, f.indices, f.data, lo, depth=f.depth)
 
 
 def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
@@ -261,8 +267,8 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
         f.level(cols, lambda j: fabric.recv(rank, int(owner[j])))
         fabric.barrier(rank)
 
-    return fabric.allgather_object(
-        rank, f, lambda parts: CholeskyFactor(n, *_stacked(parts, n)))
+    return fabric.allgather_object(rank, f, lambda parts: CholeskyFactor(
+        n, *_stacked(parts, n), depth=parts[0].depth))
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +299,20 @@ def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
     return level
 
 
-def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals):
+def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals, level):
     """Level schedule of one triangular sweep over rows [lo, hi).
 
     Row ``lo + r`` subtracts ``vals[e] * out[nbr[e]]`` over the entries
     ``e`` in ``[begin[r], end[r])``, then divides by ``dvals[r]``;
-    neighbours inside [lo, hi) must be solved first, neighbours outside
-    are already known.  Returns ``(lo, rows, levels)``: the sweep works
+    neighbours outside [lo, hi) are already known, those inside must have
+    a lower ``level`` than row r.  Rows of one level value form one step,
+    values ascending.  Returns ``(lo, rows, levels)``: the sweep works
     on ``out[lo:hi]`` holding ``rows`` (level by level, rows with entries
     first), with columns in [lo, hi) remapped to those work positions.
     Level ``(a, full, b, cols, vals, starts, dvals)`` solves out[a:b],
     whose rows [a, full) have entries at ``reduceat`` offsets ``starts``.
     """
     count = end - begin
-    level = _levels(lo, hi, begin, end, nbr)
     # Levels are slices of one contiguous copy per sweep; many small
     # per-level copies fragment the heap and raise peak RSS.
     order = np.lexsort((count == 0, level))
@@ -316,8 +322,7 @@ def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals):
     inside = (cols >= lo) & (cols < hi)
     cols[inside] = slot[cols[inside] - lo]
     offset = np.concatenate(([0], np.cumsum(count)))
-    cuts = np.searchsorted(level[order],
-                           np.arange(level.max(initial=-1) + 2)).tolist()
+    cuts = np.unique(level[order], return_index=True)[1].tolist() + [hi - lo]
     levels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         e0, e1 = offset[a], offset[b]
@@ -332,7 +337,10 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
 
     The forward sweep reads each row's off-diagonal CSR entries, the back
     sweep the entries below the diagonal in the same column, rows
-    ascending, so a row's sum never depends on the segment split.
+    ascending, so a row's sum never depends on the segment split.  Both
+    sweeps run by the factor's ``depth``, the back one deepest first; a
+    full factor's segment keeps global depths, so it can take more steps
+    than its own analysis would (hexwave's box meshes take no more).
     """
     local = np.arange(lo - factor.row_start, hi - factor.row_start)
     diag = factor.indptr[local + 1] - 1
@@ -340,11 +348,12 @@ def _schedule_segment(factor: CholeskyFactor, lo: int, hi: int):
     zero = np.flatnonzero(dvals == 0)
     if len(zero):
         raise FactorBreakdownError(f"zero pivot in row {lo + int(zero[0])}")
+    depth = factor.depth[local]
     forward = _schedule_sweep(lo, hi, factor.indptr[local], diag,
-                              factor.indices, factor.data, dvals)
+                              factor.indices, factor.data, dvals, depth)
     below, rows, ptr = factor.below_by_column(lo, hi)
     back = _schedule_sweep(lo, hi, ptr[:-1], ptr[1:], rows,
-                           factor.data[below], dvals)
+                           factor.data[below], dvals, -depth)
     return forward, back
 
 

@@ -137,12 +137,15 @@ class _CsrBase:
         rows hold only those, columns strictly increasing."""
         if self.first_row_not_lower() is None:
             return self
+        return self.select(self.where(np.greater_equal))
+
+    def where(self, test) -> np.ndarray:
+        """``test(rows, cols)`` of every stored entry, chunk by chunk."""
         keep = np.empty(self.nnz, dtype=bool)
         for s in range(0, self.nnz, _CHUNK):
-            np.less_equal(self.indices[s:s + _CHUNK],
-                          self.entry_rows(s, s + _CHUNK),
-                          out=keep[s:s + _CHUNK])
-        return self.select(keep)
+            keep[s:s + _CHUNK] = test(self.entry_rows(s, s + _CHUNK),
+                                      self.indices[s:s + _CHUNK])
+        return keep
 
     def value_bytes(self) -> int:
         return COMPLEX_BYTES * self.nnz
@@ -150,10 +153,8 @@ class _CsrBase:
     def diagonal(self) -> np.ndarray:
         """Stored diagonal entries; zero where a row stores none."""
         d = np.zeros(self.n, dtype=np.complex128)
-        for s in range(0, self.nnz, _CHUNK):
-            rows = self.entry_rows(s, s + _CHUNK)
-            on = np.flatnonzero(self.indices[s:s + _CHUNK] == rows)
-            d[rows[on]] = self.data[s + on]
+        on = np.flatnonzero(self.where(np.equal))
+        d[self.indices[on]] = self.data[on]
         return d
 
 

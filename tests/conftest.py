@@ -567,7 +567,8 @@ def column_loop_factor(a, rank: int, fabric: CommFabric,
         if f.touches(j):
             f.column(j, *f.row(j))
     own = f.rows(lo, hi)
-    return CholeskyFactor(a.n, own.indptr, own.indices, own.data, lo)
+    return CholeskyFactor(a.n, own.indptr, own.indices, own.data, lo,
+                          depth=f.depth[lo - col_min:])
 
 
 def gather_level_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:

@@ -643,6 +643,25 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def test_apply_symmetry_bc_builds_no_full_length_row_array():
+    """With a z+ symmetry plane on the 12 x 12 x 12-node box at P = 2,
+    the peak beyond the kept blocks is the keep mask (1 B per entry) and
+    ``select``'s index of the kept entries (8 B each): 8.8 B per input
+    entry, within 12.  The full-length entry-row array and its masks made
+    it 17.8 B; one int64 array more as long as the block adds 8."""
+    mesh = classify_boundary(build_box_mesh((1.,) * 3, 12),
+                             [("z+", "symmetry")])
+    out, fab = _assembled(mesh, ranks=2)
+    fixed = constrained_dofs(mesh)
+    res, peak = _traced_peak(lambda: run_spmd(
+        fab, lambda f, r: apply_symmetry_bc(*out[r], fixed, r, f)))
+    nnz = sum(b.nnz for b, _ in out)
+    held = sum(b.indptr.nbytes + b.indices.nbytes + b.data.nbytes
+               for b, _ in res)
+    assert sum(b.nnz for b, _ in res) < nnz
+    assert peak - held <= 12 * nnz, (peak - held) / nnz
+
+
 def test_symmetrize_and_lower_join_hold_about_one_copy():
     """On a 12 x 12 x 12-node box at P = 2, symmetrize's peak stays
     within 1.5x, and the storage-1 join's within 1.1x, of their input

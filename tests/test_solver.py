@@ -19,7 +19,7 @@ from hexwave.mesh import ScattererSpec
 from hexwave.runner import Scenario, run_scenario
 from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             Preconditioner, SingularPreconditionerError,
-                            _dot, _norm, _row_destinations,
+                            _dot, _levels, _norm, _row_destinations,
                             _schedule_segment, build_bicp, build_dp,
                             build_icp, cg_solve)
 from hexwave.sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
@@ -405,8 +405,12 @@ def _kernel_system(rng, kind, storage):
 
 
 def _oracle_factor(a, lo, hi):
-    return CholeskyFactor(a.n, *csr_from_rows(entry_loop_ic(a, lo, hi),
-                                              hi - lo), row_start=lo)
+    """The per-entry loop's rows [lo, hi), with the depth of a level
+    analysis of their own pattern (the diagonal, last, left out)."""
+    indptr, indices, data = csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo)
+    return CholeskyFactor(a.n, indptr, indices, data, row_start=lo,
+                          depth=_levels(lo, hi, indptr[:-1], indptr[1:] - 1,
+                                        indices))
 
 
 def _assert_kernel_edge_cases(a, fab):
@@ -425,9 +429,9 @@ def _assert_kernel_edge_cases(a, fab):
 
 
 def _assert_same_factor(got, ref):
-    """Pattern bitwise; values to 1e-12 normwise, since the kernel sums
-    each prefix in another order than ``np.dot``."""
-    for name in ("indptr", "indices"):
+    """Pattern and depth bitwise; values to 1e-12 normwise, since the
+    kernel sums each prefix in another order than ``np.dot``."""
+    for name in ("indptr", "indices", "depth"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert got.block_local == ref.block_local
     gap = np.linalg.norm(got.data - ref.data) / np.linalg.norm(ref.data)
@@ -462,13 +466,14 @@ def test_bicp_kernel_matches_entry_loop(rng, ranks, kind, storage):
 
 def _assert_icp_is_column_loop(a, fab, factor):
     """The level build's icp factor holds, bitwise, every rank's rows of
-    the column-by-column build."""
+    the column-by-column build, and their depths from its rows [0, hi)."""
     for r in range(fab.ranks):
         ref = column_loop_factor(a, r, fab, 0)
         lo, hi = fab.dof_range(r)
         got = factor.rows(lo, hi)
         for name in ("indptr", "indices", "data"):
             assert same_bits(getattr(got, name), getattr(ref, name)), name
+        assert np.array_equal(factor.depth[lo:hi], ref.depth)
 
 
 def _criterion_4_scenario(**kw) -> Scenario:
@@ -489,20 +494,32 @@ def criterion_4_system():
     return a, mesh.node_count
 
 
-@pytest.mark.parametrize("ranks", [1, 2])
+# Level steps of each rank's segment on the criterion-4 system, the same
+# in both sweeps and for the icp factor and the bicp blocks.
+CRITERION_4_LEVELS = {1: [234], 2: [156, 162], 4: [120, 120, 126, 120]}
+
+
+@pytest.mark.parametrize("ranks", [1, 2, 4])
 def test_level_builds_are_column_loop_on_criterion_4_system(
         criterion_4_system, ranks):
     """The 5103-unknown system: the icp factor and every bicp block equal
-    the column-by-column build bitwise, and the icp build takes one
-    barrier per dependency level (234) plus the final insertion."""
+    the column-by-column build bitwise, the icp build takes one barrier
+    per dependency level (234) plus the final insertion, and each rank's
+    forward and back sweeps of either factor take the pinned level
+    steps, no more than an analysis of the segment alone gives."""
     a, nodes = criterion_4_system
     fab = CommFabric(partition_rows(nodes, ranks))
     icp = run_spmd(fab, lambda f, r: build_icp(a, r, f))[0]
     assert fab.barrier_collectives == 234 + 1
     _assert_icp_is_column_loop(a, fab, icp)
     for r in range(ranks):
-        ref = column_loop_factor(a, r, fab, fab.dof_range(r)[0])
-        assert same_bits(build_bicp(a, r, fab).data, ref.data)
+        lo, hi = fab.dof_range(r)
+        bicp = build_bicp(a, r, fab)
+        assert same_bits(bicp.data, column_loop_factor(a, r, fab, lo).data)
+        for factor in (icp, bicp):
+            steps = [len(_level_rows(s))
+                     for s in _schedule_segment(factor, lo, hi)]
+            assert steps == 2 * [CRITERION_4_LEVELS[ranks][r]], (factor, r)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -675,9 +692,12 @@ def test_level_solve_matches_scipy_full_factor(rng):
 
 
 def test_level_mixing_rows_with_and_without_entries(rng):
-    """Rows 3 and 5 need only rank 0's rows and row 4 none, so rank 1's
-    first forward level holds rows with and without entries; likewise
-    rank 0's first back level (rows 0, 1 and 2)."""
+    """Rows 3 and 5 need only rank 0's rows 0 and 1, and row 4 none.  The
+    factor's depths put row 4 one level before rows 3 and 5 in rank 1's
+    forward sweep and one after in its back sweep, so no forward level
+    holds rows with and without entries (an analysis of rows [3, 6)
+    alone put all three in one level per sweep); rank 0's one back level
+    still does: rows 0 and 1 have entries below, row 2 none."""
     a = 4.0 * np.eye(6, dtype=complex)
     for i, j in ((3, 0), (5, 1)):
         a[i, j] = a[j, i] = 1.0
@@ -686,7 +706,17 @@ def test_level_mixing_rows_with_and_without_entries(rng):
     out = run_spmd(_split([0, 3, 6]), lambda f, r: substitute(
         build_icp(ar, r, f), b, f, r))
     factor = build_icp(ar, 0, _one_rank(6))
-    assert _level_rows(_schedule_segment(factor, 3, 6)[0])[0] == [3, 5, 4]
+    (fw0, back0), (fw1, back1) = (_schedule_segment(factor, lo, hi)
+                                  for lo, hi in ((0, 3), (3, 6)))
+    assert _level_rows(fw1) == [[4], [3, 5]]
+    assert _level_rows(back1) == [[3, 5], [4]]
+    assert _level_rows(back0) == [[0, 1, 2]]
+
+    def mixed(sweep):
+        return [a < full < b for a, full, b, *_ in sweep[2]]
+
+    assert not any(mixed(fw0) + mixed(fw1))
+    assert mixed(back0) == [True]
     for x in out:
         np.testing.assert_allclose(x, _scipy_substitute(dense(factor), b),
                                    rtol=1e-12)
@@ -727,7 +757,7 @@ def test_zero_pivot_in_factor_named_at_schedule_build():
     indices = np.array([0, 0, 1, 1, 2, 2, 3])
     data = np.array([2, 1, 3, 1, 0, 1, 5], dtype=complex)   # L[2, 2] = 0
     factor = CholeskyFactor(n=n, row_start=0, indptr=indptr, indices=indices,
-                            data=data)
+                            data=data, depth=np.arange(n))   # a chain
     with pytest.raises(FactorBreakdownError, match="row 2"):
         substitute(factor, np.ones(n, dtype=complex),
                                 _one_rank(n), 0)
@@ -864,26 +894,41 @@ def test_each_solve_builds_its_ranks_schedules(monkeypatch, rng, precond):
     """A solve builds the schedules of its own rank's rows once, before
     its first apply, and a dp solve builds none; a second solve on the
     same preconditioners builds them again, as nothing is kept on the
-    factor the ranks share."""
+    factor the ranks share.  At P = 1 and 2 a factor build runs the level
+    analysis once per rank, and a solve never runs it."""
     ar, _, b = _cg_system(rng)
     build = {"dp": lambda f, r: build_dp(ar),
              "icp": lambda f, r: build_icp(ar, r, f),
              "bicp": lambda f, r: build_bicp(ar, r, f)}[precond]
-    preconds = [p if precond == "dp" else Preconditioner(precond, factor=p)
-                for p in run_spmd(_split([0, 9, 18]), build)]
     built, schedule = [], solver._schedule_segment
+    analyses, levels = [], solver._levels
 
     def counted(factor, lo, hi):
         built.append((lo, hi))
         return schedule(factor, lo, hi)
 
+    def counted_levels(*args):
+        analyses.append(args[:2])
+        return levels(*args)
+
     monkeypatch.setattr(solver, "_schedule_segment", counted)
-    for solves in (1, 2):
-        out = run_spmd(_split([0, 9, 18]), lambda f, r: cg_solve(
-            ar, b, preconds[r], r, f, tol=1e-10))
-        assert all(report.converged for _, report in out)
-        assert sorted(built) == ([] if precond == "dp"
-                                 else solves * [(0, 9)] + solves * [(9, 18)])
+    monkeypatch.setattr(solver, "_levels", counted_levels)
+    for starts in ([0, 18], [0, 9, 18]):
+        segments = list(zip(starts[:-1], starts[1:]))
+        per_build = {"dp": [], "icp": len(segments) * [(0, 18)],
+                     "bicp": segments}[precond]
+        built.clear()
+        analyses.clear()
+        preconds = [p if precond == "dp" else Preconditioner(precond, factor=p)
+                    for p in run_spmd(_split(starts), build)]
+        assert sorted(analyses) == per_build
+        for solves in (1, 2):
+            out = run_spmd(_split(starts), lambda f, r: cg_solve(
+                ar, b, preconds[r], r, f, tol=1e-10))
+            assert all(report.converged for _, report in out)
+            assert sorted(built) == ([] if precond == "dp"
+                                     else sorted(solves * segments))
+        assert sorted(analyses) == per_build
 
 
 def test_cg_iteration_message_counts(rng):
