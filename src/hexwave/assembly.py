@@ -22,7 +22,7 @@ import numpy as np
 
 from .fabric import CommFabric
 from .mesh import HexMesh, FacetKind, HEX_CORNERS, HEX_FACES
-from .sparse import _CHUNK, _CsrBase, _ranges
+from .sparse import _CHUNK, _CsrBase, _ranges, _unique
 
 _I3 = np.eye(3)
 _REF_CORNERS = 2.0 * HEX_CORNERS - 1.0          # (8, 3) in {-1, +1}
@@ -196,7 +196,9 @@ def abc_facet_matrices(coords: np.ndarray, normal: np.ndarray,
     second_order = (j / 2 k0) * (surface stiffness on the tangential
     components), i.e. the tangential Laplacian integrated by parts with
     edge contour terms dropped.  Rows/columns of the normal component
-    are zero.
+    are zero.  The terms share a sign: for a field varying as cos(k_t x)
+    along the facet they impose dH/dn = -j k_eff H, k_eff = k0 + k_t^2 /
+    (2 k0), not Engquist and Majda's k0 - k_t^2 / (2 k0) (ROADMAP item 10).
     """
     taxes, p2 = _facet_planes(np.asarray(coords, dtype=float)[None],
                               np.asarray(normal, dtype=float)[None])
@@ -219,10 +221,10 @@ def incident_field(wave: PlaneWave, point) -> tuple[np.ndarray, np.ndarray]:
 # Degree-of-freedom assembly
 # ---------------------------------------------------------------------------
 
-# Owned nodes per block of assemble_rows' array pass: bounds its
-# temporaries at a few MB whatever the rank size, as _CHUNK entries per
-# batch do symmetrize's.
-_BLOCK_NODES = 128
+# Owned nodes per block of assemble_rows' passes: bounds their temporaries
+# at a few MB whatever the rank size, in few enough NumPy calls that rank
+# threads seldom wait on each other for the interpreter lock.
+_BLOCK_NODES = 256
 
 
 def _check_range(mesh: HexMesh, node_range: tuple[int, int]):
@@ -258,14 +260,6 @@ def _canonical(coords: np.ndarray, h: float) -> np.ndarray:
     return np.round(c / h) * h
 
 
-def _first_blocks(keys: np.ndarray, build):
-    """Blocks ``build(i)`` for the first entry i of each distinct key (a
-    row of ``keys``), stacked, and every entry's index into them."""
-    _, first, which = np.unique(keys, axis=0, return_index=True,
-                                return_inverse=True)
-    return np.array([build(i) for i in first]), which.reshape(-1)
-
-
 def assemble_rows(mesh: HexMesh, params: MaterialParams,
                   node_range: tuple[int, int]) -> _CsrBase:
     """Matrix rows of the owned nodes, assembled by degree of freedom.
@@ -276,14 +270,12 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
     (ascending), then of its exterior facets (ascending), and sum
     duplicate columns in that order, so a row is bitwise the same
     whichever rank assembles it.
-    Owned nodes are processed in blocks of ``_BLOCK_NODES`` as whole
-    arrays; no inter-rank messages are needed (the mesh is replicated).
+    The pattern comes first, from one sort of (node, neighbour) keys, then
+    blocks of ``_BLOCK_NODES`` owned nodes are filled in place; no
+    inter-rank messages are needed (the mesh is replicated).
     """
     lo, hi = _check_range(mesh, node_range)
     e_node, e_elem, e_corner = _incidence(mesh.elements, lo, hi)
-    missing = np.setdiff1d(np.arange(lo, hi), e_node)
-    if missing.size:
-        raise AssemblyError(f"node {missing[0]} belongs to no element")
     h = mesh.spacing
 
     # Box meshes produce congruent elements, so a volume block depends
@@ -298,9 +290,9 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         em = element_matrices(coords, eps[i], mu[i], params.k0)
         return em.curl_curl - em.mass + em.penalty
 
-    e_blocks, e_which = _first_blocks(
-        np.column_stack([eps.real, eps.imag, mu.real, mu.imag]), element_block)
-    e_blocks = e_blocks.reshape(-1, 8, 3, 24)
+    _, first, e_which, _ = _unique(
+        np.column_stack([eps.real, eps.imag, mu.real, mu.imag]), index=True)
+    e_blocks = np.array([element_block(i) for i in first]).reshape(-1, 8, 3, 24)
 
     _, fnodes, faces, normals = _exterior_facets(mesh)
     f_node, f_row, f_corner = _incidence(fnodes, lo, hi)
@@ -313,50 +305,50 @@ def assemble_rows(mesh: HexMesh, params: MaterialParams,
         # matching the incident load on the right-hand side.
         return am.first_order + am.second_order
 
-    f_blocks, f_which = _first_blocks(faces[f_row], facet_block)
-    f_blocks = f_blocks.reshape(-1, 4, 3, 12)
-    n3 = 3 * mesh.node_count
+    _, first, f_which, _ = _unique(faces[f_row], index=True)
+    f_blocks = np.array([facet_block(i) for i in first]).reshape(-1, 4, 3, 12)
+    n = mesh.node_count
     # A node's three rows share one pattern, all components of the nodes
-    # of its elements (a facet's are its element's): size the rows first.
-    pairs = np.sort((e_node - lo)[:, None] * mesh.node_count
-                    + mesh.elements[e_elem], axis=None)
-    width = 3 * np.bincount(pairs[np.diff(pairs, prepend=-1) != 0]
-                            // mesh.node_count, minlength=hi - lo)
-    del pairs
+    # of its elements (a facet's are its element's): the distinct (node,
+    # neighbour) keys, ascending, size the rows and place every entry.
+    pattern = _unique(((e_node - lo)[:, None] * n
+                       + mesh.elements[e_elem]).ravel())
+    at = np.searchsorted(pattern, n * np.arange(hi - lo + 1))
+    width = 3 * np.diff(at)
+    if not width.all():
+        raise AssemblyError(f"node {lo + np.argmin(width)} belongs to no element")
     indptr = np.append(0, np.repeat(width, 3).cumsum())
     indices = np.empty(indptr[-1], dtype=np.int64)
     data = np.empty(indptr[-1], dtype=np.complex128)
-    edges = np.append(np.arange(lo, hi, _BLOCK_NODES), hi)
-    e_cut = np.searchsorted(e_node, edges)
-    f_cut = np.searchsorted(f_node, edges)
-    for b0, b1, es, ee, fs, fe in zip(edges[:-1], edges[1:], e_cut[:-1],
-                                      e_cut[1:], f_cut[:-1], f_cut[1:]):
-        node = np.concatenate([np.repeat(e_node[es:ee], 24),
-                               np.repeat(f_node[fs:fe], 12)])
-        cols = 3 * np.concatenate([mesh.elements[e_elem[es:ee]].ravel(),
-                                   fnodes[f_row[fs:fe]].ravel()])
-        cols = (cols[:, None] + np.arange(3)).ravel()
-        vals = np.concatenate(
-            [e_blocks[e_which[es:ee], e_corner[es:ee]].transpose(1, 0, 2)
-             .reshape(3, -1),
-             f_blocks[f_which[fs:fe], f_corner[fs:fe]].transpose(1, 0, 2)
-             .reshape(3, -1)], axis=1)
-        # Per node: element entries, then facet entries, each ascending.
-        order = np.argsort(node, kind="stable")
-        ukey, pos = np.unique((node[order] - b0) * n3 + cols[order],
-                              return_inverse=True)
-        acc = np.zeros((3, len(ukey)), dtype=np.complex128)
-        for c in range(3):
-            np.add.at(acc[c], pos, vals[c, order])
-        # The three rows of a node gather its segment of ukey and acc once.
-        cut = np.searchsorted(ukey, n3 * np.arange(b1 - b0 + 1))
-        at = _ranges(np.repeat(cut[:-1], 3), np.repeat(cut[1:], 3))
-        length = np.repeat(np.diff(cut), 3)
-        comp = np.repeat(np.tile(np.arange(3), b1 - b0), length)
-        span = slice(indptr[3 * (b0 - lo)], indptr[3 * (b1 - lo)])
-        indices[span] = ukey[at] % n3
-        data[span] = acc[comp, at]
-    return _CsrBase(n3, indptr, indices, data, row_start=3 * lo)
+    data.fill(0)        # reuses freed heap; np.zeros would map new pages
+    kinds = ((e_node, mesh.elements[e_elem], e_blocks, e_which, e_corner),
+             (f_node, fnodes[f_row], f_blocks, f_which, f_corner))
+    edges = np.append(np.arange(0, hi - lo, _BLOCK_NODES), hi - lo)
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        span = slice(indptr[3 * b0], indptr[3 * b1])
+        rows = _ranges(np.repeat(at[b0:b1], 3), np.repeat(at[b0 + 1:b1 + 1], 3))
+        cols = indices[span].reshape(-1, 3)
+        cols[:, 0] = 3 * (pattern[rows] % n)
+        cols[:, 1] = cols[:, 0] + 1
+        cols[:, 2] = cols[:, 0] + 2
+        # Slot s of a node is its s-th element, ascending, then its
+        # facets; pass s adds the blocks of every node with a slot s at
+        # distinct entries, so each entry sums in that order from zero.
+        for node, conn, table, which, corner in kinds:
+            s0, s1 = np.searchsorted(node, [lo + b0, lo + b1])
+            v = node[s0:s1] - lo
+            # Entry of each corner's first column in its node's first row.
+            p = np.searchsorted(pattern, v[:, None] * n + conn[s0:s1])
+            col = (indptr[3 * v, None] + 3 * (p - at[v, None]))[:, :, None]
+            start = np.searchsorted(v, np.arange(b0, b1 + 1))
+            first, count = start[:-1], np.diff(start)
+            for s in range(count.max(initial=0)):
+                k = first[count > s] + s
+                pos = (col[k][:, None] + np.arange(3)) + (
+                    width[v[k], None] * np.arange(3))[:, :, None, None]
+                block = table[which[s0 + k], corner[s0 + k]]
+                data[pos] += block.reshape(pos.shape)
+    return _CsrBase(3 * n, indptr, indices, data, row_start=3 * lo)
 
 
 def assemble_rhs(mesh: HexMesh, wave: PlaneWave,
@@ -374,7 +366,7 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave,
     lo, hi = _check_range(mesh, node_range)
     ids, fnodes, _, normals = _exterior_facets(mesh)
     f_node, f_row, f_corner = _incidence(fnodes, lo, hi)
-    touched, which = np.unique(f_row, return_inverse=True)
+    touched, _, which, _ = _unique(f_row, index=True)
     coords, normals = mesh.nodes[fnodes[touched]], normals[touched]
     taxes, p2 = _facet_planes(coords, normals, ids[touched])
     pts, wts = _GAUSS
@@ -415,7 +407,7 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
     # One (node, axis) key per facet corner, in facet order.
     key = (3 * mesh.facet_nodes[plane] + axis[:, None]).ravel()
     anti = np.repeat(kinds[plane] == FacetKind.ANTISYMMETRY, 4)
-    ukey, first, which = np.unique(key, return_index=True, return_inverse=True)
+    ukey, first, which, _ = _unique(key, index=True)
     clash = anti != anti[first][which]
     if clash.any():
         k = key[np.argmax(clash)]
@@ -423,8 +415,8 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
             f"node {k // 3} tagged with conflicting plane kinds on axis {k % 3}")
     anti = anti[first]
     node, ax = np.divmod(ukey[anti], 3)
-    return np.unique(np.concatenate([ukey[~anti], 3 * node + (ax + 1) % 3,
-                                     3 * node + (ax + 2) % 3]))
+    return _unique(np.concatenate([ukey[~anti], 3 * node + (ax + 1) % 3,
+                                   3 * node + (ax + 2) % 3]))
 
 
 def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,

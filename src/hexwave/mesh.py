@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .sparse import _unique
+
 # Local corner offsets of a hexahedron (VTK ordering): bottom quad then top quad.
 HEX_CORNERS = np.array([
     (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -111,8 +113,7 @@ def _mesh_with_boundary(nodes: np.ndarray, elements: np.ndarray,
     """Mesh whose facets are the element faces appearing exactly once,
     all tagged exterior."""
     quads = elements[:, HEX_FACES].reshape(-1, 4)      # face 6e + k
-    _, first, count = np.unique(np.sort(quads, axis=1), axis=0,
-                                return_index=True, return_counts=True)
+    _, first, _, count = _unique(np.sort(quads, axis=1), index=True)
     once = first[count == 1]
     once = once[np.lexsort(quads[once].T[::-1])]
     kinds = np.full(len(once), FacetKind.EXTERIOR, dtype=object)

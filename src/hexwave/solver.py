@@ -34,8 +34,8 @@ import numpy as np
 
 from .fabric import CommFabric
 from .sparse import (COMPLEX_BYTES, LowerSymmetricRows, RedundantRows,
-                     SparseVector, _CsrBase, _ranges, _stacked, full_matvec,
-                     spmv_partial)
+                     SparseVector, _CsrBase, _ranges, _stacked, _unique,
+                     full_matvec, spmv_partial)
 
 _SERIAL = threading.Lock()      # never held across a fabric call
 
@@ -233,7 +233,7 @@ def _row_destinations(a: LowerSymmetricRows | RedundantRows, owner,
     below its diagonal, ascending: ``dest[ptr[j - lo]:ptr[j - lo + 1]]``."""
     later = a.rows(hi, a.n)
     below, rows, _ = later.below_by_column(lo, hi)
-    key = np.unique(later.indices[below] * ranks + owner[rows])
+    key = _unique(later.indices[below] * ranks + owner[rows])
     return np.searchsorted(key, np.arange(lo, hi + 1) * ranks), key % ranks
 
 
@@ -295,7 +295,7 @@ def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
         level[front] = depth
         freed = succ[_ranges(succ_ptr[front], succ_ptr[front + 1])]
         np.subtract.at(waiting, freed, 1)
-        front, depth = np.unique(freed[waiting[freed] == 0]), depth + 1
+        front, depth = _unique(freed[waiting[freed] == 0]), depth + 1
     return level
 
 
@@ -322,7 +322,7 @@ def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals, level):
     inside = (cols >= lo) & (cols < hi)
     cols[inside] = slot[cols[inside] - lo]
     offset = np.concatenate(([0], np.cumsum(count)))
-    cuts = np.unique(level[order], return_index=True)[1].tolist() + [hi - lo]
+    cuts = _unique(level[order], index=True)[1].tolist() + [hi - lo]
     levels = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         e0, e1 = offset[a], offset[b]

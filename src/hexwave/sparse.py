@@ -164,6 +164,24 @@ def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
     return np.arange(count.sum()) + (end - count.cumsum()).repeat(count)
 
 
+def _unique(keys: np.ndarray, index: bool = False):
+    """Distinct values of 1-D ``keys``, or rows of 2-D ones, ascending, by
+    one sort and an adjacent-difference mask, not np.unique's slower
+    hashing.  ``index`` adds np.unique's index, inverse and counts (axis
+    0) by a stable sort, so a value's first index is its lowest."""
+    order = (np.lexsort(np.atleast_2d(keys.T)[::-1])
+             if index or keys.ndim > 1 else None)
+    s = np.sort(keys) if order is None else keys[order]
+    new = np.ones(len(s), dtype=bool)
+    new[1:] = np.any(s[1:] != s[:-1], axis=tuple(range(1, s.ndim)))
+    if not index:
+        return s[new]
+    start = np.flatnonzero(new)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return s[start], order[start], inverse, np.diff(start, append=len(s))
+
+
 def _stacked(blocks, n: int):
     """CSR ``(indptr, indices, data)`` of row blocks stacked in order, as
     read-only arrays: they back the objects all ranks share.  Several

@@ -239,6 +239,31 @@ def test_assembly_partition_invariant_bitwise():
                                     3 * mesh.node_count))
 
 
+def _node_of_kind(mesh, on_box_faces: int, pec: bool = False) -> int:
+    """The first node on ``on_box_faces`` faces of the bounding box (3 a
+    corner, 2 an edge, 1 a face, 0 inside), on a PEC facet or not."""
+    lo, hi = mesh.bounding_box
+    faces = ((mesh.nodes == lo) | (mesh.nodes == hi)).sum(axis=1)
+    on_pec = np.zeros(mesh.node_count, dtype=bool)
+    on_pec[mesh.facet_nodes[mesh.facet_kinds == FacetKind.PEC]] = True
+    return int(np.flatnonzero((faces == on_box_faces) & (on_pec == pec))[0])
+
+
+def test_single_node_ranges_are_the_node_loop_rows():
+    """A rank of one node, a corner, edge, face, interior or
+    scatterer-adjacent one, gets bitwise the per-node loop's rows."""
+    mesh = _scatter_mesh()
+    params = MaterialParams(k0=2 * np.pi)
+    ref = node_loop_rows(mesh, params)
+    nodes = [_node_of_kind(mesh, k) for k in (3, 2, 1, 0)]
+    nodes.append(_node_of_kind(mesh, 0, pec=True))
+    assert len(set(nodes)) == 5
+    for v in nodes:
+        assert_same_csr(assemble_rows(mesh, params, (v, v + 1)),
+                        row_block(ref[3 * v:3 * v + 3], 3 * mesh.node_count,
+                                  row_start=3 * v))
+
+
 def test_two_material_regions_match_element_loop_and_partition():
     """Per-element eps_r/mu_r arrays: two regions, two cached blocks.
     Rows are bitwise the per-node loop's and independent of the split."""
@@ -771,15 +796,23 @@ def test_assemble_rows_writes_rows_in_place():
 
 
 def test_rows_and_symmetrize_across_node_blocks():
-    """216 nodes span two blocks of the array passes: rows stay bitwise
-    the per-node loop's and A + A^T is exact."""
+    """343 nodes span two blocks of the array passes: rows stay bitwise
+    the per-node loop's and A + A^T is exact.  So do the rows of ranges
+    that start and end mid-mesh, one shorter than a block and one a
+    block and a part long."""
     from hexwave import assembly
-    mesh = build_box_mesh((1.,) * 3, 6)
+    mesh = build_box_mesh((1.,) * 3, 7)
     n = 3 * mesh.node_count
-    assert mesh.node_count > assembly._BLOCK_NODES
+    size = assembly._BLOCK_NODES
+    assert mesh.node_count > size
     params = MaterialParams(k0=2 * np.pi)
+    ref = node_loop_rows(mesh, params)
     block = assemble_rows(mesh, params, (0, mesh.node_count))
-    assert_same_csr(block, row_block(node_loop_rows(mesh, params), n))
+    assert_same_csr(block, row_block(ref, n))
+    for lo, hi in ((3, size // 2), (size // 8, size + size // 4)):
+        assert hi < mesh.node_count
+        assert_same_csr(assemble_rows(mesh, params, (lo, hi)),
+                        row_block(ref[3 * lo:3 * hi], n, row_start=3 * lo))
     before = dense(block)
     sym, _ = symmetrize(block, np.zeros(n, dtype=np.complex128), 0,
                         CommFabric(partition_rows(mesh.node_count, 1)))

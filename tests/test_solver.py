@@ -499,6 +499,52 @@ def criterion_4_system():
 CRITERION_4_LEVELS = {1: [234], 2: [156, 162], 4: [120, 120, 126, 120]}
 
 
+def _level_recurrence(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
+    """Levels of rows [lo, hi) of a lower pattern, row by row ascending:
+    0 for a row with no dependency inside the segment, otherwise 1 + the
+    largest level among them."""
+    level = np.zeros(hi - lo, dtype=np.int64)
+    for r in range(hi - lo):
+        dep = [c - lo for c in nbr[begin[r]:end[r]].tolist() if lo <= c < hi]
+        assert all(d < r for d in dep)
+        level[r] = 1 + level[dep].max() if dep else 0
+    return level
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("segment", [(0, 60), (17, 45), (31, 60), (59, 60)])
+def test_levels_match_row_recurrence_on_random_lower_patterns(seed, segment):
+    """Random strictly lower patterns, some rows empty, others reaching
+    only rows left of a segment that starts mid-matrix."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    rows = [np.flatnonzero(rng.random(i) < rng.choice([0.0, 0.05, 0.3]))
+            for i in range(n)]
+    indptr = np.concatenate([[0], np.cumsum([len(c) for c in rows])])
+    nbr = np.concatenate(rows).astype(np.int64)
+    lo, hi = segment
+    begin, end = indptr[lo:hi], indptr[lo + 1:hi + 1]
+    ref = _level_recurrence(lo, hi, begin, end, nbr)
+    assert (ref == 0).any()
+    assert np.array_equal(_levels(lo, hi, begin, end, nbr), ref)
+
+
+def test_levels_match_row_recurrence_on_criterion_4_pattern(
+        criterion_4_system):
+    """The icp build's analysis of the 5103-unknown system (strict lower
+    entries of each row), whole and on segments that start mid-matrix."""
+    a, _ = criterion_4_system
+    rows = a.entry_rows()
+    begin = a.indptr[:-1]
+    end = begin + np.bincount(rows[a.indices < rows], minlength=a.n)
+    for lo, hi in ((0, a.n), (a.n // 3, 2 * a.n // 3), (2 * a.n // 3, a.n)):
+        ref = _level_recurrence(lo, hi, begin[lo:hi], end[lo:hi], a.indices)
+        got = _levels(lo, hi, begin[lo:hi], end[lo:hi], a.indices)
+        assert np.array_equal(got, ref), (lo, hi)
+        if lo == 0:
+            assert ref.max() + 1 == CRITERION_4_LEVELS[1][0]
+
+
 @pytest.mark.parametrize("ranks", [1, 2, 4])
 def test_level_builds_are_column_loop_on_criterion_4_system(
         criterion_4_system, ranks):

@@ -11,9 +11,9 @@ from hexwave.fabric import CommFabric, run_spmd
 from hexwave.runner import Scenario, assemble_system, build_scenario_mesh
 from hexwave.sparse import (COMPLEX_BYTES, INDEX_BYTES, LowerSymmetricRows,
                             RedundantRows, SparseFormatError,
-                            SparseVector, full_matvec, partition_rows,
-                            spmv_partial, to_redundant, write_matrix_market,
-                            write_rhs)
+                            SparseVector, _unique, full_matvec,
+                            partition_rows, spmv_partial, to_redundant,
+                            write_matrix_market, write_rhs)
 from conftest import (assert_same_csr, below_by_column_loop, dense,
                       masked_lower_matvec, random_symmetric_sparse, row_block,
                       same_bits, select_loop, split_rows)
@@ -442,6 +442,64 @@ def test_sparse_vector_filters_zeros():
     sv = SparseVector.from_segment(2, np.array([0, 1.0, 0, 2.0]), 10)
     np.testing.assert_array_equal(sv.indices, [3, 5])
     assert sv.payload_bytes() == 2 * (INDEX_BYTES + COMPLEX_BYTES)
+
+
+# -- distinct keys by one sort ------------------------------------------------
+
+def _assert_unique_is_numpys(keys):
+    """Values, first indices, inverse and counts equal np.unique's; the
+    plain values too, up to the sign of a zero (either zero may come
+    first from an unstable sort)."""
+    ref = np.unique(keys, axis=0, return_index=True, return_inverse=True,
+                    return_counts=True)
+    got = _unique(keys, index=True)
+    assert len(got) == len(ref)
+    for name, g, r in zip(("values", "first", "inverse", "counts"), got, ref):
+        assert same_bits(g, r.reshape(g.shape)), name
+    plain = _unique(keys)
+    assert plain.dtype == ref[0].dtype and np.array_equal(plain, ref[0])
+
+
+@pytest.mark.parametrize("keys", [
+    np.array([], dtype=np.int64),
+    np.zeros((0, 4), dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.array([[3.5, -1.0]]),
+    np.full(9, 4, dtype=np.int64),
+    np.full((6, 3), 2.0),
+    np.array([[1, 2], [0, 5], [1, 2], [0, 4], [1, 2], [0, 5]]),
+], ids=["empty", "empty-rows", "one", "one-row", "all-equal",
+        "all-equal-rows", "rows-with-ties"])
+def test_unique_edge_cases_match_numpy(keys):
+    _assert_unique_is_numpys(keys)
+
+
+def test_unique_first_index_is_the_lowest():
+    """Members of a group come in index order, so every value's first
+    index is its lowest: the rows that build a cached block."""
+    keys = np.array([[2, 0], [1, 1], [2, 0], [1, 1], [0, 9], [2, 0]])
+    values, first, inverse, counts = _unique(keys, index=True)
+    assert values.tolist() == [[0, 9], [1, 1], [2, 0]]
+    assert first.tolist() == [4, 1, 0]
+    assert inverse.tolist() == [2, 1, 2, 1, 0, 2]
+    assert counts.tolist() == [1, 2, 3]
+    for k in range(len(values)):
+        assert first[k] == np.flatnonzero(inverse == k).min()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unique_matches_numpy_on_random_keys(seed):
+    """int64 and float keys, 1-D and rows, with many ties; the float
+    keys hold both zeros, which compare equal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 300))
+    _assert_unique_is_numpys(rng.integers(-2**40, 2**40, n))
+    _assert_unique_is_numpys(rng.integers(-3, 4, n))
+    _assert_unique_is_numpys(rng.integers(0, 3, (n, 4)))
+    floats = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e300], n)
+    _assert_unique_is_numpys(floats)
+    _assert_unique_is_numpys(np.column_stack(
+        [floats, rng.choice([0.5, -0.5], n), rng.standard_normal(n)]))
 
 
 # -- Matrix Market export, read back by scipy --------------------------------
