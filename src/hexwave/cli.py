@@ -45,7 +45,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float,
                    help="relative residual tolerance (default 1e-6)")
     p.add_argument("--max-iter", type=int, help="iteration cap (default 10n)")
-    p.add_argument("--seed", type=int, help="recorded reproducibility seed")
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -53,8 +52,7 @@ def _scenario_from_args(args) -> Scenario:
                 else Scenario())
     overrides = {"ranks": args.ranks, "preconditioner": args.precond,
                  "concat": args.concat, "storage": args.storage,
-                 "tol": args.tol, "max_iter": args.max_iter,
-                 "seed": args.seed}
+                 "tol": args.tol, "max_iter": args.max_iter}
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         scenario = replace(scenario, **overrides)

@@ -53,7 +53,7 @@ class Scenario:
     tol: float = 1e-6
     max_iter: int | None = None
     node_budget: int = 2_000_000
-    seed: int = 0
+    seed: int = 0      # unread; perfbench still passes it (ROADMAP item 4)
 
     def __post_init__(self):
         for key in ("extent", "frequency", "direction", "polarization",
@@ -133,7 +133,7 @@ _CONFIG_KEYS = {
     "wave": {"direction": _floats, "polarization": _floats},
     "material": {"eps_r": complex, "mu_r": complex},
     "solver": {"ranks": int, "preconditioner": str, "concat": str,
-               "storage": str, "tol": float, "max_iter": int, "seed": int},
+               "storage": str, "tol": float, "max_iter": int},
 }
 
 
@@ -149,7 +149,6 @@ class RunResult:
     precond_total_bytes: int
     probes: list = field(default_factory=list)
     wall_time: float = 0.0
-    seed: int = 0
 
     def as_dict(self) -> dict:
         d = self.report.as_dict()
@@ -261,8 +260,7 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         node_count=mesh.node_count, element_count=mesh.element_count,
         complex_unknowns=3 * mesh.node_count, dof_count=6 * mesh.node_count,
         matrix_bytes=matrix.value_bytes(), precond_total_bytes=precond_total,
-        probes=probes, wall_time=time.monotonic() - start,
-        seed=scenario.seed)
+        probes=probes, wall_time=time.monotonic() - start)
 
 
 def compare_preconditioners(scenario: Scenario, precond_list,

@@ -105,6 +105,13 @@ def test_run_report_on_stdout_by_default(config_path, capsys):
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["converged"] is True and blob["ranks"] == 1
+    assert "seed" not in blob
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_removed_seed_flag_exit_four(config_path, command, capsys):
+    assert main([command, "--config", config_path, "--seed", "3"]) == 4
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_run_flag_overrides_config(config_path, tmp_path):
@@ -149,8 +156,10 @@ def test_bad_config_value_exit_four(tmp_path, capsys):
 @pytest.mark.parametrize("text, named", [
     ("[solver]\nprecondtioner = icp\n", "[solver] precondtioner"),
     ("[solver]\npenalty_weight = 2.0\n", "[solver] penalty_weight"),
+    ("[solver]\nseed = 3\n", "[solver] seed"),
     ("[domian]\nextent = 1 1 1\n", "[domian]"),
-], ids=["misspelled-key", "removed-key", "misspelled-section"])
+], ids=["misspelled-key", "removed-key", "removed-seed-key",
+        "misspelled-section"])
 def test_unknown_config_key_or_section_exit_four(tmp_path, capsys, text,
                                                  named):
     p = tmp_path / "typo.ini"
@@ -381,6 +390,7 @@ def test_version_matches_pyproject():
     text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
     declared = re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1)
     assert hexwave.__version__ == declared
+    assert not hasattr(hexwave, "run_scenario")    # no top-level re-exports
 
 
 def test_export_matrix_round_trips_through_scipy(config_path, tmp_path):

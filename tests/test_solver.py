@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -483,6 +484,35 @@ def _criterion_4_scenario(**kw) -> Scenario:
         scatterer=ScattererSpec(corner_min=(0.4, 0.4, 0.4),
                                 corner_max=(0.8, 0.8, 0.8)),
         direction=(0.0, 0.0, 1.0), polarization=(1.0, 0.0, 0.0), **kw)
+
+
+# The benchmark's three workloads with their seed-0 wave (+z, x-polarized),
+# storage 2 and spmd unless stated: iterations, messages, bytes, barriers,
+# rank 0's precond_bytes and the solution's sha256[:12].  They cross the
+# 65,536-entry setup chunk and the 256-node factor block that the grid
+# scenarios never reach.
+BENCHMARK_WORKLOADS = {
+    "scatter-icp": (dict(preconditioner="icp", ranks=1),
+                    (98, 0, 0, 237, 2774880, "1e46a866dabe")),
+    "scatter-bicp-p2": (dict(preconditioner="bicp", ranks=2),
+                        (136, 548, 33915456, 2, 1320384, "8bbce25139f2")),
+    "empty-dp-p2": (dict(extent=(1.0, 1.0, 1.0), nodes_per_wavelength=20,
+                         scatterer=None, preconditioner="dp", ranks=2,
+                         concat="ms", storage="1"),
+                    (143, 290, 101713800, 2, 384000, "1ce6d9769b6f")),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_WORKLOADS))
+def test_benchmark_workload_fingerprint_pinned(workload):
+    spec, pinned = BENCHMARK_WORKLOADS[workload]
+    res = run_scenario(replace(_criterion_4_scenario(), **spec))
+    totals = res.report.counters["totals"]
+    assert res.report.converged
+    assert (res.report.iterations, totals["messages"], totals["bytes"],
+            totals["barriers"], res.report.precond_bytes,
+            hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
+            ) == pinned
 
 
 @pytest.fixture(scope="module")
