@@ -7,12 +7,13 @@ first- and second-order absorbing-boundary blocks, and the right-hand
 side comes from the incident plane wave on those facets.  Assembly is by
 degree of freedom: each rank produces the three matrix rows of every
 node it owns from the cached blocks of the adjacent elements and facets,
-with no inter-rank traffic.  Symmetry-plane constraints and the A + A^T
-symmetrization are collective operations over the fabric.  A rank's rows
-travel from stage to stage as one CSR row block (``sparse._CsrBase``
-with ``row_start`` at its first owned row); each stage returns a new
-block built by whole-array operations in a node-by-node summation order,
-so rows are bitwise independent of the partition.
+with no inter-rank traffic; applying the symmetry-plane constraints
+sends none either.  The A + A^T symmetrization is the one collective
+operation over the fabric.  A rank's rows travel from stage to stage as
+one CSR row block (``sparse._CsrBase`` with ``row_start`` at its first
+owned row); each stage returns a new block built by whole-array
+operations in a node-by-node summation order, so rows are bitwise
+independent of the partition.
 """
 from __future__ import annotations
 
@@ -390,7 +391,7 @@ def assemble_rhs(mesh: HexMesh, wave: PlaneWave,
 
 
 # ---------------------------------------------------------------------------
-# Collective system modifications
+# Constraints and symmetrization
 # ---------------------------------------------------------------------------
 
 def constrained_dofs(mesh: HexMesh) -> np.ndarray:
@@ -420,28 +421,22 @@ def constrained_dofs(mesh: HexMesh) -> np.ndarray:
 
 
 def apply_symmetry_bc(block: _CsrBase, rhs_seg: np.ndarray,
-                      constrained: np.ndarray, rank: int,
-                      fabric: CommFabric):
+                      constrained: np.ndarray):
     """``(block, rhs)`` with constrained rows made identity/zero and
     their columns eliminated everywhere, leaving the inputs unchanged.
 
     An entry is kept when neither its row nor its column is constrained;
     a constrained row keeps only its diagonal (every assembled row stores
-    one), set to 1.  ``constrained`` is the mesh's ``constrained_dofs``.
-    Column entries of a constrained dof live on other ranks, so every
-    rank broadcasts the constrained dofs it owns; the traffic is counted
-    under the "bc" phase.  Idempotent.
+    one), set to 1.  ``constrained`` is the mesh's ``constrained_dofs``,
+    which every rank holds in full, so this is a local step that sends
+    no message.  Idempotent.
     """
-    lo, hi = fabric.dof_range(rank)
-    mine = constrained[(constrained >= lo) & (constrained < hi)]
-    fabric.set_phase(rank, "bc")
-    fabric.broadcast(rank, mine)
-    merged = np.concatenate([mine if src == rank else fabric.recv(rank, src)
-                             for src in range(fabric.ranks)])
-    if not len(merged):
+    if not len(constrained):
         return block, rhs_seg
+    lo, hi = block.row_start, block.row_end
+    mine = constrained[(constrained >= lo) & (constrained < hi)]
     fixed = np.zeros(block.n, dtype=bool)
-    fixed[merged] = True
+    fixed[constrained] = True
     kept = block.select(block.where(
         lambda rows, cols: ~(fixed[rows] | fixed[cols]) | (rows == cols)))
     kept.data[kept.indptr[mine - lo + 1] - 1] = 1.0

@@ -175,9 +175,8 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     stored entry once.  The join is built once and every rank gets the
     same read-only object, standing in for each rank's replicated copy of
     the final system.  It is simulation plumbing, not counted algorithm
-    traffic (assembly itself is message-free, and the constraint and
-    symmetrization messages are counted in their own phases); it costs
-    one barrier.
+    traffic, and costs one barrier.  Assembly and the constraints send no
+    message; only symmetrization does, in its own phase.
     """
     params = MaterialParams(eps_r=scenario.eps_r, mu_r=scenario.mu_r,
                             k0=scenario.k0)
@@ -188,8 +187,7 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     fabric.set_phase(rank, "assemble")
     block = assemble_rows(mesh, params, node_range)
     rhs_seg = assemble_rhs(mesh, wave, node_range)
-    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained, rank,
-                                       fabric)
+    block, rhs_seg = apply_symmetry_bc(block, rhs_seg, constrained)
     block, rhs_seg = symmetrize(block, rhs_seg, rank, fabric)
     if scenario.storage == "1":
         block = block.lower()
@@ -243,13 +241,15 @@ def run_scenario(scenario: Scenario, probe_stride: int = 0,
         precond = build_preconditioner(scenario, matrix, rank, fab)
         x, report = cg_solve(matrix, b, precond, rank, fab, tol=scenario.tol,
                              max_iter=scenario.max_iter)
-        pbytes = fab.allgather_object(rank, precond.memory_bytes())
-        # A full factor is replicated on every rank: count it once.
-        return matrix, b, x, report, (
-            sum(pbytes) if precond.kind == "bicp" else pbytes[0])
+        return matrix, b, x, report
 
     results = run_spmd(fabric, per_rank)
-    matrix, b, x, report, precond_total = results[0]
+    matrix, b, x, report = results[0]
+    # Each report carries its rank's precond.memory_bytes().  A full
+    # factor is replicated on every rank: count it once.
+    precond_total = (sum(rep.precond_bytes for *_, rep in results)
+                     if scenario.preconditioner == "bicp"
+                     else report.precond_bytes)
     report.counters = fabric.counters_report()
     if export_matrix:
         write_matrix_market(export_matrix, matrix)

@@ -441,12 +441,11 @@ def _assembled(mesh, ranks=1):
 def test_apply_symmetry_bc_identity_rows_and_columns():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry")])
-    ((block_in, _),), fab = _assembled(mesh)
+    ((block_in, _),), _ = _assembled(mesh)
     # A load on every dof, so zeroing the constrained ones shows.
     rhs_in = (1.0 + 0.5j) * np.arange(1, 82)
     ref = (dense(block_in), rhs_in.copy())
-    block, rhs = apply_symmetry_bc(block_in, rhs_in, constrained_dofs(mesh),
-                                   0, fab)
+    block, rhs = apply_symmetry_bc(block_in, rhs_in, constrained_dofs(mesh))
     # The input block and rhs are left as they were.
     np.testing.assert_array_equal(dense(block_in), ref[0])
     np.testing.assert_array_equal(rhs_in, ref[1])
@@ -469,10 +468,10 @@ def test_apply_symmetry_bc_identity_rows_and_columns():
 def test_apply_symmetry_bc_idempotent():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("y", "antisymmetry")])
-    ((block, rhs),), fab = _assembled(mesh)
+    ((block, rhs),), _ = _assembled(mesh)
     fixed = constrained_dofs(mesh)
-    once, rhs_once = apply_symmetry_bc(block, rhs, fixed, 0, fab)
-    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, fixed, 0, fab)
+    once, rhs_once = apply_symmetry_bc(block, rhs, fixed)
+    twice, rhs_twice = apply_symmetry_bc(once, rhs_once, fixed)
     assert_same_csr(twice, once)
     np.testing.assert_array_equal(rhs_twice, rhs_once)
 
@@ -481,37 +480,23 @@ def test_apply_symmetry_bc_parallel_matches_serial():
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 3),
                              [("z+", "symmetry"), ("x", "antisymmetry")])
     fixed = constrained_dofs(mesh)
-    out1, fab1 = _assembled(mesh, ranks=1)
-    block1, rhs1 = apply_symmetry_bc(*out1[0], fixed, 0, fab1)
-
-    out3, fab3 = _assembled(mesh, ranks=3)
-
-    def fn(f, r):
-        return apply_symmetry_bc(*out3[r], fixed, r, f)
-
-    res = run_spmd(fab3, fn)
+    out1, _ = _assembled(mesh, ranks=1)
+    block1, rhs1 = apply_symmetry_bc(*out1[0], fixed)
+    res = [apply_symmetry_bc(*part, fixed)
+           for part in _assembled(mesh, ranks=3)[0]]
     assert_same_csr(RedundantRows.from_rows([blk for blk, _ in res], 81),
                     block1)
     rhs3 = np.concatenate([rhs for _, rhs in res])
     np.testing.assert_array_equal(rhs3, rhs1)
-    assert phase_traffic(fab3, "bc")[0] == 6     # broadcast per rank
 
 
 def test_apply_symmetry_bc_without_constraints_leaves_rows():
     mesh = build_box_mesh((1.,) * 3, 3)
     assert constrained_dofs(mesh).size == 0
-    out, fab = _assembled(mesh, ranks=2)
-    before = [(blk.indptr.copy(), blk.indices.copy(), blk.data.copy(),
-               rhs.copy()) for blk, rhs in out]
-
-    def fn(f, r):
-        return apply_symmetry_bc(*out[r], constrained_dofs(mesh), r, f)
-
-    res = run_spmd(fab, fn)
-    for (blk, rhs), ref in zip(res, before):
-        for got, want in zip((blk.indptr, blk.indices, blk.data, rhs), ref):
-            assert np.array_equal(got, want)
-    assert phase_traffic(fab, "bc") == (2, 0)       # empty broadcasts
+    out, _ = _assembled(mesh, ranks=2)
+    for block, rhs in out:
+        got = apply_symmetry_bc(block, rhs, constrained_dofs(mesh))
+        assert got[0] is block and got[1] is rhs
 
 
 # -- symmetrization ----------------------------------------------------------
@@ -676,10 +661,10 @@ def test_apply_symmetry_bc_builds_no_full_length_row_array():
     it 17.8 B; one int64 array more as long as the block adds 8."""
     mesh = classify_boundary(build_box_mesh((1.,) * 3, 12),
                              [("z+", "symmetry")])
-    out, fab = _assembled(mesh, ranks=2)
+    out, _ = _assembled(mesh, ranks=2)
     fixed = constrained_dofs(mesh)
-    res, peak = _traced_peak(lambda: run_spmd(
-        fab, lambda f, r: apply_symmetry_bc(*out[r], fixed, r, f)))
+    res, peak = _traced_peak(
+        lambda: [apply_symmetry_bc(*part, fixed) for part in out])
     nnz = sum(b.nnz for b, _ in out)
     held = sum(b.indptr.nbytes + b.indices.nbytes + b.data.nbytes
                for b, _ in res)

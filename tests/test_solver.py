@@ -277,12 +277,11 @@ def test_run_factor_from_either_storage_identical(monkeypatch, precond,
 
 # Precond-build traffic of ``_grid_scenario`` with icp, either storage:
 # messages and bytes per rank, and total barriers of the run (the
-# build's 78 levels + 1 plus the system join and the precond-bytes
-# gather).
+# build's 78 levels + 1 plus the system join).
 ICP_BUILD_TRAFFIC = {
-    2: ([60, 0], [42408, 0], 81),
-    3: ([63, 63, 0], [31752, 40824, 0], 81),
-    5: ([48, 48, 48, 48, 0], [11376, 32976, 31680, 32112, 0], 81),
+    2: ([60, 0], [42408, 0], 80),
+    3: ([63, 63, 0], [31752, 40824, 0], 80),
+    5: ([48, 48, 48, 48, 0], [11376, 32976, 31680, 32112, 0], 80),
 }
 
 
@@ -300,30 +299,35 @@ def test_precond_build_traffic_pinned(ranks, storage):
             [sum(c["bytes"] for c in b) for b in build],
             report.counters["totals"]["barriers"])
     assert counters["icp"] == ICP_BUILD_TRAFFIC[ranks]
-    assert counters["bicp"] == ([0] * ranks, [0] * ranks, 2)
+    assert counters["bicp"] == ([0] * ranks, [0] * ranks, 1)
+
+
+# The only phases that count messages: assembly and the symmetry-plane
+# constraints send none.
+_COUNTED_PHASES = ("symmetrize", "precond-build", "solve-iteration")
 
 
 # End-to-end traffic of ``_grid_scenario`` with a z+ symmetry plane on two
 # ranks, per (preconditioner, storage, concat): messages and bytes per
 # phase, total barriers, iterations and the solution's sha256[:12].
-_BC, _SYM = (2, 128), (2, 59904)
+_SYM = (2, 59904)
 GRID_SYMMETRY_TRAFFIC = {
-    ("icp", "1", "spmd"): ((_BC, _SYM, (60, 42408), (78, 228360)),
-                           77, 13, "ed75ef2379db"),
-    ("icp", "1", "ms"): ((_BC, _SYM, (60, 42408), (78, 240840)),
-                         77, 13, "ed75ef2379db"),
-    ("icp", "2", "spmd"): ((_BC, _SYM, (60, 42408), (78, 209640)),
-                           77, 13, "64105047827e"),
-    ("icp", "2", "ms"): ((_BC, _SYM, (60, 42408), (78, 222120)),
-                         77, 13, "64105047827e"),
-    ("bicp", "1", "spmd"): ((_BC, _SYM, (0, 0), (96, 292608)),
-                            2, 24, "b08123b0e3b8"),
-    ("bicp", "1", "ms"): ((_BC, _SYM, (0, 0), (96, 338688)),
-                          2, 24, "b08123b0e3b8"),
-    ("bicp", "2", "spmd"): ((_BC, _SYM, (0, 0), (96, 258048)),
-                            2, 24, "68415e68e695"),
-    ("bicp", "2", "ms"): ((_BC, _SYM, (0, 0), (96, 304128)),
-                          2, 24, "68415e68e695"),
+    ("icp", "1", "spmd"): ((_SYM, (60, 42408), (78, 228360)),
+                           76, 13, "ed75ef2379db"),
+    ("icp", "1", "ms"): ((_SYM, (60, 42408), (78, 240840)),
+                         76, 13, "ed75ef2379db"),
+    ("icp", "2", "spmd"): ((_SYM, (60, 42408), (78, 209640)),
+                           76, 13, "64105047827e"),
+    ("icp", "2", "ms"): ((_SYM, (60, 42408), (78, 222120)),
+                         76, 13, "64105047827e"),
+    ("bicp", "1", "spmd"): ((_SYM, (0, 0), (96, 292608)),
+                            1, 24, "b08123b0e3b8"),
+    ("bicp", "1", "ms"): ((_SYM, (0, 0), (96, 338688)),
+                          1, 24, "b08123b0e3b8"),
+    ("bicp", "2", "spmd"): ((_SYM, (0, 0), (96, 258048)),
+                            1, 24, "68415e68e695"),
+    ("bicp", "2", "ms"): ((_SYM, (0, 0), (96, 304128)),
+                          1, 24, "68415e68e695"),
 }
 
 
@@ -334,11 +338,13 @@ def test_grid_run_traffic_pinned(precond, storage, concat):
         preconditioner=precond, ranks=2, storage=storage, concat=concat,
         symmetry_planes=[("z+", "symmetry")]))
     counters = res.report.counters
+    assert {c["phase"] for per_rank in counters["per_rank"]
+            for c in per_rank} <= set(_COUNTED_PHASES)
     phases = tuple(
         tuple(sum(c[key] for per_rank in counters["per_rank"]
                   for c in per_rank if c["phase"] == phase)
               for key in ("messages", "bytes"))
-        for phase in ("bc", "symmetrize", "precond-build", "solve-iteration"))
+        for phase in _COUNTED_PHASES)
     assert res.report.converged
     assert (phases, counters["totals"]["barriers"], res.report.iterations,
             hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
@@ -346,13 +352,12 @@ def test_grid_run_traffic_pinned(precond, storage, concat):
 
 
 # The same z+ symmetry plane on one rank, per preconditioner: total
-# barriers, iterations and the solution's sha256[:12].  The constraint
-# broadcast and the pipelined segment broadcasts run at P = 1 too, and
-# send nothing.
+# barriers, iterations and the solution's sha256[:12].  The pipelined
+# segment broadcasts run at P = 1 too, and send nothing.
 GRID_SYMMETRY_ONE_RANK = {
-    "dp": (2, 26, "393ae1c3447c"),
-    "icp": (77, 13, "64105047827e"),
-    "bicp": (2, 13, "64105047827e"),
+    "dp": (1, 26, "393ae1c3447c"),
+    "icp": (76, 13, "64105047827e"),
+    "bicp": (1, 13, "64105047827e"),
 }
 
 
@@ -368,6 +373,33 @@ def test_grid_run_one_rank_sends_nothing(precond):
     assert (counters["totals"]["barriers"], res.report.iterations,
             hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
             ) == GRID_SYMMETRY_ONE_RANK[precond]
+
+
+# The CI box with a z+ symmetry and an x- antisymmetry plane, 8 nodes per
+# wavelength, storage 1 and ms concatenation on three ranks: iterations,
+# messages, bytes, barriers and the solution's sha256[:12].
+PLANES_THREE_RANKS = {
+    "dp": (60, 246, 5303944, 1, "70af67018242"),
+    "icp": (28, 856, 6730192, 146, "adaaf35e4eaa"),
+    "bicp": (43, 350, 6989632, 1, "d4885caf0de8"),
+}
+
+
+@pytest.mark.parametrize("precond", sorted(PLANES_THREE_RANKS))
+def test_box_with_both_plane_kinds_counts_only_algorithm_traffic(precond):
+    res = run_scenario(Scenario(
+        extent=(1.0, 1.0, 1.0), nodes_per_wavelength=8,
+        symmetry_planes=[("z+", "symmetry"), ("x-", "antisymmetry")],
+        preconditioner=precond, ranks=3, concat="ms", storage="1"))
+    counters = res.report.counters
+    assert res.report.converged
+    assert {c["phase"] for per_rank in counters["per_rank"]
+            for c in per_rank} <= set(_COUNTED_PHASES)
+    totals = counters["totals"]
+    assert (res.report.iterations, totals["messages"], totals["bytes"],
+            totals["barriers"],
+            hashlib.sha256(res.solution.tobytes()).hexdigest()[:12]
+            ) == PLANES_THREE_RANKS[precond]
 
 
 @pytest.mark.parametrize("concat", ["spmd", "ms"])
@@ -493,13 +525,13 @@ def _criterion_4_scenario(**kw) -> Scenario:
 # scenarios never reach.
 BENCHMARK_WORKLOADS = {
     "scatter-icp": (dict(preconditioner="icp", ranks=1),
-                    (98, 0, 0, 237, 2774880, "1e46a866dabe")),
+                    (98, 0, 0, 236, 2774880, "1e46a866dabe")),
     "scatter-bicp-p2": (dict(preconditioner="bicp", ranks=2),
-                        (136, 548, 33915456, 2, 1320384, "8bbce25139f2")),
+                        (136, 546, 33915456, 1, 1320384, "8bbce25139f2")),
     "empty-dp-p2": (dict(extent=(1.0, 1.0, 1.0), nodes_per_wavelength=20,
                          scatterer=None, preconditioner="dp", ranks=2,
                          concat="ms", storage="1"),
-                    (143, 290, 101713800, 2, 384000, "1ce6d9769b6f")),
+                    (143, 288, 101713800, 1, 384000, "1ce6d9769b6f")),
 }
 
 
@@ -865,8 +897,8 @@ def test_every_apply_bitwise_equals_gather_level_oracle(monkeypatch, precond,
 # Whole-run iterations, messages, bytes, barriers and solution sha256[:12]
 # of ``_grid_scenario`` on three ranks.
 GRID_THREE_RANKS = {
-    "bicp": (28, 348, 768960, 2, "ce7197a7a166"),
-    "icp": (12, 354, 611088, 81, "1cdb6132f0db"),
+    "bicp": (28, 342, 768960, 1, "ce7197a7a166"),
+    "icp": (12, 348, 611088, 80, "1cdb6132f0db"),
 }
 
 
