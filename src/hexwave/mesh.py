@@ -62,7 +62,7 @@ class FacetKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ScattererSpec:
-    """Axis-aligned PEC box, corners in meters, snapped to grid nodes."""
+    """Axis-aligned PEC box, corners in wavelengths, snapped to grid nodes."""
     corner_min: tuple[float, float, float]
     corner_max: tuple[float, float, float]
 
@@ -83,12 +83,12 @@ class HexMesh:
     winding, its element face ``6e + k`` (face k of element e, as in
     ``HEX_FACES``) and its ``FacetKind``.
     """
-    nodes: np.ndarray             # (N, 3) coordinates in meters
+    nodes: np.ndarray             # (N, 3) coordinates in wavelengths
     elements: np.ndarray          # (E, 8) node indices, VTK corner order
     facet_nodes: np.ndarray       # (F, 4) corner node indices
     facet_faces: np.ndarray       # (F,) element face 6e + k
     facet_kinds: np.ndarray       # (F,) FacetKind members (object array)
-    spacing: float                # grid step h in meters
+    spacing: float                # grid step h in wavelengths
 
     @property
     def node_count(self) -> int:
@@ -131,26 +131,24 @@ def _edge_node_count(side_wavelengths: float, nodes_per_wavelength: int) -> int:
     return n_int
 
 
-def build_box_mesh(extent, nodes_per_wavelength: int, wavelength: float = 1.0,
+def build_box_mesh(extent, nodes_per_wavelength: int,
                    node_budget: int = 2_000_000) -> HexMesh:
     """Regular box grid: a side of L wavelengths gets L*npw nodes per edge.
 
     ``extent`` is the three side lengths in wavelengths; spacing is
-    wavelength / nodes_per_wavelength.
+    1 / nodes_per_wavelength wavelengths.
     """
     extent = np.asarray(extent, dtype=float)
     if extent.shape != (3,) or np.any(extent <= 0):
         raise MeshError(f"extent must be 3 positive side lengths, got {extent}")
     if nodes_per_wavelength < 2:
         raise MeshError("nodes_per_wavelength must be >= 2")
-    if wavelength <= 0:
-        raise MeshError("wavelength must be positive")
     counts = [_edge_node_count(extent[d], nodes_per_wavelength) for d in range(3)]
     nx, ny, nz = counts
     if nx * ny * nz > node_budget:
         raise MeshBudgetError(
             f"mesh of {nx * ny * nz} nodes exceeds budget {node_budget}")
-    h = wavelength / nodes_per_wavelength
+    h = 1.0 / nodes_per_wavelength
 
     # Node id = i + nx*(j + ny*k), x fastest; elements in the same order.
     kk, jj, ii = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx),

@@ -25,7 +25,6 @@ from .solver import (Preconditioner, SolveReport, build_bicp, build_dp,
 from .sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
                      to_redundant, write_matrix_market, write_rhs)
 
-SPEED_OF_LIGHT = 299_792_458.0    # m/s
 PRECONDITIONERS = ("dp", "icp", "bicp")
 STORAGES = ("1", "2")              # lower-triangle, redundant
 MAX_RANKS = 64      # a fabric holds P x P queues and runs one thread per rank
@@ -37,15 +36,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class Scenario:
+    """One free-space scattering problem; lengths are in wavelengths."""
     extent: tuple[float, float, float] = (1.0, 1.0, 1.0)   # wavelengths
     nodes_per_wavelength: int = 10
-    frequency: float = SPEED_OF_LIGHT                      # Hz -> 1 m wavelength
     scatterer: ScattererSpec | None = None
     symmetry_planes: list = field(default_factory=list)
     direction: tuple[float, float, float] = (1.0, 0.0, 0.0)
     polarization: tuple[float, float, float] = (0.0, 1.0, 0.0)
-    eps_r: complex = 1.0
-    mu_r: complex = 1.0
     ranks: int = 1
     preconditioner: str = "dp"
     concat: str = "spmd"
@@ -56,13 +53,10 @@ class Scenario:
     seed: int = 0      # unread; perfbench still passes it (ROADMAP item 4)
 
     def __post_init__(self):
-        for key in ("extent", "frequency", "direction", "polarization",
-                    "eps_r", "mu_r", "tol"):
+        for key in ("extent", "direction", "polarization", "tol"):
             value = getattr(self, key)
             if not np.isfinite(value).all():
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if self.frequency <= 0:
-            raise ConfigError("frequency must be positive")
         try:                # the incident wave, before any mesh is built
             PlaneWave(self.direction, self.polarization, self.k0)
         except AssemblyError as exc:
@@ -83,13 +77,9 @@ class Scenario:
         if self.node_budget < 1:
             raise ConfigError(f"node_budget must be >= 1, got {self.node_budget}")
 
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.frequency
-
-    @property
-    def k0(self) -> float:
-        return 2.0 * np.pi * self.frequency / SPEED_OF_LIGHT
+    # Free-space wavenumber, 2 pi per wavelength; perfbench, the
+    # criterion-6 test and CI read it.
+    k0 = 2.0 * np.pi
 
     @classmethod
     def from_config(cls, path) -> "Scenario":
@@ -127,11 +117,10 @@ def _floats(text: str) -> tuple[float, ...]:
 # Per INI section, its keys and their parsers; [symmetry] takes any face.
 _CONFIG_KEYS = {
     "domain": {"extent": _floats, "nodes_per_wavelength": int,
-               "frequency": float, "node_budget": int},
+               "node_budget": int},
     "scatterer": {"corner_min": _floats, "corner_max": _floats},
     "symmetry": {},
     "wave": {"direction": _floats, "polarization": _floats},
-    "material": {"eps_r": complex, "mu_r": complex},
     "solver": {"ranks": int, "preconditioner": str, "concat": str,
                "storage": str, "tol": float, "max_iter": int},
 }
@@ -159,7 +148,6 @@ class RunResult:
 
 def build_scenario_mesh(scenario: Scenario) -> HexMesh:
     mesh = build_box_mesh(scenario.extent, scenario.nodes_per_wavelength,
-                          wavelength=scenario.wavelength,
                           node_budget=scenario.node_budget)
     mesh = embed_pec_scatterer(mesh, scenario.scatterer)
     return classify_boundary(mesh, scenario.symmetry_planes)
@@ -178,8 +166,7 @@ def assemble_system(scenario: Scenario, mesh: HexMesh, rank: int,
     traffic, and costs one barrier.  Assembly and the constraints send no
     message; only symmetrization does, in its own phase.
     """
-    params = MaterialParams(eps_r=scenario.eps_r, mu_r=scenario.mu_r,
-                            k0=scenario.k0)
+    params = MaterialParams(k0=scenario.k0)
     wave = PlaneWave(direction=scenario.direction,
                      polarization=scenario.polarization, k0=scenario.k0)
     constrained = constrained_dofs(mesh)    # conflicting planes fail here

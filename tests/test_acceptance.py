@@ -72,7 +72,7 @@ def test_criterion_1_assembly_matches_element_loop_oracle():
     gaps = []
     for npw in (4, 6):                  # 3^3 and 5^3 elements
         h = 1.0 / npw
-        mesh = build_box_mesh((1.0, 1.0, 1.0), npw, wavelength=1.0)
+        mesh = build_box_mesh((1.0, 1.0, 1.0), npw)
         mesh = embed_pec_scatterer(
             mesh, ScattererSpec(corner_min=(h, h, h),
                                 corner_max=(2 * h, 2 * h, 2 * h)))

@@ -60,8 +60,6 @@ def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
         Scenario(storage="3")
     with pytest.raises(ConfigError):
-        Scenario(frequency=-1.0)
-    with pytest.raises(ConfigError):
         Scenario(ranks=0)
 
 
@@ -168,6 +166,29 @@ def test_unknown_config_key_or_section_exit_four(tmp_path, capsys, text,
     assert named in capsys.readouterr().err
 
 
+def test_frequency_and_material_are_not_options(tmp_path, capsys,
+                                                monkeypatch):
+    """A scenario is free space in wavelengths: a frequency or a uniform
+    material is an unknown key or section, refused before any mesh."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for an unknown key or section")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
+    for text, message in [
+            ("[domain]\nfrequency = 3e8\n",
+             "unknown config key [domain] frequency"),
+            ("[material]\neps_r = 4\n", "unknown config section [material]")]:
+        p = tmp_path / "removed.ini"
+        p.write_text(text)
+        assert main(["run", "--config", str(p)]) == 4
+        assert message in capsys.readouterr().err
+    for key in ("frequency", "eps_r"):
+        with pytest.raises(TypeError, match=key):
+            Scenario(**{key: 4.0})
+
+
 @pytest.mark.parametrize("text, named", [
     ("[solver]\ntol = 1e-6\ntol = 1e-5\n",
      "option 'tol' in section 'solver' already exists"),
@@ -188,17 +209,14 @@ def test_malformed_config_exit_four(tmp_path, capsys, text, named):
 
 
 @pytest.mark.parametrize("section, key, text", [
-    ("solver", "tol", "{}"), ("domain", "frequency", "{}"),
-    ("material", "eps_r", "{}"), ("material", "mu_r", "{}"),
-    ("domain", "extent", "1 {} 1"), ("wave", "direction", "0 0 {}"),
-    ("wave", "polarization", "{} 0 0")])
+    ("solver", "tol", "{}"), ("domain", "extent", "1 {} 1"),
+    ("wave", "direction", "0 0 {}"), ("wave", "polarization", "{} 0 0")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_value_exit_four_before_mesh(tmp_path, capsys,
                                                 monkeypatch, section, key,
                                                 text, value):
-    """A NaN or infinite tolerance, frequency, material constant or
-    geometry vector is rejected when the scenario is built, naming the
-    key, before any mesh exists."""
+    """A NaN or infinite tolerance or geometry vector is rejected when
+    the scenario is built, naming the key, before any mesh exists."""
     from hexwave import runner
 
     def no_mesh(scenario):
@@ -291,9 +309,6 @@ def test_bad_scatterer_corner_exit_four(tmp_path, capsys, monkeypatch, key,
 def test_non_finite_flags_and_complex_parts_rejected(config_path, capsys):
     assert main(["run", "--config", config_path, "--tol", "nan"]) == 4
     assert "tol must be finite, got nan" in capsys.readouterr().err
-    for key in ("eps_r", "mu_r"):
-        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
-            Scenario(**{key: complex(1.0, float("nan"))})
 
 
 def test_readme_ini_example_loads(tmp_path):
