@@ -206,26 +206,28 @@ def embed_pec_scatterer(mesh: HexMesh, spec: ScattererSpec | None) -> HexMesh:
     return out
 
 
-def classify_boundary(mesh: HexMesh,
-                      symmetry_planes: list[tuple[str, str]]) -> HexMesh:
-    """Retag non-PEC facets by the bounding-box face their element face
-    k lies on: declared faces take their plane kind, the rest exterior.
-
-    Each plane is ``(face, kind)`` with face one of ``x-``, ``x+``, ... (a
-    bare axis name means the min face) and kind ``symmetry`` or
-    ``antisymmetry``.
-    """
+def plane_kinds(symmetry_planes: list[tuple[str, str]]) -> np.ndarray:
+    """``FacetKind`` of each element face k of the planes ``(face, kind)``,
+    exterior where none is declared: face ``x-``, ``x+``, ... (a bare axis
+    is the min face), kind ``symmetry`` or ``antisymmetry``."""
     by_face = np.full(len(HEX_FACES), FacetKind.EXTERIOR, dtype=object)
     for face, kind in symmetry_planes:
         if face not in _PLANE_FACES:
             raise MeshError(f"unknown bounding-box face {face!r}")
-        if isinstance(kind, str):
-            kind = FacetKind(kind)
-        if kind not in (FacetKind.SYMMETRY, FacetKind.ANTISYMMETRY):
-            raise MeshError(f"plane kind must be symmetry or antisymmetry, got {kind}")
+        if kind not in ("symmetry", "antisymmetry"):
+            raise MeshError(f"plane {face}: kind must be symmetry or "
+                            f"antisymmetry, got {kind!r}")
         if by_face[_PLANE_FACES[face]] is not FacetKind.EXTERIOR:
             raise MeshError(f"duplicate symmetry plane declaration on {face}")
-        by_face[_PLANE_FACES[face]] = kind
-    kinds = np.where(mesh.facet_kinds == FacetKind.PEC, FacetKind.PEC,
-                     by_face[mesh.facet_faces % len(HEX_FACES)])
+        by_face[_PLANE_FACES[face]] = FacetKind(kind)
+    return by_face
+
+
+def classify_boundary(mesh: HexMesh,
+                      symmetry_planes: list[tuple[str, str]]) -> HexMesh:
+    """Retag non-PEC facets by the bounding-box face their element face
+    k lies on: declared faces take their plane kind (``plane_kinds``),
+    the rest exterior."""
+    plane = plane_kinds(symmetry_planes)[mesh.facet_faces % len(HEX_FACES)]
+    kinds = np.where(mesh.facet_kinds == FacetKind.PEC, FacetKind.PEC, plane)
     return replace(mesh, facet_kinds=kinds)

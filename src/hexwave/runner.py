@@ -17,8 +17,8 @@ from .assembly import (AssemblyError, MaterialParams, PlaneWave,
                        apply_symmetry_bc, assemble_rhs, assemble_rows,
                        constrained_dofs, symmetrize)
 from .fabric import CONCAT_STRATEGIES, CommFabric, run_spmd
-from .mesh import (HexMesh, ScattererSpec, build_box_mesh, classify_boundary,
-                   embed_pec_scatterer)
+from .mesh import (HexMesh, MeshError, ScattererSpec, build_box_mesh,
+                   classify_boundary, embed_pec_scatterer, plane_kinds)
 from .solver import (Preconditioner, SolveReport, build_bicp, build_dp,
                      build_icp, cg_solve)
 # to_redundant is unused here; perfbench's tracer wraps runner.to_redundant.
@@ -57,9 +57,10 @@ class Scenario:
             value = getattr(self, key)
             if not np.isfinite(value).all():
                 raise ConfigError(f"{key} must be finite, got {value}")
-        try:                # the incident wave, before any mesh is built
+        try:        # the incident wave and the planes, before any mesh
             PlaneWave(self.direction, self.polarization, self.k0)
-        except AssemblyError as exc:
+            plane_kinds(self.symmetry_planes)
+        except (AssemblyError, MeshError) as exc:
             raise ConfigError(str(exc)) from exc
         if self.preconditioner not in PRECONDITIONERS:
             raise ConfigError(f"unknown preconditioner {self.preconditioner!r}")
@@ -94,6 +95,8 @@ class Scenario:
     @classmethod
     def _from_parser(cls, cp: configparser.ConfigParser) -> "Scenario":
         kw: dict = {}
+        for key in cp.defaults():   # configparser adds them to every section
+            raise ConfigError(f"unknown config section [DEFAULT] {key}")
         for section in cp.sections():
             if section not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config section [{section}]")

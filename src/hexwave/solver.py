@@ -91,6 +91,8 @@ class SolveReport:
     ``matrix_bytes`` and ``precond_bytes`` count stored complex values
     only (16 B each), not index arrays or level schedules, whose sweeps
     hold their own copies of the factor values (2 x 2.8 MB on scatter-icp).
+    ``true_residual`` comes from one serial product on rank 0, whose report
+    ``run_scenario`` returns; other ranks report NaN (0.0 if b = 0).
     """
     iterations: int
     residual_history: list
@@ -153,16 +155,12 @@ class _RankFactor(_CsrBase):
         self.prefix = self.by_col - self.indptr[by_row - lo]
         # Only indptr and indices of A: select would copy the values.
         cover = a.rows(col_min, col_end)
-        rows = cover.entry_rows()
-        lower = cover.indices < rows
-        begin = cover.indptr[:-1]
-        self.depth = _levels(col_min, col_end, begin, begin + np.bincount(
-            rows[lower] - col_min, minlength=col_end - col_min), cover.indices)
+        below, rows, ptr = cover.below_by_column(col_min, col_end)
+        self.depth = _levels(rows - col_min, ptr)
         order = np.argsort(self.depth, kind="stable")
         self.levels = np.split(col_min + order,
                                np.flatnonzero(np.diff(self.depth[order])) + 1)
-        self.window = 1 + int((rows - cover.indices)[
-            lower & (cover.indices >= col_min)].max(initial=0))
+        self.window = 1 + int((rows - cover.indices[below]).max(initial=0))
         self.scratch = np.zeros(max(map(len, self.levels)) * self.window,
                                 dtype=np.complex128)
 
@@ -275,21 +273,15 @@ def build_icp(a: LowerSymmetricRows | RedundantRows, rank: int,
 # Triangular solves
 # ---------------------------------------------------------------------------
 
-def _levels(lo: int, hi: int, begin, end, nbr) -> np.ndarray:
-    """Dependency level of each row of [lo, hi) in one triangular sweep:
-    0 for a row that needs no other row of the segment, otherwise one
-    more than the highest level among the rows it needs, which are its
-    neighbours ``nbr[begin[r]:end[r]]`` inside [lo, hi).  Found front by
-    front: a row joins the next front once all it needs is solved."""
-    m, count = hi - lo, end - begin
-    dep_on = nbr[_ranges(begin, end)] - lo
-    inside = (dep_on >= 0) & (dep_on < m)
-    dep_row, dep_on = np.repeat(np.arange(m), count)[inside], dep_on[inside]
-    waiting = np.bincount(dep_row, minlength=m)
-    by_need = np.argsort(dep_on, kind="stable")
-    succ = dep_row[by_need]                  # grouped by the row they need
-    succ_ptr = np.searchsorted(dep_on[by_need], np.arange(m + 1))
-    level = np.empty(m, dtype=np.int64)
+def _levels(succ, succ_ptr) -> np.ndarray:
+    """Dependency level of each row r of a segment in one triangular
+    sweep: 0 for a row that needs no other row of the segment, otherwise
+    one more than the highest level among the rows it needs.  The rows
+    that need row r are ``succ[succ_ptr[r]:succ_ptr[r + 1]]``, numbered
+    from the segment start.  Found front by front: a row joins the next
+    front once all it needs is solved."""
+    waiting = np.bincount(succ, minlength=len(succ_ptr) - 1)
+    level = np.empty(len(waiting), dtype=np.int64)
     front, depth = np.flatnonzero(waiting == 0), 0
     while len(front):
         level[front] = depth
@@ -322,9 +314,9 @@ def _schedule_sweep(lo: int, hi: int, begin, end, nbr, vals, dvals, level):
     inside = (cols >= lo) & (cols < hi)
     cols[inside] = slot[cols[inside] - lo]
     offset = np.concatenate(([0], np.cumsum(count)))
-    cuts = _unique(level[order], index=True)[1].tolist() + [hi - lo]
+    cuts = np.flatnonzero(np.diff(level[order], prepend=-np.inf)).tolist()
     levels = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b in zip(cuts, cuts[1:] + [hi - lo]):
         e0, e1 = offset[a], offset[b]
         full = a + np.count_nonzero(count[a:b])
         levels.append((lo + a, lo + full, lo + b, cols[e0:e1], vals[e0:e1],
@@ -497,7 +489,8 @@ def cg_solve(a, b: np.ndarray, precond: Preconditioner, rank: int,
                 break
             p = z + (rho_new / rho) * p
             rho = rho_new
-        true_res = _norm(b - full_matvec(a, x)) / bnorm
+        true_res = (_norm(b - full_matvec(a, x)) / bnorm if rank == 0
+                    else float("nan"))
 
     report = SolveReport(
         iterations=iterations, residual_history=history,

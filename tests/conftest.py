@@ -571,12 +571,12 @@ def column_loop_factor(a, rank: int, fabric: CommFabric,
                           depth=f.depth[lo - col_min:])
 
 
-def gather_level_sweep(lo: int, hi: int, begin, end, nbr, pos, diag) -> list:
-    """Level schedule of one sweep over rows [lo, hi) as index arrays
-    into the factor's values: one ``(rows, diag, cols, pos, starts)``
-    per level, rows with entries first (the gather-per-level layout)."""
+def gather_level_sweep(lo: int, level, begin, end, nbr, pos, diag) -> list:
+    """Level schedule of one sweep over rows [lo, lo + len(level)) as
+    index arrays into the factor's values: one ``(rows, diag, cols, pos,
+    starts)`` per level, rows with entries first (the gather-per-level
+    layout)."""
     count = end - begin
-    level = _levels(lo, hi, begin, end, nbr)
     order = np.lexsort((count == 0, level))
     rows, diag, count = lo + order, diag[order], count[order]
     ent = _ranges(begin[order], end[order])
@@ -609,11 +609,16 @@ def gather_level_substitute(factor, b, lo: int, hi: int) -> np.ndarray:
     gather-per-level solve; the segment must need no other rows (a
     block-local factor's block, or a full factor's whole range)."""
     local = np.arange(lo - factor.row_start, hi - factor.row_start)
-    diag = factor.indptr[local + 1] - 1
-    forward = gather_level_sweep(lo, hi, factor.indptr[local], diag,
-                                 factor.indices, np.arange(factor.nnz), diag)
+    begin, diag = factor.indptr[local], factor.indptr[local + 1] - 1
     below, rows, ptr = factor.below_by_column(lo, hi)
-    back = gather_level_sweep(lo, hi, ptr[:-1], ptr[1:], rows, below, diag)
+    # Forward, row r is needed by the rows below it in column r; back, by
+    # the rows of its own entries left of the diagonal.
+    forward = gather_level_sweep(lo, _levels(rows - lo, ptr), begin, diag,
+                                 factor.indices, np.arange(factor.nnz), diag)
+    left = factor.indices[_ranges(begin, diag)] - lo
+    back = gather_level_sweep(
+        lo, _levels(left, np.concatenate(([0], np.cumsum(diag - begin)))),
+        ptr[:-1], ptr[1:], rows, below, diag)
     y = np.zeros(factor.n, dtype=np.complex128)
     x = np.zeros(factor.n, dtype=np.complex128)
     gather_level_solve(forward, factor.data, b, y)

@@ -156,10 +156,30 @@ def test_bad_config_value_exit_four(tmp_path, capsys):
     ("[solver]\npenalty_weight = 2.0\n", "[solver] penalty_weight"),
     ("[solver]\nseed = 3\n", "[solver] seed"),
     ("[domian]\nextent = 1 1 1\n", "[domian]"),
+    ("[DEFAULT]\ntol = 1e-5\n", "unknown config section [DEFAULT] tol"),
+    ("[DEFAULT]\ntol = 1e-5\n[solver]\nranks = 1\n",
+     "unknown config section [DEFAULT] tol"),
+    ("[DEFAULT]\nx = 1\n[symmetry]\n", "unknown config section [DEFAULT] x"),
+    ("[symmetry]\nx = 1\n",
+     "plane x: kind must be symmetry or antisymmetry, got '1'"),
+    ("[symmetry]\nw = symmetry\n", "unknown bounding-box face 'w'"),
+    ("[symmetry]\nz = symmetry\nz- = antisymmetry\n",
+     "duplicate symmetry plane declaration on z-"),
 ], ids=["misspelled-key", "removed-key", "removed-seed-key",
-        "misspelled-section"])
-def test_unknown_config_key_or_section_exit_four(tmp_path, capsys, text,
-                                                 named):
+        "misspelled-section", "default-alone", "default-with-solver",
+        "default-with-symmetry", "bad-plane-kind", "unknown-plane-face",
+        "duplicate-plane"])
+def test_unknown_config_key_or_section_exit_four(tmp_path, capsys,
+                                                 monkeypatch, text, named):
+    """Unknown keys and sections, ``[DEFAULT]`` keys (configparser would
+    merge them into every section) and bad ``[symmetry]`` entries exit 4,
+    naming their key, before any mesh."""
+    from hexwave import runner
+
+    def no_mesh(scenario):
+        raise AssertionError("mesh built for a bad config")
+
+    monkeypatch.setattr(runner, "build_scenario_mesh", no_mesh)
     p = tmp_path / "typo.ini"
     p.write_text(text)
     assert main(["run", "--config", str(p)]) == 4
@@ -306,7 +326,7 @@ def test_bad_scatterer_corner_exit_four(tmp_path, capsys, monkeypatch, key,
     assert value.split()[0] in err
 
 
-def test_non_finite_flags_and_complex_parts_rejected(config_path, capsys):
+def test_nan_tol_flag_exit_four(config_path, capsys):
     assert main(["run", "--config", config_path, "--tol", "nan"]) == 4
     assert "tol must be finite, got nan" in capsys.readouterr().err
 

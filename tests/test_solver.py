@@ -20,11 +20,11 @@ from hexwave.mesh import ScattererSpec
 from hexwave.runner import Scenario, run_scenario
 from hexwave.solver import (CholeskyFactor, FactorBreakdownError,
                             Preconditioner, SingularPreconditionerError,
-                            _dot, _levels, _norm, _row_destinations,
-                            _schedule_segment, build_bicp, build_dp,
-                            build_icp, cg_solve)
-from hexwave.sparse import (LowerSymmetricRows, RedundantRows, partition_rows,
-                            to_redundant)
+                            _RankFactor, _dot, _levels, _norm,
+                            _row_destinations, _schedule_segment, build_bicp,
+                            build_dp, build_icp, cg_solve)
+from hexwave.sparse import (LowerSymmetricRows, RedundantRows, _CsrBase,
+                            partition_rows, to_redundant)
 
 from conftest import (column_loop_factor, csr_from_rows, dense,
                       dense_ic_oracle, entry_loop_ic, gather_level_substitute,
@@ -441,9 +441,10 @@ def _oracle_factor(a, lo, hi):
     """The per-entry loop's rows [lo, hi), with the depth of a level
     analysis of their own pattern (the diagonal, last, left out)."""
     indptr, indices, data = csr_from_rows(entry_loop_ic(a, lo, hi), hi - lo)
+    _, rows, ptr = _CsrBase(a.n, indptr, indices, data,
+                            lo).below_by_column(lo, hi)
     return CholeskyFactor(a.n, indptr, indices, data, row_start=lo,
-                          depth=_levels(lo, hi, indptr[:-1], indptr[1:] - 1,
-                                        indices))
+                          depth=_levels(rows - lo, ptr))
 
 
 def _assert_kernel_edge_cases(a, fab):
@@ -588,7 +589,9 @@ def test_levels_match_row_recurrence_on_random_lower_patterns(seed, segment):
     begin, end = indptr[lo:hi], indptr[lo + 1:hi + 1]
     ref = _level_recurrence(lo, hi, begin, end, nbr)
     assert (ref == 0).any()
-    assert np.array_equal(_levels(lo, hi, begin, end, nbr), ref)
+    _, below, ptr = _CsrBase(n, indptr, nbr, np.zeros(len(nbr)),
+                             0).rows(lo, hi).below_by_column(lo, hi)
+    assert np.array_equal(_levels(below - lo, ptr), ref)
 
 
 def test_levels_match_row_recurrence_on_criterion_4_pattern(
@@ -601,8 +604,8 @@ def test_levels_match_row_recurrence_on_criterion_4_pattern(
     end = begin + np.bincount(rows[a.indices < rows], minlength=a.n)
     for lo, hi in ((0, a.n), (a.n // 3, 2 * a.n // 3), (2 * a.n // 3, a.n)):
         ref = _level_recurrence(lo, hi, begin[lo:hi], end[lo:hi], a.indices)
-        got = _levels(lo, hi, begin[lo:hi], end[lo:hi], a.indices)
-        assert np.array_equal(got, ref), (lo, hi)
+        _, below, ptr = a.rows(lo, hi).below_by_column(lo, hi)
+        assert np.array_equal(_levels(below - lo, ptr), ref), (lo, hi)
         if lo == 0:
             assert ref.max() + 1 == CRITERION_4_LEVELS[1][0]
 
@@ -628,6 +631,28 @@ def test_level_builds_are_column_loop_on_criterion_4_system(
             steps = [len(_level_rows(s))
                      for s in _schedule_segment(factor, lo, hi)]
             assert steps == 2 * [CRITERION_4_LEVELS[ranks][r]], (factor, r)
+
+
+def test_factor_window_is_widest_lower_reach_on_criterion_4_system(
+        criterion_4_system):
+    """A factor's scratch window, too narrow, would alias scratch slots:
+    it is 1 + the largest i - k over the strict-lower entries (i, k) of
+    its cover, rows [col_min, col_end) of A, with k >= col_min, read one
+    stored entry at a time.  The icp factor at P = 1 and 2, and every
+    bicp block at P = 2 and 3."""
+    a, nodes = criterion_4_system
+    for kind, ranks in (("icp", 1), ("icp", 2), ("bicp", 2), ("bicp", 3)):
+        fab = CommFabric(partition_rows(nodes, ranks))
+        for r in range(ranks):
+            lo, hi = fab.dof_range(r)
+            col_min, col_end = (0, a.n) if kind == "icp" else (lo, hi)
+            reach = 0
+            for i in range(col_min, col_end):
+                for k in a.row(i)[0].tolist():
+                    if col_min <= k < i:
+                        reach = max(reach, i - k)
+            window = _RankFactor(a, lo, hi, col_min, col_end).window
+            assert window == 1 + reach, (kind, ranks, r)
 
 
 @pytest.mark.parametrize("storage", ["1", "2"])
@@ -1015,16 +1040,16 @@ def test_each_solve_builds_its_ranks_schedules(monkeypatch, rng, precond):
         built.append((lo, hi))
         return schedule(factor, lo, hi)
 
-    def counted_levels(*args):
-        analyses.append(args[:2])
-        return levels(*args)
+    def counted_levels(succ, succ_ptr):
+        analyses.append(len(succ_ptr) - 1)
+        return levels(succ, succ_ptr)
 
     monkeypatch.setattr(solver, "_schedule_segment", counted)
     monkeypatch.setattr(solver, "_levels", counted_levels)
     for starts in ([0, 18], [0, 9, 18]):
         segments = list(zip(starts[:-1], starts[1:]))
-        per_build = {"dp": [], "icp": len(segments) * [(0, 18)],
-                     "bicp": segments}[precond]
+        per_build = {"dp": [], "icp": len(segments) * [18],
+                     "bicp": [hi - lo for lo, hi in segments]}[precond]
         built.clear()
         analyses.clear()
         preconds = [p if precond == "dp" else Preconditioner(precond, factor=p)
@@ -1113,6 +1138,25 @@ def test_cg_zero_rhs_returns_zero_before_any_message(rng, precond):
         assert rep.ranks == 2 and rep.preconditioner == precond
     assert phase_traffic(fab, "solve-iteration") == (0, 0)
     assert fab.counters_report()["totals"]["messages"] == 0
+
+
+@pytest.mark.parametrize("ranks", [2, 3])
+def test_solve_runs_one_true_residual_product(monkeypatch, rng, ranks):
+    """Only rank 0, whose report ``run_scenario`` returns, runs the serial
+    product of the true residual; the other ranks report NaN."""
+    ar, _, b = _cg_system(rng)
+    calls, product = [], solver.full_matvec
+
+    def counted(a, x):
+        calls.append(threading.current_thread().name)
+        return product(a, x)
+
+    monkeypatch.setattr(solver, "full_matvec", counted)
+    out = run_spmd(CommFabric(split_rows(18, ranks)), lambda f, r: cg_solve(
+        ar, b, build_dp(ar), r, f, tol=1e-10))
+    assert calls == ["rank0"]
+    assert out[0][1].converged and out[0][1].true_residual <= 1e-9
+    assert all(np.isnan(rep.true_residual) for _, rep in out[1:])
 
 
 def test_cg_report_serializes(rng):
